@@ -18,6 +18,7 @@ from .model import (
     ModelSpec,
     as_flat_prior_posterior,
     build_design,
+    build_schema,
     covariate_matrix,
     fit_bayes,
     fit_model,
@@ -67,6 +68,7 @@ __all__ = [
     "baseline_vector",
     "build_design",
     "build_report",
+    "build_schema",
     "cate",
     "covariate_matrix",
     "delta_vector",

@@ -30,6 +30,7 @@ from .model import (
     ModelSpec,
     as_flat_prior_posterior,
     build_design,
+    build_schema,
     fit_bayes,
     fit_model,
 )
@@ -293,7 +294,7 @@ def _cmd_validate(args) -> int:
             encodings=cfg.encodings,
             interactions=cfg.interactions,
         )
-        design, _, schema = build_design(data, spec)
+        schema = build_schema(data, spec)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

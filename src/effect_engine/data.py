@@ -15,12 +15,21 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-__all__ = ["Dataset", "load_csv", "add_period_covariate"]
+__all__ = ["Dataset", "load_csv", "add_period_covariate", "factorize"]
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
+
+
+def factorize(labels: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
+    """Distinct labels in ``sorted(set(labels))`` order, and each label's
+    index into them, in one pass over the labels."""
+    levels = sorted(set(labels))
+    lookup = {level: i for i, level in enumerate(levels)}
+    codes = np.fromiter(map(lookup.__getitem__, labels), dtype=np.intp, count=len(labels))
+    return tuple(levels), codes
 
 
 def _as_covariate_array(name: str, values: Sequence) -> np.ndarray:
@@ -50,6 +59,9 @@ class Dataset:
         object columns hold categorical string levels
     unit_id : optional (n,) object array of string unit identifiers
     period : optional (n,) int array of ordinal time indices
+
+    Categorical encodings (see :meth:`categorical_codes`) are computed on
+    first use and cached per dataset; copies start with an empty cache.
     """
 
     outcome: np.ndarray
@@ -57,6 +69,7 @@ class Dataset:
     covariates: Mapping[str, np.ndarray] = field(default_factory=dict)
     unit_id: np.ndarray | None = None
     period: np.ndarray | None = None
+    _codes: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         outcome = _freeze(np.asarray(self.outcome, dtype=np.float64))
@@ -115,6 +128,20 @@ class Dataset:
 
     def arm_mask(self, arm: str) -> np.ndarray:
         return self.arm == str(arm)
+
+    def categorical_codes(self, name: str) -> tuple[tuple[str, ...], np.ndarray]:
+        """Sorted distinct string levels of covariate ``name`` and each
+        row's index into them. Numeric columns are read as the strings of
+        their values. Computed once per dataset and cached."""
+        cached = self._codes.get(name)
+        if cached is None:
+            labels = self.covariates[name].tolist()
+            if self.is_numeric(name):
+                labels = [str(v) for v in labels]
+            levels, codes = factorize(labels)
+            # setdefault: concurrent first calls all return the one stored entry
+            cached = self._codes.setdefault(name, (levels, _freeze(codes)))
+        return cached
 
     @classmethod
     def from_records(cls, records: Iterable[Mapping]) -> "Dataset":
@@ -182,7 +209,13 @@ def load_csv(path, column_map: Mapping[str, object]) -> Dataset:
 
     if not rows:
         raise ValueError(f"CSV file has a header but no data rows: {path}")
-    index = {name: i for i, name in enumerate(header)}
+    positions: dict[str, list[int]] = {}
+    for i, name in enumerate(header):
+        positions.setdefault(name, []).append(i)
+    for name, cols in positions.items():
+        if len(cols) > 1:
+            raise ValueError(f"duplicate CSV header {name!r} at columns {cols}")
+    index = {name: cols[0] for name, cols in positions.items()}
 
     def col_idx(role: str, name: str) -> int:
         if name not in index:
@@ -258,9 +291,9 @@ def add_period_covariate(data: Dataset, name: str = "period") -> Dataset:
         raise ValueError("dataset has no period column")
     if name in data.covariates:
         raise ValueError(f"covariate {name!r} already exists")
-    if len(set(data.period.tolist())) < 2:
+    if len(np.unique(data.period)) < 2:
         return data
     covs = dict(data.covariates)
-    covs[name] = np.asarray([str(int(p)) for p in data.period], dtype=object)
+    covs[name] = np.asarray([str(p) for p in data.period.tolist()], dtype=object)
     return Dataset(outcome=data.outcome, arm=data.arm, covariates=covs,
                    unit_id=data.unit_id, period=data.period)

@@ -112,10 +112,10 @@ def dte(model: FittedModel, data: Dataset, arm_to: str, arm_from: str, period: i
         raise ValueError("time-dynamic effects require cluster-robust covariance")
     if data.period is None:
         raise ValueError("dataset has no period column")
-    periods = set(int(p) for p in data.period.tolist())
+    periods = np.unique(data.period).tolist()
     period = int(period)
     if period not in periods:
-        raise ValueError(f"unknown period {period}; data has periods {sorted(periods)}")
+        raise ValueError(f"unknown period {period}; data has periods {periods}")
     if len(periods) > 1:
         has_period_cov = any(
             c.covariate == period_covariate for c in model.schema.covariate_columns

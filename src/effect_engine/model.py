@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, qr as _qr_pivoted, solve_triangular
 
-from .data import Dataset
+from .data import Dataset, factorize
 
 __all__ = [
     "BayesPrior",
@@ -26,6 +26,7 @@ __all__ = [
     "ColumnSchema",
     "FittedModel",
     "build_design",
+    "build_schema",
     "covariate_matrix",
     "fit_ols",
     "fit_bayes",
@@ -194,8 +195,7 @@ def _covariate_descriptors(data: Dataset, spec: ModelSpec) -> list[Column]:
                 )
             descriptors.append(Column(kind="covariate", covariate=name))
         else:
-            values = [str(v) for v in data.covariates[name].tolist()]
-            levels = sorted(set(values))
+            levels, _ = data.categorical_codes(name)
             if len(levels) < 2:
                 raise ValueError(
                     f"categorical covariate {name!r} has a single level "
@@ -207,7 +207,11 @@ def _covariate_descriptors(data: Dataset, spec: ModelSpec) -> list[Column]:
     return descriptors
 
 
-def _build_schema(data: Dataset, spec: ModelSpec) -> ColumnSchema:
+def build_schema(data: Dataset, spec: ModelSpec) -> ColumnSchema:
+    """Column schema of the design for ``data`` under ``spec``, without
+    building the design itself. Raises for a reference arm missing from the
+    data or a covariate that cannot be encoded, and warns for a constant
+    numeric covariate."""
     reference = str(spec.reference_arm)
     arms = data.arms
     if reference not in arms:
@@ -226,20 +230,38 @@ def _build_schema(data: Dataset, spec: ModelSpec) -> ColumnSchema:
     return ColumnSchema(columns=tuple(columns), reference_arm=reference)
 
 
-def covariate_matrix(data: Dataset, schema: ColumnSchema) -> np.ndarray:
+def covariate_matrix(data: Dataset, schema: ColumnSchema, rows=None) -> np.ndarray:
     """Expanded covariate block (n x q) for ``data`` under ``schema``:
     numeric columns pass through, categorical columns become 0/1 indicators
-    for their non-reference levels."""
-    cols = []
-    for c in schema.covariate_columns:
-        values = data.covariates[c.covariate]
+    for their non-reference levels.
+
+    ``rows`` (a boolean mask or index array) restricts the block to those
+    rows; the result equals ``covariate_matrix(data, schema)[rows]``.
+    Indicators compare the dataset's cached level codes (see
+    ``Dataset.categorical_codes``), so each categorical column is encoded
+    once per dataset, not once per call.
+    """
+    n = data.n
+    if rows is not None:
+        rows = np.asarray(rows)
+        if rows.dtype == bool:
+            if rows.shape != (n,):
+                raise ValueError(f"row mask has shape {rows.shape}, expected ({n},)")
+            rows = np.flatnonzero(rows)
+        n = rows.shape[0]
+    columns = schema.covariate_columns
+    out = np.empty((n, len(columns)))
+    gathered: dict[str, np.ndarray] = {}
+    for k, c in enumerate(columns):
         if c.level is None:
-            cols.append(np.asarray(values, dtype=np.float64))
-        else:
-            cols.append((np.asarray([str(v) for v in values.tolist()], dtype=object) == c.level).astype(np.float64))
-    if not cols:
-        return np.empty((data.n, 0))
-    return np.column_stack(cols)
+            values = data.covariates[c.covariate]
+            out[:, k] = values if rows is None else values[rows]
+            continue
+        levels, codes = data.categorical_codes(c.covariate)
+        if c.covariate not in gathered:
+            gathered[c.covariate] = codes if rows is None else codes[rows]
+        out[:, k] = gathered[c.covariate] == levels.index(c.level)
+    return out
 
 
 def build_design(data: Dataset, spec: ModelSpec):
@@ -250,7 +272,7 @@ def build_design(data: Dataset, spec: ModelSpec):
     non-reference arm, and interaction columns are elementwise products of
     their covariate and arm parents.
     """
-    schema = _build_schema(data, spec)
+    schema = build_schema(data, spec)
     n = data.n
     covs = covariate_matrix(data, schema)
     arm_block = np.column_stack(
@@ -331,6 +353,9 @@ def fit_ols(design: np.ndarray, y: np.ndarray, covariance_kind: str = "hc1",
     ``classical`` is the textbook homoskedastic estimator, ``hc1`` the
     degrees-of-freedom-corrected sandwich, and ``cluster`` the Liang-Zeger
     sandwich over ``cluster_ids`` with the usual small-sample correction.
+    Cluster scores are accumulated in one pass over the rows (each cluster
+    sums its rows in row order), so the cost is linear in rows, not rows
+    times clusters.
     The solve goes through a QR factorization; no explicit inverse of the
     design is formed (the covariance needs (X'X)^-1, which comes from the
     triangular factor).
@@ -369,17 +394,16 @@ def fit_ols(design: np.ndarray, y: np.ndarray, covariance_kind: str = "hc1",
         meat = xe.T @ xe
         cov = xtx_inv @ meat @ xtx_inv * (n / (n - p))
     else:
-        ids = np.asarray([str(c) for c in cluster_ids], dtype=object)
-        if ids.shape != (n,):
+        labels = [str(c) for c in cluster_ids]
+        if len(labels) != n:
             raise ValueError("cluster_ids length does not match design rows")
-        groups = sorted(set(ids.tolist()))
+        groups, group_of_row = factorize(labels)
         n_groups = len(groups)
         if n_groups < 2:
             raise ValueError("cluster covariance requires at least 2 clusters")
         xe = X * resid[:, None]
         scores = np.zeros((n_groups, p))
-        for g, label in enumerate(groups):
-            scores[g] = xe[ids == label].sum(axis=0)
+        np.add.at(scores, group_of_row, xe)
         meat = scores.T @ scores
         correction = (n_groups / (n_groups - 1)) * ((n - 1) / (n - p))
         cov = xtx_inv @ meat @ xtx_inv * correction

@@ -99,8 +99,7 @@ def profile_from_subset(data: Dataset, schema: ColumnSchema, predicate=None,
         mask = ~mask
     if not mask.any():
         raise ValueError("empty conditioning subset")
-    cols = covariate_matrix(data, schema)
-    return CovariateProfile(cols[mask].mean(axis=0))
+    return CovariateProfile(covariate_matrix(data, schema, rows=mask).mean(axis=0))
 
 
 def baseline_vector(schema: ColumnSchema, profile: CovariateProfile, arm: str) -> EffectVector:

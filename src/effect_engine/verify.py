@@ -18,7 +18,7 @@ import numpy as np
 from . import oracles
 from .data import Dataset
 from .effects import ate, cate, hte
-from .model import ModelSpec, as_flat_prior_posterior, build_design, fit_model
+from .model import ModelSpec, as_flat_prior_posterior, build_schema, fit_model
 from .mvnorm import mvn_orthant
 from .ranking import prob_best
 from .relative import ratio_moments, relative_effect
@@ -85,7 +85,7 @@ def delta_identity_check(n_schemas: int = 200, seed: int = 901) -> VerifyResult:
             reference_arm=str(rng.choice(data.arms)),
             interactions=bool(rng.integers(0, 2)),
         )
-        _, _, schema = build_design(data, spec)
+        schema = build_schema(data, spec)
         profile = CovariateProfile(rng.normal(size=len(schema.covariate_indices)))
         w2, w1 = rng.choice(data.arms, size=2, replace=False)
         lhs = delta_vector(schema, profile, w2, w1).entries

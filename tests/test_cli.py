@@ -156,6 +156,15 @@ def test_missing_data_file_exits_1(tmp_path):
     assert "failed to load data" in proc.stderr
 
 
+def test_duplicate_csv_header_exits_1(tmp_path):
+    write_workspace(tmp_path, [{"type": "ate", "arm_to": "1", "arm_from": "0"}],
+                    csv="y,arm,y\n1,0,1\n3,0,3\n4,1,4\n6,1,6\n")
+    for command in ("run", "validate"):
+        proc = run_cli(command, "--config", "config.json", cwd=tmp_path)
+        assert proc.returncode == 1
+        assert "duplicate CSV header 'y' at columns [0, 2]" in proc.stderr
+
+
 def test_data_flag_overrides_config_path(tmp_path):
     write_workspace(tmp_path, [{"type": "ate", "arm_to": "1", "arm_from": "0"}])
     (tmp_path / "data.csv").rename(tmp_path / "fresh.csv")

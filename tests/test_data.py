@@ -1,5 +1,7 @@
 """Dataset container and CSV ingestion."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
@@ -159,6 +161,13 @@ def test_load_csv_ragged_row(tmp_path):
         load_csv(path, {"outcome": "y", "arm": "arm"})
 
 
+def test_load_csv_duplicate_header_rejected(tmp_path):
+    # A dict keyed by header name would read the outcome from the last "y".
+    path = _write(tmp_path, "y,arm,y\n1.0,0,10.0\n2.0,1,20.0\n")
+    with pytest.raises(ValueError, match=r"duplicate CSV header 'y' at columns \[0, 2\]"):
+        load_csv(path, {"outcome": "y", "arm": "arm"})
+
+
 def test_load_csv_no_data_rows(tmp_path):
     path = _write(tmp_path, "y,arm\n")
     with pytest.raises(ValueError, match="no data rows"):
@@ -197,3 +206,22 @@ def test_add_period_covariate_name_clash():
     )
     with pytest.raises(ValueError, match="already exists"):
         add_period_covariate(data)
+
+
+def test_categorical_codes_sorted_and_cached():
+    data = Dataset(
+        outcome=[1.0, 2.0, 3.0, 4.0, 5.0],
+        arm=["a", "b", "a", "b", "a"],
+        covariates={"g": ["9", "a", "10", "B", "9"], "x": [2.0, 10.0, 2.0, 1.5, 1.5]},
+    )
+    levels, codes = data.categorical_codes("g")
+    assert levels == ("10", "9", "B", "a")  # sorted(set(...)) order
+    assert codes.tolist() == [1, 3, 0, 2, 1]
+    assert not codes.flags.writeable
+    assert data.categorical_codes("g")[1] is codes
+    # Numeric columns are read as the strings of their values.
+    assert data.categorical_codes("x")[0] == ("1.5", "10.0", "2.0")
+    # Copies start with an empty cache and encode their own columns.
+    copy = dataclasses.replace(data)
+    assert copy.categorical_codes("g")[1] is not codes
+    assert_array_equal(copy.categorical_codes("g")[1], codes)

@@ -2,7 +2,8 @@
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
+from scipy.linalg import solve_triangular
 
 from effect_engine.data import Dataset
 from effect_engine.model import (
@@ -233,6 +234,49 @@ def test_cluster_covariance_matches_direct_formula():
         meat += np.outer(s, s)
     expected = bread @ meat @ bread * (8 / 7) * ((n - 1) / (n - 3))
     assert_allclose(model.cov_beta, expected, rtol=1e-10)
+
+
+def _cluster_cov_by_label_loop(X, y, labels):
+    """Reference cluster covariance: one ``ids == label`` mask per cluster,
+    clusters in ``sorted(set(labels))`` order, same factorization and
+    operation order as ``fit_ols``."""
+    n, p = X.shape
+    Q, R = np.linalg.qr(X, mode="reduced")
+    beta = solve_triangular(R, Q.T @ y)
+    resid = y - X @ beta
+    r_inv = solve_triangular(R, np.eye(p))
+    xtx_inv = r_inv @ r_inv.T
+    ids = np.asarray([str(c) for c in labels], dtype=object)
+    groups = sorted(set(ids.tolist()))
+    xe = X * resid[:, None]
+    scores = np.zeros((len(groups), p))
+    for g, label in enumerate(groups):
+        scores[g] = xe[ids == label].sum(axis=0)
+    G = len(groups)
+    cov = xtx_inv @ (scores.T @ scores) @ xtx_inv * ((G / (G - 1)) * ((n - 1) / (n - p)))
+    return (cov + cov.T) / 2.0
+
+
+def test_grouped_cluster_meat_is_bit_exact():
+    # Interleaved rows, unequal cluster sizes (1 to 40 rows), one singleton,
+    # and numeric labels whose string order differs from their numeric
+    # order ("10" sorts before "9").
+    rng = np.random.default_rng(21)
+    sizes = {1: 1, 2: 40, 9: 7, 10: 23, 11: 2, 100: 15, 3: 12}
+    numbers = np.repeat(list(sizes), list(sizes.values()))
+    rng.shuffle(numbers)
+    n = numbers.shape[0]
+    X = np.column_stack([np.ones(n), rng.normal(size=(n, 3)), rng.integers(0, 2, n)])
+    y = X @ rng.normal(size=5) + rng.standard_t(3, size=n)
+    labels = [f"u{k}" for k in numbers]
+    model = fit_ols(X, y, covariance_kind="cluster", cluster_ids=labels)
+    assert_array_equal(model.cov_beta, _cluster_cov_by_label_loop(X, y, labels))
+    # Integer ids cluster exactly like their string forms.
+    by_int = fit_ols(X, y, covariance_kind="cluster", cluster_ids=numbers)
+    by_str = fit_ols(X, y, covariance_kind="cluster", cluster_ids=[str(k) for k in numbers])
+    assert_array_equal(by_int.beta, by_str.beta)
+    assert_array_equal(by_int.cov_beta, by_str.cov_beta)
+    assert_array_equal(by_int.cov_beta, _cluster_cov_by_label_loop(X, y, numbers))
 
 
 def test_cluster_requires_ids_and_two_clusters():

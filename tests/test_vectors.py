@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from effect_engine.data import Dataset
-from effect_engine.model import FittedModel, ModelSpec, build_design, fit_model
+from effect_engine.model import (
+    FittedModel,
+    ModelSpec,
+    build_design,
+    build_schema,
+    covariate_matrix,
+    fit_model,
+)
 from effect_engine.vectors import (
     CovariateProfile,
     EffectVector,
@@ -86,6 +93,72 @@ def test_profile_from_subset_means():
 
     comp = profile_from_subset(data, schema, "x >= 3", complement=True)
     assert_allclose(comp.values, [1.0, 1 / 3], rtol=0, atol=1e-15)
+
+
+def _restringified_block(data, schema):
+    """Covariate block built without the dataset's cached codes: every
+    categorical column is turned into strings and compared per level."""
+    cols = []
+    for c in schema.covariate_columns:
+        values = data.covariates[c.covariate]
+        if c.level is None:
+            cols.append(np.asarray(values, dtype=np.float64))
+        else:
+            strings = np.asarray([str(v) for v in values.tolist()], dtype=object)
+            cols.append((strings == c.level).astype(np.float64))
+    return np.column_stack(cols)
+
+
+def mixed_data(names=("x", "g", "k", "s"), n=1000):
+    rng = np.random.default_rng(31)
+    covariates = {
+        "x": rng.normal(size=n),
+        "g": rng.choice(["10", "9", "B", "a"], size=n),
+        "k": rng.choice([0.5, 2.0, 10.0], size=n),  # numeric, encoded as categorical
+        "s": rng.choice(["no", "yes"], size=n),
+    }
+    return Dataset(outcome=rng.normal(size=n), arm=rng.choice(["a", "b", "c"], size=n),
+                   covariates={name: covariates[name] for name in names})
+
+
+def test_covariate_matrix_row_selection_is_exact():
+    data = mixed_data()
+    schema = build_schema(data, ModelSpec(reference_arm="a", encodings={"k": "categorical"}))
+    full = covariate_matrix(data, schema)
+    assert_array_equal(full, _restringified_block(data, schema))
+    mask = (data.covariates["x"] > 0.3) & (data.covariates["s"] == "yes")
+    assert_array_equal(covariate_matrix(data, schema, rows=mask), full[mask])
+    rows = np.flatnonzero(mask)
+    assert_array_equal(covariate_matrix(data, schema, rows=rows), full[rows])
+    with pytest.raises(ValueError, match="row mask has shape"):
+        covariate_matrix(data, schema, rows=mask[:-1])
+
+
+@pytest.mark.parametrize("names", [("x",), ("s",), ("x", "g", "k", "s")])
+def test_profile_from_subset_matches_masked_mean_bit_for_bit(names):
+    # q = 1 sums pairwise, q >= 2 row by row; both must match the mean of
+    # the masked full block exactly.
+    data = mixed_data(names)
+    schema = build_schema(data, ModelSpec(reference_arm="a", encodings={"k": "categorical"}))
+    full = _restringified_block(data, schema)
+    mask = np.random.default_rng(32).random(data.n) < 0.7
+    for predicate, rows in ((None, slice(None)), (mask, mask)):
+        expected = full[rows].mean(axis=0)
+        assert_array_equal(profile_from_subset(data, schema, predicate).values, expected)
+    assert_array_equal(profile_from_subset(data, schema, mask, complement=True).values,
+                       full[~mask].mean(axis=0))
+
+
+def test_categorical_levels_keep_string_order_and_encode_once():
+    data = mixed_data(("g",))
+    schema = build_schema(data, ModelSpec(reference_arm="a", interactions=False))
+    # "10" < "9" < "B" < "a" as strings; the first is the dropped reference.
+    assert schema.labels == ("intercept", "g=9", "g=B", "g=a", "arm=b", "arm=c")
+    levels, codes = data.categorical_codes("g")
+    assert levels == ("10", "9", "B", "a")
+    profile_from_subset(data, schema, "g == 'a'")
+    covariate_matrix(data, schema)
+    assert data.categorical_codes("g")[1] is codes
 
 
 def test_profile_from_subset_empty_rejected():

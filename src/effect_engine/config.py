@@ -14,11 +14,12 @@ import os
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .model import COVARIANCE_KINDS
+from .model import COVARIANCE_KINDS, BayesPrior, ModelSpec
 from .predicates import parse_predicate
 from .report import sha256_config
 
-__all__ = ["ConfigError", "QuerySpec", "RunConfig", "parse_config", "load_config"]
+__all__ = ["ConfigError", "QuerySpec", "RunConfig", "parse_config", "load_config",
+           "spec_from_config"]
 
 QUERY_TYPES = (
     "ate",
@@ -128,15 +129,37 @@ def _parse_columns(obj, where: str) -> dict:
     return out
 
 
+def _is_list(value) -> bool:
+    return isinstance(value, Sequence) and not isinstance(value, str)
+
+
+def _as_number_list(value, where: str) -> list[float]:
+    if not _is_list(value) or not value:
+        raise ConfigError(f"{where} must be a non-empty list of numbers")
+    return [_as_number(v, f"{where}[{i}]") for i, v in enumerate(value)]
+
+
 def _parse_bayes(obj, where: str) -> dict:
     obj = _as_mapping(obj, where)
     _check_keys(obj, {"prior_mean", "prior_variance", "prior_covariance", "noise_variance"}, where)
     out: dict = {}
-    out["prior_mean"] = obj.get("prior_mean", 0.0)
+    mean = obj.get("prior_mean", 0.0)
+    parse_mean = _as_number_list if _is_list(mean) else _as_number
+    out["prior_mean"] = parse_mean(mean, f"{where}.prior_mean")
     if "prior_variance" in obj and "prior_covariance" in obj:
         raise ConfigError(f"{where}: give prior_variance or prior_covariance, not both")
     if "prior_covariance" in obj:
-        out["prior_covariance"] = obj["prior_covariance"]
+        cov_where = f"{where}.prior_covariance"
+        cov = obj["prior_covariance"]
+        if _is_list(cov) and cov and all(_is_list(row) for row in cov):
+            cov = [_as_number_list(row, f"{cov_where}[{i}]") for i, row in enumerate(cov)]
+            if any(len(row) != len(cov) for row in cov):
+                raise ConfigError(f"{cov_where} must be a square matrix")
+        else:
+            cov = _as_number_list(cov, cov_where)
+            if min(cov) <= 0:
+                raise ConfigError(f"{cov_where} must hold positive variances")
+        out["prior_covariance"] = cov
     else:
         var = _as_number(obj.get("prior_variance", 100.0), f"{where}.prior_variance")
         if var <= 0:
@@ -271,6 +294,25 @@ def parse_config(obj, base_dir: str = ".") -> RunConfig:
         mvn_tol=mvn_tol,
         output=output,
         config_digest=sha256_config(obj),
+    )
+
+
+def spec_from_config(cfg: RunConfig) -> ModelSpec:
+    """The model spec of the config's model block, prior included."""
+    prior = None
+    if cfg.bayes is not None:
+        bayes = cfg.bayes
+        prior = BayesPrior(
+            mean=bayes["prior_mean"],
+            covariance=bayes.get("prior_covariance", bayes.get("prior_variance")),
+            noise_variance=bayes["noise_variance"],
+        )
+    return ModelSpec(
+        reference_arm=cfg.reference_arm,
+        covariance_kind=cfg.covariance,
+        encodings=cfg.encodings,
+        interactions=cfg.interactions,
+        bayes=prior,
     )
 
 

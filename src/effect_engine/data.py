@@ -47,7 +47,7 @@ def _as_covariate_array(name: str, values: Sequence) -> np.ndarray:
     return np.asarray([str(v) for v in values], dtype=object)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Columnar experiment data.
 
@@ -62,6 +62,7 @@ class Dataset:
 
     Categorical encodings (see :meth:`categorical_codes`) are computed on
     first use and cached per dataset; copies start with an empty cache.
+    Equality is identity.
     """
 
     outcome: np.ndarray
@@ -69,7 +70,7 @@ class Dataset:
     covariates: Mapping[str, np.ndarray] = field(default_factory=dict)
     unit_id: np.ndarray | None = None
     period: np.ndarray | None = None
-    _codes: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _codes: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         outcome = _freeze(np.asarray(self.outcome, dtype=np.float64))

@@ -42,10 +42,16 @@ COVARIANCE_KINDS = ("classical", "hc1", "cluster")
 RANK_RTOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BayesPrior:
     """Normal prior over the full coefficient vector, with known noise
-    variance, yielding an exact conjugate posterior."""
+    variance, yielding an exact conjugate posterior.
+
+    ``mean`` is a scalar shared by every coefficient or a (p,) vector;
+    ``covariance`` is a scalar variance (times the identity), a (p,)
+    diagonal, or a full (p, p) matrix. :func:`fit_model` expands both to
+    full form once the design's p is known. Equality is identity.
+    """
 
     mean: np.ndarray
     covariance: np.ndarray
@@ -67,6 +73,8 @@ class ModelSpec:
     unlisted covariates follow the data (float columns numeric, string
     columns categorical). ``interactions`` keeps the full arm-by-covariate
     block; it is on by default and only matters when covariates exist.
+    ``bayes``, when present, replaces least squares with the conjugate
+    posterior under that prior (``covariance_kind`` is then unused).
     """
 
     reference_arm: str
@@ -356,9 +364,11 @@ def fit_ols(design: np.ndarray, y: np.ndarray, covariance_kind: str = "hc1",
     Cluster scores are accumulated in one pass over the rows (each cluster
     sums its rows in row order), so the cost is linear in rows, not rows
     times clusters.
-    The solve goes through a QR factorization; no explicit inverse of the
-    design is formed (the covariance needs (X'X)^-1, which comes from the
-    triangular factor).
+    The design is factorized once, by QR. The rank check reads the singular
+    values of the p x p triangular factor R, which are those of the design;
+    the solve and the covariance's (X'X)^-1 come from R too, so no explicit
+    inverse of the design is formed. Only a rank-deficient design is
+    factorized again, by a pivoted QR that names the dependent columns.
     """
     X = np.asarray(design, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -374,13 +384,13 @@ def fit_ols(design: np.ndarray, y: np.ndarray, covariance_kind: str = "hc1",
     if n <= p:
         raise ValueError(f"need more rows than design columns (n={n}, p={p})")
 
-    singular = np.linalg.svd(X, compute_uv=False)
+    Q, R = np.linalg.qr(X, mode="reduced")
+    singular = np.linalg.svd(R, compute_uv=False)
     rank = int(np.sum(singular > RANK_RTOL * singular[0]))
     if rank < p:
         names = _dependent_column_labels(X, schema, rank)
         raise ValueError(f"design matrix is rank deficient; dependent columns: {names}")
 
-    Q, R = np.linalg.qr(X, mode="reduced")
     beta = solve_triangular(R, Q.T @ y)
     resid = y - X @ beta
     r_inv = solve_triangular(R, np.eye(p))
@@ -469,14 +479,18 @@ def fit_model(data: Dataset, spec: ModelSpec) -> FittedModel:
     """Build the design for ``data`` under ``spec`` and fit it.
 
     Dispatches to the conjugate posterior when ``spec.bayes`` is present,
+    with its scalar or diagonal forms expanded to the design's p,
     otherwise to least squares with the requested covariance estimator
     (cluster covariance pulls cluster ids from ``data.unit_id``).
     """
     design, y, schema = build_design(data, spec)
     if spec.bayes is not None:
-        prior = spec.bayes
-        return fit_bayes(design, y, prior.mean, prior.covariance,
-                         prior.noise_variance, schema=schema)
+        prior, p = spec.bayes, schema.p
+        mean = prior.mean if prior.mean.ndim else np.full(p, float(prior.mean))
+        cov = prior.covariance
+        if cov.ndim < 2:
+            cov = np.diag(cov) if cov.ndim else np.eye(p) * float(cov)
+        return fit_bayes(design, y, mean, cov, prior.noise_variance, schema=schema)
     cluster_ids = None
     if spec.covariance_kind == "cluster":
         if data.unit_id is None:

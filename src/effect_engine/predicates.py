@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -136,8 +136,7 @@ def resolve_mask(data: Dataset, predicate) -> np.ndarray:
     """Normalize the accepted predicate forms to a boolean row mask.
 
     ``None`` selects everything; other accepted forms are a
-    :class:`Predicate`, a predicate string, a boolean mask array, or a
-    callable evaluated per row on a mapping of column name to value.
+    :class:`Predicate`, a predicate string, or a boolean mask array.
     """
     if predicate is None:
         return np.ones(data.n, dtype=bool)
@@ -150,12 +149,4 @@ def resolve_mask(data: Dataset, predicate) -> np.ndarray:
         if mask.dtype != bool or mask.shape != (data.n,):
             raise ValueError("mask predicate must be a length-n boolean array")
         return mask
-    if callable(predicate):
-        rows = []
-        for i in range(data.n):
-            record = {name: data.covariates[name][i] for name in data.covariate_names}
-            if data.period is not None:
-                record["period"] = int(data.period[i])
-            rows.append(bool(predicate(record)))
-        return np.asarray(rows, dtype=bool)
     raise TypeError(f"unsupported predicate type {type(predicate).__name__}")

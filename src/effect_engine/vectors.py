@@ -30,13 +30,13 @@ __all__ = [
 _VARIANCE_CLAMP = -1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CovariateProfile:
     """Values for the expanded covariate block, one per covariate column.
 
     Indicator columns of a categorical covariate carry level frequencies
     when the profile comes from subset means, which is what makes
-    conditioning on categorical levels well-defined.
+    conditioning on categorical levels well-defined. Equality is identity.
     """
 
     values: np.ndarray

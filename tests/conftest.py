@@ -15,18 +15,17 @@ import effect_engine
 PACKAGE_ROOT = Path(effect_engine.__file__).resolve().parents[1]
 
 
-def cli_env(**overrides):
+def cli_env():
     """This process's environment for a child ``python -m effect_engine``.
 
     ``PACKAGE_ROOT`` goes first on ``PYTHONPATH``. The inherited entries follow
     in their order, each made absolute against this process's cwd (an empty
     entry stands for the cwd), so they keep their meaning in a child started
-    elsewhere. ``overrides`` are set last.
+    elsewhere.
     """
     env = dict(os.environ)
     inherited = env["PYTHONPATH"].split(os.pathsep) if env.get("PYTHONPATH") else []
     env["PYTHONPATH"] = os.pathsep.join(
         [str(PACKAGE_ROOT), *(os.path.abspath(entry) for entry in inherited)]
     )
-    env.update(overrides)
     return env

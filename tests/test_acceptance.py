@@ -106,11 +106,9 @@ def _cli_workspace(tmp_path, queries):
 
 
 def _run_cli(tmp_path, *args):
-    env = cli_env()
-    env.setdefault("EFFECT_ENGINE_THREADS", "1")
     return subprocess.run(
         [sys.executable, "-m", "effect_engine", *args],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+        cwd=tmp_path, env=cli_env(), capture_output=True, text=True, timeout=300,
     )
 
 

@@ -22,10 +22,10 @@ PANEL_CSV = "y,arm,uid,t\n" + "".join(
 )
 
 
-def run_cli(*args, cwd, threads="1"):
+def run_cli(*args, cwd):
     return subprocess.run(
         [sys.executable, "-m", "effect_engine", *args],
-        cwd=cwd, env=cli_env(EFFECT_ENGINE_THREADS=threads),
+        cwd=cwd, env=cli_env(),
         capture_output=True, text=True, timeout=300,
     )
 
@@ -109,24 +109,6 @@ def test_runs_are_deterministic(tmp_path):
         assert proc.returncode == 0, proc.stderr
     a = (tmp_path / "a.json").read_text(encoding="utf-8")
     b = (tmp_path / "b.json").read_text(encoding="utf-8")
-    assert strip_timestamp(a) == strip_timestamp(b)
-
-
-def test_thread_count_does_not_change_the_report(tmp_path):
-    write_workspace(tmp_path, [
-        {"type": "ate", "arm_to": "1", "arm_from": "0"},
-        {"type": "relative_effect", "arm_to": "1", "arm_from": "0", "guard": 1.5},
-        {"type": "prob_positive", "arm_to": "1", "arm_from": "0"},
-        {"type": "prob_best"},
-    ])
-    serial = run_cli("run", "--config", "config.json", "--flat-prior-ok", "--out", "serial.json",
-                     cwd=tmp_path, threads="1")
-    pooled = run_cli("run", "--config", "config.json", "--flat-prior-ok", "--out", "pooled.json",
-                     cwd=tmp_path, threads="4")
-    assert serial.returncode == 0, serial.stderr
-    assert pooled.returncode == 0, pooled.stderr
-    a = (tmp_path / "serial.json").read_text(encoding="utf-8")
-    b = (tmp_path / "pooled.json").read_text(encoding="utf-8")
     assert strip_timestamp(a) == strip_timestamp(b)
 
 
@@ -273,8 +255,11 @@ def test_verify_full_suite(tmp_path):
     assert all(l.startswith("ok") for l in lines)
 
 
-def test_bad_thread_env_exits_1(tmp_path):
-    write_workspace(tmp_path, [{"type": "ate", "arm_to": "1", "arm_from": "0"}])
-    proc = run_cli("run", "--config", "config.json", cwd=tmp_path, threads="many")
-    assert proc.returncode == 1
-    assert "EFFECT_ENGINE_THREADS" in proc.stderr
+def test_bad_bayes_prior_exits_1(tmp_path):
+    write_workspace(tmp_path, [{"type": "ate", "arm_to": "1", "arm_from": "0"}],
+                    model={"reference_arm": "0",
+                           "bayes": {"prior_covariance": "big", "noise_variance": 1.0}})
+    for command in ("validate", "run"):
+        proc = run_cli(command, "--config", "config.json", cwd=tmp_path)
+        assert proc.returncode == 1, proc.stderr
+        assert "config error: model.bayes.prior_covariance" in proc.stderr

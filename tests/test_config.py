@@ -3,8 +3,9 @@
 import json
 
 import pytest
+from numpy.testing import assert_array_equal
 
-from effect_engine.config import ConfigError, load_config, parse_config
+from effect_engine.config import ConfigError, load_config, parse_config, spec_from_config
 
 
 def full_config():
@@ -210,6 +211,67 @@ def test_bayes_block():
 
     cfg["model"]["bayes"] = {"prior_variance": -1.0, "noise_variance": 1.0}
     reject(cfg, "prior_variance must be positive")
+
+
+def test_bayes_prior_forms():
+    cfg = full_config()
+    cfg["model"]["covariance"] = "hc1"
+    cfg["model"]["bayes"] = {"prior_mean": [1, 2.5], "prior_covariance": [3, 4],
+                             "noise_variance": 1}
+    assert parse_config(cfg).bayes == {"prior_mean": [1.0, 2.5], "prior_covariance": [3.0, 4.0],
+                                       "noise_variance": 1.0}
+    cfg["model"]["bayes"] = {"prior_mean": 2, "prior_covariance": [[2, 1], [1, 2]],
+                             "noise_variance": 1}
+    assert parse_config(cfg).bayes == {"prior_mean": 2.0,
+                                       "prior_covariance": [[2.0, 1.0], [1.0, 2.0]],
+                                       "noise_variance": 1.0}
+
+
+@pytest.mark.parametrize("key, value", [
+    ("prior_mean", True),
+    ("prior_mean", None),
+    ("prior_mean", "0"),
+    ("prior_mean", float("nan")),
+    ("prior_mean", []),
+    ("prior_mean", [0.0, float("inf")]),
+    ("prior_mean", [[0.0]]),
+    ("prior_covariance", "big"),
+    ("prior_covariance", 4.0),
+    ("prior_covariance", []),
+    ("prior_covariance", [1.0, 0.0]),
+    ("prior_covariance", [1.0, True]),
+    ("prior_covariance", [1.0, float("nan")]),
+    ("prior_covariance", [[1.0, 0.0], [0.0]]),
+    ("prior_covariance", [[1.0, 0.0], [0.0, None]]),
+    ("prior_covariance", [[1.0], 2.0]),
+    ("prior_covariance", [[]]),
+])
+def test_bad_bayes_prior_rejected(key, value):
+    cfg = full_config()
+    cfg["model"]["bayes"] = {key: value, "noise_variance": 1.0}
+    reject(cfg, rf"model\.bayes\.{key}")
+
+
+def test_spec_from_config():
+    cfg = full_config()
+    spec = spec_from_config(parse_config(cfg))
+    assert spec.reference_arm == "0"
+    assert spec.covariance_kind == "cluster"
+    assert spec.interactions is True
+    assert spec.encodings == {"x": "numeric"}
+    assert spec.bayes is None
+
+    cfg["model"]["bayes"] = {"noise_variance": 2}
+    prior = spec_from_config(parse_config(cfg)).bayes
+    assert (prior.mean.shape, float(prior.mean)) == ((), 0.0)
+    assert (prior.covariance.shape, float(prior.covariance)) == ((), 100.0)
+    assert prior.noise_variance == 2.0
+
+    cfg["model"]["bayes"] = {"prior_mean": [1, 2], "prior_covariance": [3, 4],
+                             "noise_variance": 2}
+    prior = spec_from_config(parse_config(cfg)).bayes
+    assert_array_equal(prior.mean, [1.0, 2.0])
+    assert_array_equal(prior.covariance, [3.0, 4.0])
 
 
 def test_config_digest_tracks_content_not_formatting():

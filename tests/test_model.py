@@ -1,7 +1,10 @@
 """Design construction and model fitting."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.linalg import solve_triangular
 
@@ -16,6 +19,7 @@ from effect_engine.model import (
     fit_model,
     fit_ols,
 )
+from effect_engine.vectors import CovariateProfile
 
 
 def two_arm_data():
@@ -165,6 +169,42 @@ def test_rank_deficient_design_names_columns():
     spec = ModelSpec(reference_arm="a", covariance_kind="classical", interactions=False)
     with pytest.raises(ValueError, match=r"rank deficient; dependent columns: .*[xz]"):
         fit_model(data, spec)
+
+
+def _duplicated_column(rng):
+    x = rng.normal(size=(30, 3))
+    return np.column_stack([np.ones(30), x, x[:, 1]])
+
+
+def _sum_of_two_columns(rng):
+    x = rng.normal(size=(30, 3))
+    return np.column_stack([np.ones(30), x[:, 0], x[:, 0] + x[:, 2], x[:, 1], x[:, 2]])
+
+
+@pytest.mark.parametrize("make_design", [_duplicated_column, _sum_of_two_columns])
+def test_rank_deficient_message_names_pivoted_qr_columns(make_design):
+    X = make_design(np.random.default_rng(8))
+    p = X.shape[1]
+    assert np.linalg.matrix_rank(X) == p - 1
+    _, _, piv = scipy.linalg.qr(X, mode="economic", pivoting=True)
+    expected = ", ".join(f"column {i}" for i in sorted(piv[p - 1:].tolist()))
+    with pytest.raises(ValueError) as info:
+        fit_ols(X, np.arange(30.0), "hc1")
+    assert str(info.value) == f"design matrix is rank deficient; dependent columns: {expected}"
+
+
+def test_full_rank_fit_factorizes_the_design_once(monkeypatch):
+    calls = []
+    for name in ("qr", "svd"):
+        def spy(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            calls.append((_name, np.shape(a)))
+            return _original(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, spy)
+    rng = np.random.default_rng(2)
+    X = np.column_stack([np.ones(40), rng.normal(size=(40, 2))])
+    fit_ols(X, rng.normal(size=40), "hc1")
+    # One QR of the n x p design; the rank check reads the p x p factor R.
+    assert calls == [("qr", (40, 3)), ("svd", (3, 3))]
 
 
 def test_more_columns_than_rows_rejected():
@@ -382,6 +422,32 @@ def test_bad_priors_rejected():
         fit_bayes(X, y, np.zeros(3), np.eye(3), 1.0)
     with pytest.raises(ValueError, match="noise_variance must be positive"):
         BayesPrior(mean=np.zeros(2), covariance=np.eye(2), noise_variance=-1.0)
+
+
+def test_fit_model_expands_prior_forms():
+    data = two_arm_data()
+    design, y, schema = build_design(data, ModelSpec(reference_arm="0"))
+    full = fit_bayes(design, y, np.full(2, 0.5), np.eye(2) * 4.0, 1.5, schema=schema)
+    for mean, cov in [(0.5, 4.0), ([0.5, 0.5], [4.0, 4.0]), (np.full(2, 0.5), np.eye(2) * 4.0)]:
+        prior = BayesPrior(mean=mean, covariance=cov, noise_variance=1.5)
+        model = fit_model(data, ModelSpec(reference_arm="0", bayes=prior))
+        assert model.posterior
+        assert_array_equal(model.beta, full.beta)
+        assert_array_equal(model.cov_beta, full.cov_beta)
+    with pytest.raises(ValueError, match="prior dimensions"):
+        fit_model(data, ModelSpec(reference_arm="0", bayes=BayesPrior(
+            mean=np.zeros(3), covariance=1.0, noise_variance=1.0)))
+
+
+@pytest.mark.parametrize("make", [
+    two_arm_data,
+    lambda: BayesPrior(mean=np.zeros(2), covariance=np.eye(2), noise_variance=1.0),
+    lambda: CovariateProfile(values=[1.0, 2.0]),
+])
+def test_array_holding_dataclasses_compare_by_identity(make):
+    obj = make()
+    assert obj == obj
+    assert (dataclasses.replace(obj) == obj) is False
 
 
 def test_flat_prior_opt_in():

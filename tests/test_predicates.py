@@ -105,10 +105,8 @@ def test_resolve_mask_forms():
     assert_array_equal(
         resolve_mask(data, [True, False, True, False]), [True, False, True, False]
     )
-    assert_array_equal(
-        resolve_mask(data, lambda row: row["x"] > 2 and row["period"] == 1),
-        [False, False, True, True],
-    )
+    with pytest.raises(TypeError, match="unsupported predicate type function"):
+        resolve_mask(data, lambda row: row["x"] > 2)
 
 
 def test_resolve_mask_validates_arrays():

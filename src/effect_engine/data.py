@@ -10,7 +10,10 @@ are reproducible regardless of how the input was typed.
 from __future__ import annotations
 
 import csv
+import gc
+import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -184,11 +187,22 @@ class Dataset:
         )
 
 
-def _parse_float(cell: str) -> float | None:
-    try:
-        return float(cell)
-    except ValueError:
-        return None
+def _finite_float(cell: str) -> float:
+    val = float(cell)
+    if not math.isfinite(val):
+        raise ValueError(f"non-finite value {cell!r}")
+    return val
+
+
+def _cell_error(role: str, name: str, cells: Sequence[str], convert) -> ValueError:
+    """The error naming the first cell of column ``name`` that ``convert``
+    rejects. Only called once a whole-column conversion has failed."""
+    for r, cell in enumerate(cells):
+        try:
+            convert(cell)
+        except (ValueError, OverflowError):
+            return ValueError(f"unparseable {role} cell at row {r}, column {name!r}: {cell!r}")
+    raise RuntimeError(f"{role} column {name!r} failed to convert but no cell is bad")
 
 
 def load_csv(path, column_map: Mapping[str, object]) -> Dataset:
@@ -198,17 +212,28 @@ def load_csv(path, column_map: Mapping[str, object]) -> Dataset:
     required; ``covariates`` is an optional list of column names (default:
     every remaining column); ``unit_id`` and ``period`` are optional.
     Columns whose cells all parse as numbers become numeric covariates,
-    anything else becomes categorical.
+    anything else becomes categorical. A leading UTF-8 byte-order mark is
+    ignored and blank lines are skipped; rows in error messages are counted
+    from 0 among the data rows.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise ValueError(f"empty CSV file: {path}") from None
-        rows = [row for row in reader if row]
+        # The row lists are short-lived and acyclic; collecting while they
+        # pile up only traverses them again and again.
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            rows = list(filter(None, reader))
+        finally:
+            if gc_was_enabled:
+                gc.enable()
 
-    if not rows:
+    n = len(rows)
+    if not n:
         raise ValueError(f"CSV file has a header but no data rows: {path}")
     positions: dict[str, list[int]] = {}
     for i, name in enumerate(header):
@@ -235,46 +260,41 @@ def load_csv(path, column_map: Mapping[str, object]) -> Dataset:
     y_i = col_idx("outcome", outcome_name)
     arm_i = col_idx("arm", arm_name)
     width = len(header)
-    for r, row in enumerate(rows):
-        if len(row) != width:
-            raise ValueError(f"row {r} has {len(row)} cells, expected {width}")
+    if set(map(len, rows)) != {width}:
+        r, row = next((r, row) for r, row in enumerate(rows) if len(row) != width)
+        raise ValueError(f"row {r} has {len(row)} cells, expected {width}")
+    # zip(*rows) would allocate an iterator per row; one pass per column does not.
+    columns = [list(map(itemgetter(i), rows)) for i in range(width)]
+    del rows
 
-    outcome = np.empty(len(rows), dtype=np.float64)
-    for r, row in enumerate(rows):
-        val = _parse_float(row[y_i])
-        if val is None or not np.isfinite(val):
-            raise ValueError(
-                f"unparseable outcome cell at row {r}, column {outcome_name!r}: {row[y_i]!r}"
-            )
-        outcome[r] = val
-    arm = np.asarray([row[arm_i] for row in rows], dtype=object)
+    cells = columns[y_i]
+    try:
+        outcome = np.fromiter(map(float, cells), np.float64, n)
+    except ValueError:
+        outcome = None
+    if outcome is None or not np.isfinite(outcome).all():
+        raise _cell_error("outcome", outcome_name, cells, _finite_float)
+    arm = np.asarray(columns[arm_i], dtype=object)
 
     covariates: dict[str, np.ndarray] = {}
     for name in cov_names:
-        i = col_idx("covariate", name)
-        cells = [row[i] for row in rows]
-        parsed = [_parse_float(c) for c in cells]
-        if all(p is not None for p in parsed):
-            covariates[name] = np.asarray(parsed, dtype=np.float64)
-        else:
+        cells = columns[col_idx("covariate", name)]
+        try:
+            covariates[name] = np.fromiter(map(float, cells), np.float64, n)
+        except ValueError:
             covariates[name] = np.asarray(cells, dtype=object)
 
     unit_id = None
     if unit_name is not None:
-        i = col_idx("unit_id", unit_name)
-        unit_id = np.asarray([row[i] for row in rows], dtype=object)
+        unit_id = np.asarray(columns[col_idx("unit_id", unit_name)], dtype=object)
     period = None
     if period_name is not None:
-        i = col_idx("period", period_name)
-        period = np.empty(len(rows), dtype=np.int64)
-        for r, row in enumerate(rows):
-            cell = row[i]
-            try:
-                period[r] = int(cell)
-            except ValueError:
-                raise ValueError(
-                    f"unparseable period cell at row {r}, column {period_name!r}: {cell!r}"
-                ) from None
+        cells = columns[col_idx("period", period_name)]
+        try:
+            period = np.fromiter(map(int, cells), np.int64, n)
+        except (ValueError, OverflowError):
+            raise _cell_error("period", period_name, cells,
+                              lambda cell: np.int64(int(cell))) from None
 
     return Dataset(outcome=outcome, arm=arm, covariates=covariates,
                    unit_id=unit_id, period=period)

@@ -300,12 +300,13 @@ def build_design(data: Dataset, spec: ModelSpec):
     return design, np.asarray(data.outcome, dtype=np.float64), schema
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FittedModel:
     """Fitted coefficients plus their covariance, bound to a column schema.
 
     ``posterior`` is True when ``beta``/``cov_beta`` are the mean and
     covariance of a normal posterior rather than a sampling distribution.
+    Equality is identity.
     """
 
     schema: ColumnSchema

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr, ndtri
-from scipy.stats import qmc
 
 __all__ = ["OrthantResult", "mvn_orthant"]
 
@@ -128,6 +127,10 @@ def mvn_orthant(mean, cov, tol: float = 5e-4, seed=None, batches: int = 10,
     order = np.argsort(marginal, kind="stable")
     b = mu[order]
     chol = _cholesky_with_jitter(sigma[np.ix_(order, order)])
+
+    # Imported here, not at module level: scipy.stats is most of the
+    # package's import time, and only orthants with m >= 2 need it.
+    from scipy.stats import qmc
 
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     estimate, error, points = np.nan, np.inf, 0

@@ -54,12 +54,13 @@ class CovariateProfile:
         return self.values.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EffectVector:
     """Row vector aligned to a column schema.
 
     ``kind`` is ``"baseline"`` (average outcome under ``arm_to``) or
     ``"delta"`` (effect of ``arm_to`` relative to ``arm_from``).
+    Equality is identity.
     """
 
     entries: np.ndarray

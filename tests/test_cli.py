@@ -147,6 +147,16 @@ def test_duplicate_csv_header_exits_1(tmp_path):
         assert "duplicate CSV header 'y' at columns [0, 2]" in proc.stderr
 
 
+def test_out_of_range_period_cell_exits_1(tmp_path):
+    write_workspace(tmp_path, [{"type": "ate", "arm_to": "1", "arm_from": "0"}],
+                    csv="y,arm,t\n1,0,0\n3,0,99999999999999999999\n4,1,0\n6,1,1\n",
+                    columns={"outcome": "y", "arm": "arm", "period": "t"})
+    proc = run_cli("run", "--config", "config.json", cwd=tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    assert ("unparseable period cell at row 1, column 't': '99999999999999999999'"
+            in proc.stderr)
+
+
 def test_data_flag_overrides_config_path(tmp_path):
     write_workspace(tmp_path, [{"type": "ate", "arm_to": "1", "arm_from": "0"}])
     (tmp_path / "data.csv").rename(tmp_path / "fresh.csv")

@@ -1,9 +1,15 @@
 """Dataset container and CSV ingestion."""
 
+import csv
 import dataclasses
+import io
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 from effect_engine.data import Dataset, add_period_covariate, load_csv
@@ -149,6 +155,26 @@ def test_load_csv_bad_period_cell(tmp_path):
         load_csv(path, {"outcome": "y", "arm": "arm", "period": "t"})
 
 
+def test_load_csv_nonfinite_outcome_before_garbage_is_reported(tmp_path):
+    path = _write(tmp_path, "y,arm\n1,0\nnan,1\nx,0\n")
+    with pytest.raises(ValueError, match=r"outcome cell at row 1, column 'y': 'nan'$"):
+        load_csv(path, {"outcome": "y", "arm": "arm"})
+
+
+def test_load_csv_out_of_range_period_cell(tmp_path):
+    path = _write(tmp_path, "y,arm,t\n1.0,0,99999999999999999999\n2.0,1,0\n")
+    with pytest.raises(ValueError) as info:
+        load_csv(path, {"outcome": "y", "arm": "arm", "period": "t"})
+    assert str(info.value) == (
+        "unparseable period cell at row 0, column 't': '99999999999999999999'")
+
+
+def test_load_csv_ignores_byte_order_mark(tmp_path):
+    path = _write(tmp_path, "\ufeffy,arm\n1.0,0\n2.0,1\n")
+    data = load_csv(path, {"outcome": "y", "arm": "arm"})
+    assert data.outcome.tolist() == [1.0, 2.0]
+
+
 def test_load_csv_missing_column(tmp_path):
     path = _write(tmp_path, "y,arm\n1.0,0\n2.0,1\n")
     with pytest.raises(ValueError, match="outcome column 'score' not found"):
@@ -225,3 +251,192 @@ def test_categorical_codes_sorted_and_cached():
     copy = dataclasses.replace(data)
     assert copy.categorical_codes("g")[1] is not codes
     assert_array_equal(copy.categorical_codes("g")[1], codes)
+
+
+def reference_load_csv(path, column_map):
+    """The row-wise loader that the column-wise ``load_csv`` replaced: every
+    cell goes through ``float()`` or ``int()`` on its own, in row order.
+    Kept as the reference the column-wise loader must match exactly."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValueError(f"empty CSV file: {path}") from None
+        rows = [row for row in reader if row]
+
+    if not rows:
+        raise ValueError(f"CSV file has a header but no data rows: {path}")
+    positions = {}
+    for i, name in enumerate(header):
+        positions.setdefault(name, []).append(i)
+    for name, cols in positions.items():
+        if len(cols) > 1:
+            raise ValueError(f"duplicate CSV header {name!r} at columns {cols}")
+    index = {name: cols[0] for name, cols in positions.items()}
+
+    def col_idx(role, name):
+        if name not in index:
+            raise ValueError(f"{role} column {name!r} not found in CSV header {header}")
+        return index[name]
+
+    def parse_float(cell):
+        try:
+            return float(cell)
+        except ValueError:
+            return None
+
+    outcome_name = column_map["outcome"]
+    arm_name = column_map["arm"]
+    unit_name = column_map.get("unit_id")
+    period_name = column_map.get("period")
+    reserved = {outcome_name, arm_name, unit_name, period_name}
+    cov_names = column_map.get("covariates")
+    if cov_names is None:
+        cov_names = [c for c in header if c not in reserved]
+
+    y_i = col_idx("outcome", outcome_name)
+    arm_i = col_idx("arm", arm_name)
+    width = len(header)
+    for r, row in enumerate(rows):
+        if len(row) != width:
+            raise ValueError(f"row {r} has {len(row)} cells, expected {width}")
+
+    outcome = np.empty(len(rows), dtype=np.float64)
+    for r, row in enumerate(rows):
+        val = parse_float(row[y_i])
+        if val is None or not np.isfinite(val):
+            raise ValueError(
+                f"unparseable outcome cell at row {r}, column {outcome_name!r}: {row[y_i]!r}"
+            )
+        outcome[r] = val
+    arm = np.asarray([row[arm_i] for row in rows], dtype=object)
+
+    covariates = {}
+    for name in cov_names:
+        i = col_idx("covariate", name)
+        cells = [row[i] for row in rows]
+        parsed = [parse_float(c) for c in cells]
+        if all(p is not None for p in parsed):
+            covariates[name] = np.asarray(parsed, dtype=np.float64)
+        else:
+            covariates[name] = np.asarray(cells, dtype=object)
+
+    unit_id = None
+    if unit_name is not None:
+        i = col_idx("unit_id", unit_name)
+        unit_id = np.asarray([row[i] for row in rows], dtype=object)
+    period = None
+    if period_name is not None:
+        i = col_idx("period", period_name)
+        period = np.empty(len(rows), dtype=np.int64)
+        for r, row in enumerate(rows):
+            cell = row[i]
+            try:
+                period[r] = int(cell)
+            except (ValueError, OverflowError):
+                raise ValueError(
+                    f"unparseable period cell at row {r}, column {period_name!r}: {cell!r}"
+                ) from None
+
+    return Dataset(outcome=outcome, arm=arm, covariates=covariates,
+                   unit_id=unit_id, period=period)
+
+
+FINITE = ["0", "1", "-2.5", "1e3", "1_000", " 7 ", "\t3.5", "+4"]
+NONFINITE = ["nan", "inf", "-Infinity", "1e999"]
+GARBAGE = ["x", "", "a,b", "two\nlines", 'say "hi"', "1.2.3", "1__0"]
+INTEGERS = ["0", "1", "-3", " 4 ", "1_0", "9223372036854775807"]
+BAD_INTEGERS = ["2.0", "t", "", "99999999999999999999", "-9223372036854775809"]
+CELL_POOLS = {
+    "numeric": FINITE,
+    "nonfinite": FINITE * 2 + NONFINITE,
+    "mixed": FINITE * 2 + NONFINITE + GARBAGE,
+    "text": ["north", "south", "a,b", "two\nlines", " west "],
+    "arm": ["a", "b"] * 3 + ["0", " a"],
+    "unit": ["u1", "u2", "u3", "7"],
+    "period": INTEGERS,
+    "bad_period": INTEGERS * 2 + BAD_INTEGERS,
+}
+
+
+@st.composite
+def csv_files(draw):
+    """CSV text and a column map, covering the cases ingest must agree on:
+    numeric, categorical and mixed columns, non-finite cells ahead of
+    garbage, ``1_000`` and padded numbers, blank lines, CRLF, quoted commas
+    and newlines, a byte-order mark, ragged rows and bad period cells."""
+    pools = {"y": draw(st.sampled_from(["numeric"] * 3 + ["nonfinite", "mixed"])),
+             "arm": "arm"}
+    for i in range(draw(st.integers(0, 3))):
+        pools[f"c{i}"] = draw(st.sampled_from(["numeric", "nonfinite", "mixed", "text"]))
+    column_map = {"outcome": "y", "arm": "arm"}
+    if draw(st.booleans()):
+        pools["u"] = "unit"
+        column_map["unit_id"] = "u"
+    if draw(st.booleans()):
+        pools["t"] = draw(st.sampled_from(["period", "bad_period"]))
+        column_map["period"] = "t"
+    covs = [name for name in pools if name.startswith("c")]
+    if covs and draw(st.booleans()):
+        column_map["covariates"] = draw(st.permutations(covs + ["missing"]))[:len(covs)]
+    header = draw(st.permutations(list(pools)))
+
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator=newline)
+    writer.writerow(header)
+    for r in range(draw(st.integers(2, 8))):
+        # Odd rows draw from the pool rotated by one, so the simplest draw
+        # still alternates arms "a" and "b".
+        row = [draw(st.sampled_from(CELL_POOLS[pools[name]][r % 2:]
+                                    + CELL_POOLS[pools[name]][:r % 2])) for name in header]
+        ragged = draw(st.sampled_from([0] * 40 + [-1, 1]))
+        if ragged < 0:
+            row.pop()
+        elif ragged > 0:
+            row.append("1")
+        writer.writerow(row)
+        if draw(st.integers(0, 4)) == 0:
+            buf.write(newline)
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    return bom + buf.getvalue(), column_map
+
+
+def _load_or_error(load, path, column_map):
+    try:
+        return load(path, column_map)
+    except Exception as exc:  # the two loaders must fail alike
+        return exc
+
+
+def _assert_same_array(a, b):
+    if a is None or b is None:
+        assert a is None and b is None
+        return
+    assert a.dtype == b.dtype and a.shape == b.shape
+    if a.dtype == object:
+        assert a.tolist() == b.tolist()
+    else:
+        assert a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(csv_files())
+def test_load_csv_matches_row_wise_reference(case):
+    text, column_map = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        got = _load_or_error(load_csv, path, column_map)
+        want = _load_or_error(reference_load_csv, path, column_map)
+    if isinstance(want, Exception):
+        assert type(got) is type(want)
+        assert str(got) == str(want)
+        return
+    assert isinstance(got, Dataset), got
+    for field in ("outcome", "arm", "unit_id", "period"):
+        _assert_same_array(getattr(got, field), getattr(want, field))
+    assert got.covariate_names == want.covariate_names
+    for name in want.covariate_names:
+        _assert_same_array(got.covariates[name], want.covariates[name])

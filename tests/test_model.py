@@ -19,7 +19,7 @@ from effect_engine.model import (
     fit_model,
     fit_ols,
 )
-from effect_engine.vectors import CovariateProfile
+from effect_engine.vectors import CovariateProfile, EffectVector
 
 
 def two_arm_data():
@@ -443,11 +443,18 @@ def test_fit_model_expands_prior_forms():
     two_arm_data,
     lambda: BayesPrior(mean=np.zeros(2), covariance=np.eye(2), noise_variance=1.0),
     lambda: CovariateProfile(values=[1.0, 2.0]),
+    lambda: fit_model(two_arm_data(), ModelSpec(reference_arm="0")),
+    lambda: EffectVector(entries=[1.0, 0.0], kind="baseline", arm_to="0", arm_from=None,
+                         profile=CovariateProfile(values=[])),
 ])
 def test_array_holding_dataclasses_compare_by_identity(make):
     obj = make()
     assert obj == obj
-    assert (dataclasses.replace(obj) == obj) is False
+    # Copied arrays: a generated __eq__ would compare them elementwise and raise.
+    arrays = {f.name: getattr(obj, f.name).copy() for f in dataclasses.fields(obj)
+              if isinstance(getattr(obj, f.name), np.ndarray)}
+    assert arrays
+    assert (dataclasses.replace(obj, **arrays) == obj) is False
 
 
 def test_flat_prior_opt_in():

@@ -1,10 +1,14 @@
 """Randomized-QMC orthant probabilities."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.special import ndtr
 
+from conftest import cli_env
 from effect_engine.mvnorm import mvn_orthant
 
 
@@ -122,3 +126,21 @@ def test_orthant_probability_monotone_in_mean():
     results = [mvn_orthant([s, 0.2, -0.1], cov, seed=11) for s in shifts]
     for lo, hi in zip(results, results[1:]):
         assert hi.probability - lo.probability > 3 * (hi.error + lo.error)
+
+
+def _loads_scipy_stats(code):
+    """Whether running ``code`` in a fresh interpreter imports scipy.stats."""
+    proc = subprocess.run(
+        [sys.executable, "-c", f"{code}\nimport sys\nprint('scipy.stats' in sys.modules)"],
+        env=cli_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()[-1] == "True"
+
+
+def test_scipy_stats_is_imported_only_by_qmc_orthants():
+    # scipy.stats dominates the package's import time; startup must not pay it.
+    assert not _loads_scipy_stats("import effect_engine.cli")
+    orthant = "from effect_engine.mvnorm import mvn_orthant\nmvn_orthant"
+    assert not _loads_scipy_stats(f"{orthant}([0.5], [[1.0]])")
+    assert _loads_scipy_stats(f"{orthant}([0.5, 0.5], [[1.0, 0.5], [0.5, 1.0]])")

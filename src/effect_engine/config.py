@@ -126,6 +126,16 @@ def _parse_columns(obj, where: str) -> dict:
     for key in ("unit_id", "period"):
         if key in obj:
             out[key] = _as_str(obj[key], f"{where}.{key}")
+    roles: dict[str, list[str]] = {}
+    for key in ("outcome", "arm", "unit_id", "period"):
+        if key in out:
+            roles.setdefault(out[key], []).append(key)
+    for i, name in enumerate(out.get("covariates", ())):
+        roles.setdefault(name, []).append(f"covariates[{i}]")
+    for name, named in roles.items():
+        if len(named) > 1:
+            raise ConfigError(f"{where}: column {name!r} is named as {' and '.join(named)}; "
+                              "each column may have one role")
     return out
 
 

@@ -35,7 +35,7 @@ def factorize(labels: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
     return tuple(levels), codes
 
 
-def _as_covariate_array(name: str, values: Sequence) -> np.ndarray:
+def _as_covariate_array(values: Sequence) -> np.ndarray:
     """Coerce one covariate column: all-numeric values stay numeric,
     anything else becomes categorical string levels."""
     numeric = all(
@@ -43,10 +43,7 @@ def _as_covariate_array(name: str, values: Sequence) -> np.ndarray:
         for v in values
     )
     if numeric:
-        out = np.asarray(values, dtype=np.float64)
-        if not np.all(np.isfinite(out)):
-            raise ValueError(f"covariate {name!r} contains non-finite values")
-        return out
+        return np.asarray(values, dtype=np.float64)
     return np.asarray([str(v) for v in values], dtype=object)
 
 
@@ -88,15 +85,19 @@ class Dataset:
         if not np.all(np.isfinite(outcome)):
             bad = int(np.flatnonzero(~np.isfinite(outcome))[0])
             raise ValueError(f"outcome is not finite at row {bad}")
-        if len(set(arm.tolist())) < 2:
-            raise ValueError("need at least 2 distinct arm labels")
+        labels = set(arm.tolist())
+        if len(labels) < 2:
+            found = ", ".join(map(repr, labels)) or "none"
+            raise ValueError(f"need at least 2 distinct arm labels, found {found}")
         covs = {}
         for name, values in self.covariates.items():
             col = np.asarray(values)
             if col.dtype.kind in "if":
                 col = np.asarray(col, dtype=np.float64)
                 if not np.all(np.isfinite(col)):
-                    raise ValueError(f"covariate {name!r} contains non-finite values")
+                    bad = int(np.flatnonzero(~np.isfinite(col))[0])
+                    raise ValueError(f"covariate {name!r} has a non-finite value at row "
+                                     f"{bad}: {float(col[bad])!r}")
             else:
                 col = np.asarray([str(v) for v in col.tolist()], dtype=object)
             if col.shape != (n,):
@@ -181,7 +182,7 @@ class Dataset:
         return cls(
             outcome=np.asarray(outcome, dtype=np.float64),
             arm=np.asarray(arm, dtype=object),
-            covariates={n: _as_covariate_array(n, v) for n, v in per_cov.items()},
+            covariates={n: _as_covariate_array(v) for n, v in per_cov.items()},
             unit_id=np.asarray(unit_id, dtype=object) if has_unit else None,
             period=np.asarray(period, dtype=np.int64) if has_period else None,
         )

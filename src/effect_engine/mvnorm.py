@@ -5,13 +5,24 @@ conditioning through the Cholesky factor) driven by randomized quasi-Monte
 Carlo: scrambled Sobol points, a batch of independent scramblings, and the
 spread of the batch means as the error estimate. Points double until the
 error target is met or the point budget runs out.
+
+The Sobol points are made here, without importing ``scipy.stats`` (whose
+import alone costs most of a second): Joe & Kuo (2008) direction numbers,
+read from the table that scipy installs, with Matoušek's (1998) random linear
+matrix scramble and a digital shift. For a ``SeedSequence`` child they are
+bit for bit the points of ``scipy.stats.qmc.Sobol(d, scramble=True,
+seed=np.random.default_rng(child)).random_base2(k)`` (scipy 1.17).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from pathlib import Path
+from typing import Iterator, Sequence
 
 import numpy as np
+import scipy
 from scipy.special import ndtr, ndtri
 
 __all__ = ["OrthantResult", "mvn_orthant"]
@@ -23,6 +34,15 @@ _JITTERS = (0.0, 1e-10, 1e-8)
 # Quantile arguments are clipped away from {0, 1} so ndtri stays finite.
 _Q_LO = 1e-300
 _Q_HI = 1.0 - 1e-16
+
+# Sobol points carry 30 bits (scipy's default), so a sequence holds at most
+# 2**30 points; the direction-number table has a row for each of 21201
+# dimensions.
+_SOBOL_BITS = 30
+_SOBOL_MAX_DIM = 21201
+_BIT = np.arange(_SOBOL_BITS)
+_LSB_WEIGHTS = np.uint32(1) << _BIT.astype(np.uint32)
+_MSB_WEIGHTS = _LSB_WEIGHTS[::-1].copy()
 
 
 @dataclass(frozen=True)
@@ -59,6 +79,71 @@ def _cholesky_with_jitter(cov: np.ndarray) -> np.ndarray:
     raise ValueError("covariance is not positive semidefinite")
 
 
+@lru_cache(maxsize=None)
+def _sobol_directions(m: int) -> np.ndarray:
+    """Unscrambled direction numbers of the first ``m`` dimensions, (m, 30).
+
+    Bratley & Fox (1988) recurrence on the primitive polynomials and initial
+    numbers of Joe & Kuo (2008); column j holds an odd integer below 2**(j+1)
+    shifted up to bit 29 - j. The first dimension is the van der Corput
+    sequence.
+    """
+    table = Path(scipy.__file__).parent / "stats" / "_sobol_direction_numbers.npz"
+    with np.load(table) as rows:
+        poly = rows["poly"][:m].tolist()
+        vinit = rows["vinit"][:m].tolist()
+    v = [[1] * _SOBOL_BITS]
+    for p, init in zip(poly[1:], vinit[1:]):
+        deg = p.bit_length() - 1
+        row = init[:deg]
+        for j in range(deg, _SOBOL_BITS):
+            new = row[j - deg]
+            for k in range(deg):
+                if (p >> (deg - 1 - k)) & 1:
+                    new ^= row[j - k - 1] << (k + 1)
+            row.append(new)
+        v.append(row)
+    out = np.array(v, dtype=np.uint32) << (_SOBOL_BITS - 1 - _BIT).astype(np.uint32)
+    out.flags.writeable = False
+    return out
+
+
+def _scrambled_sobol(m: int, children: Sequence[np.random.SeedSequence],
+                     k: int) -> Iterator[np.ndarray]:
+    """The first ``2**k`` points of one scrambled Sobol sequence per child.
+
+    Each child gives the points of ``qmc.Sobol(m, scramble=True,
+    seed=np.random.default_rng(child)).random_base2(k)``. That engine spawns
+    its own generator and draws 30 shift bits per dimension (bit i weighs
+    2**i), then a 30 x 30 matrix L per dimension, kept lower triangular with
+    a unit diagonal. A scrambled direction number is L times the bits of the
+    plain one over GF(2), both read from bit 29 down: its bit 29 - p is the
+    parity of row p of L ANDed with the plain number. All children are
+    scrambled together; their points are made one child at a time, in Gray-
+    code order: the first is the shift, and point i is point i - 1 XOR the
+    direction number indexed by the trailing zeros of i.
+    """
+    shifts = np.empty((len(children), m), dtype=np.uint32)
+    lms = np.empty((len(children), m, _SOBOL_BITS, _SOBOL_BITS), dtype=np.uint32)
+    for s, child in enumerate(children):
+        rng = np.random.Generator(np.random.PCG64(child.spawn(1)[0]))
+        shifts[s] = rng.integers(2, size=(m, _SOBOL_BITS), dtype=np.uint32) @ _LSB_WEIGHTS
+        lms[s] = rng.integers(2, size=(m, _SOBOL_BITS, _SOBOL_BITS), dtype=np.uint32)
+    lms = np.tril(lms)
+    lms[..., _BIT, _BIT] = 1
+    rows = lms @ _MSB_WEIGHTS
+    parity = np.bitwise_count(rows[:, :, None, :] & _sobol_directions(m)[None, :, :, None]) & 1
+    directions = parity @ _MSB_WEIGHTS
+
+    i = np.arange(1, 2**k)
+    steps = np.bitwise_count((i & -i) - 1)
+    for dirs, shift in zip(directions, shifts):
+        words = np.empty((2**k, m), dtype=np.uint32)
+        words[0] = shift
+        words[1:] = dirs.T[steps]
+        yield np.bitwise_xor.accumulate(words, axis=0) * 2.0**-_SOBOL_BITS
+
+
 def _sov_batch(b: np.ndarray, chol: np.ndarray, u: np.ndarray) -> float:
     """Mean separation-of-variables integrand over one block of points.
 
@@ -92,13 +177,20 @@ def mvn_orthant(mean, cov, tol: float = 5e-4, seed=None, batches: int = 10,
     than silent.
 
     ``seed`` takes an int or a ``numpy.random.SeedSequence``; fixed seeds
-    give bit-identical results.
+    give bit-identical results. At most 21201 dimensions and
+    ``max_log2_points <= 30`` are supported.
     """
     mu = np.atleast_1d(np.asarray(mean, dtype=np.float64))
     sigma = np.atleast_2d(np.asarray(cov, dtype=np.float64))
     m = mu.shape[0]
     if mu.ndim != 1 or sigma.shape != (m, m):
         raise ValueError(f"mean has length {m} but covariance has shape {sigma.shape}")
+    if m > _SOBOL_MAX_DIM:
+        raise ValueError(f"at most {_SOBOL_MAX_DIM} dimensions are supported, got {m}")
+    if not 0 <= min_log2_points <= max_log2_points <= _SOBOL_BITS:
+        raise ValueError(
+            f"need 0 <= min_log2_points <= max_log2_points <= {_SOBOL_BITS}, "
+            f"got {min_log2_points} and {max_log2_points}")
     if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(sigma))):
         raise ValueError("mean and covariance must be finite")
     if not np.allclose(sigma, sigma.T, rtol=1e-8, atol=1e-12):
@@ -128,17 +220,11 @@ def mvn_orthant(mean, cov, tol: float = 5e-4, seed=None, batches: int = 10,
     b = mu[order]
     chol = _cholesky_with_jitter(sigma[np.ix_(order, order)])
 
-    # Imported here, not at module level: scipy.stats is most of the
-    # package's import time, and only orthants with m >= 2 need it.
-    from scipy.stats import qmc
-
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     estimate, error, points = np.nan, np.inf, 0
     for k in range(min_log2_points, max_log2_points + 1):
-        means = np.empty(batches)
-        for j, child in enumerate(ss.spawn(batches)):
-            engine = qmc.Sobol(d=m, scramble=True, seed=np.random.default_rng(child))
-            means[j] = _sov_batch(b, chol, engine.random_base2(k))
+        means = np.array([_sov_batch(b, chol, u)
+                          for u in _scrambled_sobol(m, ss.spawn(batches), k)])
         estimate = float(means.mean())
         error = 3.0 * float(means.std(ddof=1)) / np.sqrt(batches)
         points = batches * 2**k

@@ -157,6 +157,29 @@ def test_out_of_range_period_cell_exits_1(tmp_path):
             in proc.stderr)
 
 
+def test_column_in_two_roles_exits_1(tmp_path):
+    write_workspace(tmp_path, [{"type": "ate", "arm_to": "1", "arm_from": "0"}],
+                    csv="y,arm,x\n1,0,1\n3,0,2\n4,1,1\n6,1,2\n",
+                    columns={"outcome": "y", "arm": "arm", "covariates": ["x", "y"]})
+    for command in ("run", "validate"):
+        proc = run_cli(command, "--config", "config.json", cwd=tmp_path)
+        assert proc.returncode == 1, proc.stderr
+        assert "column 'y' is named as outcome and covariates[1]" in proc.stderr
+
+
+@pytest.mark.parametrize("csv, message", [
+    ("y,arm,x\n1,0,1\n3,0,inf\n4,1,1\n6,1,2\n",
+     "covariate 'x' has a non-finite value at row 1: inf"),
+    ("y,arm\n1,0\n3,0\n", "need at least 2 distinct arm labels, found '0'"),
+])
+def test_dataset_rejection_names_its_place_and_exits_1(tmp_path, csv, message):
+    write_workspace(tmp_path, [{"type": "ate", "arm_to": "1", "arm_from": "0"}], csv=csv)
+    for command in ("run", "validate"):
+        proc = run_cli(command, "--config", "config.json", cwd=tmp_path)
+        assert proc.returncode == 1, proc.stderr
+        assert message in proc.stderr
+
+
 def test_data_flag_overrides_config_path(tmp_path):
     write_workspace(tmp_path, [{"type": "ate", "arm_to": "1", "arm_from": "0"}])
     (tmp_path / "data.csv").rename(tmp_path / "fresh.csv")

@@ -121,6 +121,22 @@ def test_missing_required_keys():
     reject(cfg, r"missing required key 'period' in queries\[3\]")
 
 
+@pytest.mark.parametrize("columns, roles", [
+    ({"covariates": ["x", "y"]}, "'y' is named as outcome and covariates[1]"),
+    ({"arm": "y"}, "'y' is named as outcome and arm"),
+    ({"period": "uid"}, "'uid' is named as unit_id and period"),
+    ({"covariates": ["t"]}, "'t' is named as period and covariates[0]"),
+    ({"covariates": ["x", "z", "x"]}, "'x' is named as covariates[0] and covariates[2]"),
+    ({"arm": "y", "covariates": ["y"]}, "'y' is named as outcome and arm and covariates[0]"),
+])
+def test_column_in_two_roles_rejected(columns, roles):
+    cfg = full_config()
+    cfg["data"]["columns"].update(columns)
+    with pytest.raises(ConfigError) as info:
+        parse_config(cfg)
+    assert str(info.value) == f"data.columns: column {roles}; each column may have one role"
+
+
 def test_unknown_query_type():
     cfg = full_config()
     cfg["queries"][0] = {"type": "att", "arm_to": "1", "arm_from": "0"}

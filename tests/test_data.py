@@ -169,6 +169,20 @@ def test_load_csv_out_of_range_period_cell(tmp_path):
         "unparseable period cell at row 0, column 't': '99999999999999999999'")
 
 
+def test_load_csv_non_finite_covariate_names_row_and_value(tmp_path):
+    path = _write(tmp_path, "y,arm,c0,c1\n1,0,1,2\n2,1,3,-inf\n3,0,4,nan\n")
+    with pytest.raises(ValueError) as info:
+        load_csv(path, {"outcome": "y", "arm": "arm"})
+    assert str(info.value) == "covariate 'c1' has a non-finite value at row 1: -inf"
+
+
+def test_load_csv_single_arm_names_the_label(tmp_path):
+    path = _write(tmp_path, "y,arm\n1,ctrl\n2,ctrl\n")
+    with pytest.raises(ValueError) as info:
+        load_csv(path, {"outcome": "y", "arm": "arm"})
+    assert str(info.value) == "need at least 2 distinct arm labels, found 'ctrl'"
+
+
 def test_load_csv_ignores_byte_order_mark(tmp_path):
     path = _write(tmp_path, "\ufeffy,arm\n1.0,0\n2.0,1\n")
     data = load_csv(path, {"outcome": "y", "arm": "arm"})

@@ -1,5 +1,6 @@
 """Randomized-QMC orthant probabilities."""
 
+import json
 import subprocess
 import sys
 
@@ -9,7 +10,8 @@ from numpy.testing import assert_allclose
 from scipy.special import ndtr
 
 from conftest import cli_env
-from effect_engine.mvnorm import mvn_orthant
+from effect_engine.mvnorm import (OrthantResult, _cholesky_with_jitter, _scrambled_sobol,
+                                  _sov_batch, mvn_orthant)
 
 
 def equicorrelated(m, rho):
@@ -138,9 +140,117 @@ def _loads_scipy_stats(code):
     return proc.stdout.split()[-1] == "True"
 
 
-def test_scipy_stats_is_imported_only_by_qmc_orthants():
-    # scipy.stats dominates the package's import time; startup must not pay it.
+def test_scipy_stats_is_never_imported(tmp_path):
+    # scipy.stats costs most of a second to import; no run pays it, not even
+    # one that integrates an orthant.
     assert not _loads_scipy_stats("import effect_engine.cli")
     orthant = "from effect_engine.mvnorm import mvn_orthant\nmvn_orthant"
     assert not _loads_scipy_stats(f"{orthant}([0.5], [[1.0]])")
-    assert _loads_scipy_stats(f"{orthant}([0.5, 0.5], [[1.0, 0.5], [0.5, 1.0]])")
+    assert not _loads_scipy_stats(f"{orthant}([0.5, 0.5], [[1.0, 0.5], [0.5, 1.0]])")
+
+    rows = [(y, arm) for arm in "abc" for y in (1.0, 2.5, 4.0, 3.5)]
+    (tmp_path / "data.csv").write_text(
+        "y,arm\n" + "".join(f"{y},{arm}\n" for y, arm in rows), encoding="utf-8")
+    (tmp_path / "config.json").write_text(json.dumps({
+        "data": {"path": "data.csv", "columns": {"outcome": "y", "arm": "arm"}},
+        "model": {"reference_arm": "a"},
+        "queries": [{"type": "prob_best", "arms": ["a", "b", "c"]}],
+        "output": "report.json",
+    }), encoding="utf-8")
+    run = ("import sys\nfrom effect_engine.cli import main\n"
+           f"sys.argv[1:] = ['run', '--config', {str(tmp_path / 'config.json')!r}, "
+           "'--flat-prior-ok']\nassert main() == 0")
+    assert not _loads_scipy_stats(run)
+    result, = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))["results"]
+    assert result["kind"] == "prob_best"
+    assert {arm["method"] for arm in result["arms"].values()} == {"qmc"}
+
+
+def _scipy_sobol(d, children, k):
+    from scipy.stats import qmc
+    return [qmc.Sobol(d=d, scramble=True, seed=np.random.default_rng(child)).random_base2(k)
+            for child in children]
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 9, 40])
+def test_scrambled_sobol_matches_scipy_bit_for_bit(d):
+    for k in (0, 1, 4, 10, 12):
+        for entropy in (0, 17, 2**70 + 5):
+            # spawn() advances the parent, so each side gets its own.
+            want = _scipy_sobol(d, np.random.SeedSequence(entropy).spawn(3), k)
+            got = list(_scrambled_sobol(d, np.random.SeedSequence(entropy).spawn(3), k))
+            assert len(got) == 3
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.shape == w.shape == (2**k, d)
+                assert g.tobytes() == w.tobytes(), (d, k, entropy)
+
+
+def reference_mvn_orthant(mean, cov, tol=5e-4, seed=None, batches=10,
+                          min_log2_points=10, max_log2_points=17):
+    """The QMC branch of ``mvn_orthant`` as it was with one
+    ``scipy.stats.qmc.Sobol`` engine per scrambling, for inputs with m >= 2
+    and a nonzero diagonal."""
+    from scipy.stats import qmc
+
+    mu = np.asarray(mean, dtype=np.float64)
+    sigma = np.asarray(cov, dtype=np.float64)
+    sigma = (sigma + sigma.T) / 2.0
+    diag = np.clip(np.diag(sigma), 0.0, None)
+    marginal = ndtr(mu / np.sqrt(np.where(diag > 0, diag, np.finfo(float).tiny)))
+    order = np.argsort(marginal, kind="stable")
+    b = mu[order]
+    chol = _cholesky_with_jitter(sigma[np.ix_(order, order)])
+    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    estimate, error, points = np.nan, np.inf, 0
+    for k in range(min_log2_points, max_log2_points + 1):
+        means = np.empty(batches)
+        for j, child in enumerate(ss.spawn(batches)):
+            engine = qmc.Sobol(d=len(mu), scramble=True, seed=np.random.default_rng(child))
+            means[j] = _sov_batch(b, chol, engine.random_base2(k))
+        estimate = float(means.mean())
+        error = 3.0 * float(means.std(ddof=1)) / np.sqrt(batches)
+        points = batches * 2**k
+        if error <= tol:
+            break
+    return OrthantResult(float(np.clip(estimate, 0.0, 1.0)), error, "qmc", points)
+
+
+def _assert_same_result(got, want):
+    assert got.method == want.method
+    assert got.points == want.points
+    for field in ("probability", "error"):
+        g, w = getattr(got, field), getattr(want, field)
+        assert np.float64(g).tobytes() == np.float64(w).tobytes(), (field, g, w)
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_mvn_orthant_matches_scipy_engine_reference(m):
+    rng = np.random.default_rng(100 + m)
+    a = rng.normal(size=(m, m))
+    cov = a @ a.T + 0.1 * np.eye(m)
+    mu = 0.3 * rng.normal(size=m)
+    for seed in (m, 2**40 + m):
+        _assert_same_result(mvn_orthant(mu, cov, seed=seed),
+                            reference_mvn_orthant(mu, cov, seed=seed))
+        _assert_same_result(mvn_orthant(mu, cov, seed=np.random.SeedSequence(seed)),
+                            reference_mvn_orthant(mu, cov, seed=np.random.SeedSequence(seed)))
+
+
+def test_mvn_orthant_matches_reference_past_the_first_levels():
+    # A target no level meets: every level up to the cap is integrated.
+    cov = equicorrelated(3, 0.5)
+    kw = dict(tol=1e-9, seed=21, max_log2_points=13)
+    got = mvn_orthant(np.zeros(3), cov, **kw)
+    assert got.points == 10 * 2**13
+    _assert_same_result(got, reference_mvn_orthant(np.zeros(3), cov, **kw))
+
+
+def test_sobol_limits_fail_loudly():
+    with pytest.raises(ValueError, match="max_log2_points <= 30"):
+        mvn_orthant([0.0, 0.0], np.eye(2), max_log2_points=31)
+    with pytest.raises(ValueError, match="min_log2_points"):
+        mvn_orthant([0.0, 0.0], np.eye(2), min_log2_points=11, max_log2_points=10)
+    # 21202 dimensions: a zero-stride covariance keeps the test small.
+    m = 21202
+    with pytest.raises(ValueError, match="at most 21201 dimensions"):
+        mvn_orthant(np.zeros(m), np.broadcast_to(1.0, (m, m)))

@@ -31,10 +31,9 @@ from .relative import RatioEstimate, ratio_moments, relative_effect
 from .report import build_report, render_report, write_report
 from .vectors import (
     CovariateProfile,
-    EffectVector,
-    apply,
     baseline_vector,
     delta_vector,
+    moments,
     profile_from_subset,
 )
 
@@ -51,7 +50,6 @@ __all__ = [
     "CovariateProfile",
     "Dataset",
     "EffectEstimate",
-    "EffectVector",
     "FittedModel",
     "ModelSpec",
     "OrthantResult",
@@ -62,7 +60,6 @@ __all__ = [
     "RatioEstimate",
     "RunConfig",
     "add_period_covariate",
-    "apply",
     "as_flat_prior_posterior",
     "ate",
     "baseline_vector",
@@ -79,6 +76,7 @@ __all__ = [
     "hte",
     "load_config",
     "load_csv",
+    "moments",
     "mvn_orthant",
     "parse_config",
     "parse_predicate",

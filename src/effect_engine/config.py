@@ -14,6 +14,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
+from .data import check_column_roles
 from .model import COVARIANCE_KINDS, BayesPrior, ModelSpec
 from .predicates import parse_predicate
 from .report import sha256_config
@@ -105,10 +106,22 @@ def _as_str(value, where: str) -> str:
 def _as_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number")
-    out = float(value)
+    try:
+        out = float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ConfigError(f"{where} must be finite") from None
     if not math.isfinite(out):
         raise ConfigError(f"{where} must be finite")
     return out
+
+
+def _as_label(value, where: str) -> str:
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ConfigError(f"{where} must be an arm label")
+    try:
+        return str(value)
+    except ValueError:  # an integer past Python's digit limit for str()
+        raise ConfigError(f"{where} must be an arm label") from None
 
 
 def _parse_columns(obj, where: str) -> dict:
@@ -126,16 +139,10 @@ def _parse_columns(obj, where: str) -> dict:
     for key in ("unit_id", "period"):
         if key in obj:
             out[key] = _as_str(obj[key], f"{where}.{key}")
-    roles: dict[str, list[str]] = {}
-    for key in ("outcome", "arm", "unit_id", "period"):
-        if key in out:
-            roles.setdefault(out[key], []).append(key)
-    for i, name in enumerate(out.get("covariates", ())):
-        roles.setdefault(name, []).append(f"covariates[{i}]")
-    for name, named in roles.items():
-        if len(named) > 1:
-            raise ConfigError(f"{where}: column {name!r} is named as {' and '.join(named)}; "
-                              "each column may have one role")
+    try:
+        check_column_roles(out)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
     return out
 
 
@@ -196,10 +203,7 @@ def _parse_query(obj, index: int) -> QuerySpec:
     params: dict = {}
     for key in ("arm_to", "arm_from"):
         if key in obj:
-            value = obj[key]
-            if isinstance(value, bool) or not isinstance(value, (str, int, float)):
-                raise ConfigError(f"{where}.{key} must be an arm label")
-            params[key] = str(value)
+            params[key] = _as_label(obj[key], f"{where}.{key}")
     if "predicate" in obj:
         text = _as_str(obj["predicate"], f"{where}.predicate")
         try:
@@ -226,7 +230,7 @@ def _parse_query(obj, index: int) -> QuerySpec:
         arms = obj["arms"]
         if not isinstance(arms, Sequence) or isinstance(arms, str) or len(arms) < 2:
             raise ConfigError(f"{where}.arms must be a list of at least 2 arm labels")
-        params["arms"] = [str(a) for a in arms]
+        params["arms"] = [_as_label(a, f"{where}.arms[{i}]") for i, a in enumerate(arms)]
 
     name = obj.get("name")
     if name is not None:
@@ -251,9 +255,8 @@ def parse_config(obj, base_dir: str = ".") -> RunConfig:
     reference = model.get("reference_arm")
     if reference is None:
         raise ConfigError("missing required key 'reference_arm' in model")
-    if isinstance(reference, bool) or not isinstance(reference, (str, int, float)):
-        raise ConfigError("model.reference_arm must be an arm label")
-    covariance = model.get("covariance", "hc1")
+    reference = _as_label(reference, "model.reference_arm")
+    covariance = _as_str(model.get("covariance", "hc1"), "model.covariance")
     if covariance not in COVARIANCE_KINDS:
         raise ConfigError(
             f"model.covariance {covariance!r} is not one of {list(COVARIANCE_KINDS)}"
@@ -290,11 +293,15 @@ def parse_config(obj, base_dir: str = ".") -> RunConfig:
         output = _as_str(output, "output")
         if not os.path.isabs(output):
             output = os.path.normpath(os.path.join(base_dir, output))
+    try:
+        digest = sha256_config(obj)
+    except ValueError as exc:  # a lone surrogate, or an integer past the digit limit
+        raise ConfigError(f"config cannot be digested as UTF-8 JSON: {exc}") from None
 
     return RunConfig(
         data_path=path,
         column_map=columns,
-        reference_arm=str(reference),
+        reference_arm=reference,
         covariance=covariance,
         interactions=interactions,
         encodings=encodings,
@@ -303,7 +310,7 @@ def parse_config(obj, base_dir: str = ".") -> RunConfig:
         seed=seed,
         mvn_tol=mvn_tol,
         output=output,
-        config_digest=sha256_config(obj),
+        config_digest=digest,
     )
 
 
@@ -335,4 +342,8 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}") from None
+    except (ValueError, RecursionError) as exc:
+        # not UTF-8, an integer literal past the digit limit, or nesting
+        # deeper than the interpreter's recursion limit
+        raise ConfigError(f"config file cannot be read: {exc}") from None
     return parse_config(obj, base_dir=os.path.dirname(os.path.abspath(path)))

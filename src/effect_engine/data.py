@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-__all__ = ["Dataset", "load_csv", "add_period_covariate", "factorize"]
+__all__ = ["Dataset", "load_csv", "add_period_covariate", "check_column_roles", "factorize"]
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -206,17 +206,34 @@ def _cell_error(role: str, name: str, cells: Sequence[str], convert) -> ValueErr
     raise RuntimeError(f"{role} column {name!r} failed to convert but no cell is bad")
 
 
+def check_column_roles(column_map: Mapping[str, object]) -> None:
+    """Raise ``ValueError`` if a column is named in more than one of outcome,
+    arm, unit_id, period and covariates, or is listed twice as a covariate."""
+    roles: dict[str, list[str]] = {}
+    for key in ("outcome", "arm", "unit_id", "period"):
+        if column_map.get(key) is not None:
+            roles.setdefault(column_map[key], []).append(key)
+    for i, name in enumerate(column_map.get("covariates") or ()):
+        roles.setdefault(name, []).append(f"covariates[{i}]")
+    for name, named in roles.items():
+        if len(named) > 1:
+            raise ValueError(f"column {name!r} is named as {' and '.join(named)}; "
+                             "each column may have one role")
+
+
 def load_csv(path, column_map: Mapping[str, object]) -> Dataset:
     """Load experiment data from an RFC 4180 CSV file with a header row.
 
     ``column_map`` names the special columns: ``outcome`` and ``arm`` are
     required; ``covariates`` is an optional list of column names (default:
-    every remaining column); ``unit_id`` and ``period`` are optional.
+    every remaining column); ``unit_id`` and ``period`` are optional. Each
+    column may have one role (see :func:`check_column_roles`).
     Columns whose cells all parse as numbers become numeric covariates,
     anything else becomes categorical. A leading UTF-8 byte-order mark is
     ignored and blank lines are skipped; rows in error messages are counted
     from 0 among the data rows.
     """
+    check_column_roles(column_map)
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:

@@ -1,8 +1,9 @@
 """Absolute treatment effects: average, conditional, heterogeneous, and
 per-period estimates with standard errors and confidence intervals.
 
-Every query is one delta vector (or a contrast of two) applied to the same
-fitted model; only the covariate profile changes.
+Every query is one delta row (or a contrast of two) passed to
+:func:`~effect_engine.vectors.moments` with the same fitted model; only the
+covariate profile changes.
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ from scipy.special import ndtri
 
 from .data import Dataset
 from .model import FittedModel
-from .predicates import describe_predicate
-from .vectors import CovariateProfile, apply, delta_vector, profile_from_subset
+from .vectors import delta_vector, moments, profile_from_subset, query_echo
 
 __all__ = ["EffectEstimate", "ate", "cate", "hte", "dte"]
 
@@ -44,13 +44,22 @@ class EffectEstimate:
         }
 
 
-def _estimate(value: float, variance: float, ci_level: float, query: dict) -> EffectEstimate:
+def normal_interval(value: float, variance: float,
+                    ci_level: float) -> tuple[float, float, float]:
+    """Standard error and the normal-quantile interval ``(se, low, high)``."""
     if not 0.0 < ci_level < 1.0:
         raise ValueError("ci_level must be strictly between 0 and 1")
     se = float(np.sqrt(variance))
     z = float(ndtri(0.5 + ci_level / 2.0))
-    return EffectEstimate(estimate=value, std_error=se, ci_low=value - z * se,
-                          ci_high=value + z * se, ci_level=ci_level, query=query)
+    return se, value - z * se, value + z * se
+
+
+def _estimate(model: FittedModel, row: np.ndarray, ci_level: float,
+              query: dict) -> EffectEstimate:
+    value, variance = moments(model, row)
+    se, low, high = normal_interval(value, variance, ci_level)
+    return EffectEstimate(estimate=value, std_error=se, ci_low=low, ci_high=high,
+                          ci_level=ci_level, query=query)
 
 
 def ate(model: FittedModel, data: Dataset, arm_to: str, arm_from: str,
@@ -58,22 +67,18 @@ def ate(model: FittedModel, data: Dataset, arm_to: str, arm_from: str,
     """Average treatment effect of ``arm_to`` relative to ``arm_from`` at
     the global covariate means."""
     profile = profile_from_subset(data, model.schema)
-    vec = delta_vector(model.schema, profile, arm_to, arm_from)
-    value, variance = apply(vec, model)
-    return _estimate(value, variance, ci_level,
-                     {"type": "ate", "arm_to": vec.arm_to, "arm_from": vec.arm_from})
+    row = delta_vector(model.schema, profile, arm_to, arm_from)
+    return _estimate(model, row, ci_level, query_echo("ate", arm_to, arm_from))
 
 
 def cate(model: FittedModel, data: Dataset, arm_to: str, arm_from: str, predicate,
          ci_level: float = 0.95) -> EffectEstimate:
     """Treatment effect conditional on the predicate's subset: the delta
-    vector is evaluated at that subset's covariate means."""
+    row is evaluated at that subset's covariate means."""
     profile = profile_from_subset(data, model.schema, predicate)
-    vec = delta_vector(model.schema, profile, arm_to, arm_from)
-    value, variance = apply(vec, model)
-    return _estimate(value, variance, ci_level,
-                     {"type": "cate", "arm_to": vec.arm_to, "arm_from": vec.arm_from,
-                      "predicate": describe_predicate(predicate)})
+    row = delta_vector(model.schema, profile, arm_to, arm_from)
+    return _estimate(model, row, ci_level,
+                     query_echo("cate", arm_to, arm_from, predicate=predicate))
 
 
 def hte(model: FittedModel, data: Dataset, arm_to: str, arm_from: str, predicate,
@@ -81,19 +86,16 @@ def hte(model: FittedModel, data: Dataset, arm_to: str, arm_from: str, predicate
     """Heterogeneity contrast: the conditional effect on the predicate's
     subset minus the conditional effect on its complement.
 
-    The variance is the quadratic form on the full contrast vector, which
+    The variance is the quadratic form on the full contrast row, which
     accounts for the covariance between the two conditional effects; it is
     not a difference of the two standalone standard errors.
     """
     profile_in = profile_from_subset(data, model.schema, predicate)
     profile_out = profile_from_subset(data, model.schema, predicate, complement=True)
-    vec_in = delta_vector(model.schema, profile_in, arm_to, arm_from)
-    vec_out = delta_vector(model.schema, profile_out, arm_to, arm_from)
-    contrast = vec_in.entries - vec_out.entries
-    value, variance = apply(contrast, model)
-    return _estimate(value, variance, ci_level,
-                     {"type": "hte", "arm_to": vec_in.arm_to, "arm_from": vec_in.arm_from,
-                      "predicate": describe_predicate(predicate)})
+    contrast = (delta_vector(model.schema, profile_in, arm_to, arm_from)
+                - delta_vector(model.schema, profile_out, arm_to, arm_from))
+    return _estimate(model, contrast, ci_level,
+                     query_echo("hte", arm_to, arm_from, predicate=predicate))
 
 
 def dte(model: FittedModel, data: Dataset, arm_to: str, arm_from: str, period: int,
@@ -127,8 +129,5 @@ def dte(model: FittedModel, data: Dataset, arm_to: str, arm_from: str, period: i
             )
     mask = np.asarray(data.period, dtype=np.int64) == period
     profile = profile_from_subset(data, model.schema, mask)
-    vec = delta_vector(model.schema, profile, arm_to, arm_from)
-    value, variance = apply(vec, model)
-    return _estimate(value, variance, ci_level,
-                     {"type": "dte", "arm_to": vec.arm_to, "arm_from": vec.arm_from,
-                      "period": period})
+    row = delta_vector(model.schema, profile, arm_to, arm_from)
+    return _estimate(model, row, ci_level, query_echo("dte", arm_to, arm_from, period=period))

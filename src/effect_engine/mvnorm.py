@@ -226,7 +226,7 @@ def mvn_orthant(mean, cov, tol: float = 5e-4, seed=None, batches: int = 10,
         means = np.array([_sov_batch(b, chol, u)
                           for u in _scrambled_sobol(m, ss.spawn(batches), k)])
         estimate = float(means.mean())
-        error = 3.0 * float(means.std(ddof=1)) / np.sqrt(batches)
+        error = 3.0 * float(means.std(ddof=1)) / float(np.sqrt(batches))
         points = batches * 2**k
         if error <= tol:
             break

@@ -4,7 +4,8 @@ These read the coefficient distribution N(beta, cov_beta) as a posterior, so
 they demand a model that was actually fitted as one (or explicitly
 reinterpreted via ``as_flat_prior_posterior``); a frequentist sampling
 distribution does not license "the probability that arm A is best" without
-that opt-in.
+that opt-in. Both pass the mean and covariance of their delta rows, from
+:func:`~effect_engine.vectors.moments`, to the orthant integrator.
 """
 
 from __future__ import annotations
@@ -16,9 +17,8 @@ import numpy as np
 
 from .data import Dataset
 from .model import FittedModel
-from .mvnorm import OrthantResult, mvn_orthant
-from .predicates import describe_predicate
-from .vectors import apply, delta_vector, profile_from_subset
+from .mvnorm import mvn_orthant
+from .vectors import delta_vector, moments, profile_from_subset, query_echo
 
 __all__ = ["ProbEstimate", "ArmProbability", "RankingResult", "prob_positive", "prob_best"]
 
@@ -100,28 +100,12 @@ def prob_positive(model: FittedModel, data: Dataset, arm_to: str, arm_from: str,
     matter in degenerate cases."""
     _require_posterior(model)
     profile = profile_from_subset(data, model.schema, predicate)
-    vec = delta_vector(model.schema, profile, arm_to, arm_from)
-    value, variance = apply(vec, model)
-    res = mvn_orthant([value], [[variance]], tol=tol, seed=seed)
-    query = {"type": "prob_positive", "arm_to": vec.arm_to, "arm_from": vec.arm_from}
-    if predicate is not None:
-        query["predicate"] = describe_predicate(predicate)
+    row = delta_vector(model.schema, profile, arm_to, arm_from)
+    res = mvn_orthant(*moments(model, row), tol=tol, seed=seed)
     return ProbEstimate(
         probability=res.probability, error=res.error, method=res.method,
-        query=query,
+        query=query_echo("prob_positive", arm_to, arm_from, predicate=predicate),
     )
-
-
-def _stacked_orthant(model: FittedModel, profile, arm: str,
-                     others: Sequence[str], tol: float, seed) -> OrthantResult:
-    """P(arm beats every other arm): stack the pairwise delta vectors into
-    one matrix D and take the orthant probability of N(D beta, D cov D')."""
-    rows = [delta_vector(model.schema, profile, arm, other).entries for other in others]
-    stack = np.vstack(rows)
-    mu = stack @ model.beta
-    cov = stack @ model.cov_beta @ stack.T
-    cov = (cov + cov.T) / 2.0
-    return mvn_orthant(mu, cov, tol=tol, seed=seed)
 
 
 def prob_best(model: FittedModel, data: Dataset, arms: Sequence[str] | None = None,
@@ -130,8 +114,8 @@ def prob_best(model: FittedModel, data: Dataset, arms: Sequence[str] | None = No
     outcome at the global (or ``predicate``-subset) covariate means.
 
     Each arm's probability is a separate orthant evaluation over its stacked
-    deltas against the other arms (rivals in sorted order, so results do not
-    depend on input ordering). With two arms this reduces exactly to
+    delta rows against the other arms (rivals in sorted order, so results do
+    not depend on input ordering). With two arms this reduces exactly to
     ``prob_positive``.
     """
     _require_posterior(model)
@@ -151,11 +135,11 @@ def prob_best(model: FittedModel, data: Dataset, arms: Sequence[str] | None = No
     entries = []
     for arm in candidates:
         child = children[model.schema.all_arms.index(arm)]
-        others = sorted(a for a in candidates if a != arm)
-        res = _stacked_orthant(model, profile, arm, others, tol, child)
+        rows = [delta_vector(model.schema, profile, arm, other)
+                for other in sorted(a for a in candidates if a != arm)]
+        res = mvn_orthant(*moments(model, np.vstack(rows)), tol=tol, seed=child)
         entries.append(ArmProbability(arm=arm, probability=res.probability,
                                       error=res.error, method=res.method))
-    query = {"type": "prob_best", "arms": list(candidates)}
-    if predicate is not None:
-        query["predicate"] = describe_predicate(predicate)
-    return RankingResult(entries=tuple(entries), query=query)
+    return RankingResult(entries=tuple(entries),
+                         query=query_echo("prob_best", arms=list(candidates),
+                                          predicate=predicate))

@@ -1,6 +1,8 @@
 """Relative (percentage) effects via a second-order delta-method expansion
 of the ratio R/S, where R is the arm-to-arm delta and S is the baseline
-outcome level under the comparison arm.
+outcome level under the comparison arm. The joint moments of R and S come
+from one :func:`~effect_engine.vectors.moments` call on the stacked
+``[delta; baseline]`` rows.
 """
 
 from __future__ import annotations
@@ -10,12 +12,11 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy.special import ndtri
 
 from .data import Dataset
+from .effects import normal_interval
 from .model import FittedModel
-from .predicates import describe_predicate
-from .vectors import apply, baseline_vector, delta_vector, profile_from_subset
+from .vectors import baseline_vector, delta_vector, moments, profile_from_subset, query_echo
 
 __all__ = ["RatioEstimate", "ratio_moments", "relative_effect"]
 
@@ -91,11 +92,11 @@ def relative_effect(model: FittedModel, data: Dataset, arm_to: str, arm_from: st
     baseline's sign.
     """
     profile = profile_from_subset(data, model.schema, predicate)
-    dvec = delta_vector(model.schema, profile, arm_to, arm_from)
-    bvec = baseline_vector(model.schema, profile, dvec.arm_from)
-    mean_num, var_num = apply(dvec, model)
-    mean_den, var_den = apply(bvec, model)
-    cov = float(dvec.entries @ model.cov_beta @ bvec.entries)
+    rows = np.vstack([delta_vector(model.schema, profile, arm_to, arm_from),
+                      baseline_vector(model.schema, profile, arm_from)])
+    mu, sigma = moments(model, rows)
+    mean_num, mean_den = mu.tolist()
+    (var_num, cov), (_, var_den) = sigma.tolist()
 
     if guard < 0:
         raise ValueError("guard must be non-negative")
@@ -109,10 +110,7 @@ def relative_effect(model: FittedModel, data: Dataset, arm_to: str, arm_from: st
             UserWarning, stacklevel=2,
         )
         var = 0.0
-    if not 0.0 < ci_level < 1.0:
-        raise ValueError("ci_level must be strictly between 0 and 1")
-    se = float(np.sqrt(var))
-    z = float(ndtri(0.5 + ci_level / 2.0))
+    se, low, high = normal_interval(mean, var, ci_level)
     components = {
         "delta_mean": mean_num,
         "delta_variance": var_num,
@@ -120,11 +118,8 @@ def relative_effect(model: FittedModel, data: Dataset, arm_to: str, arm_from: st
         "baseline_variance": var_den,
         "covariance": cov,
     }
-    query = {"type": "relative_effect", "arm_to": dvec.arm_to, "arm_from": dvec.arm_from}
-    if predicate is not None:
-        query["predicate"] = describe_predicate(predicate)
     return RatioEstimate(
         estimate=mean, first_order=mean_num / mean_den, std_error=se,
-        ci_low=mean - z * se, ci_high=mean + z * se,
-        ci_level=ci_level, components=components, query=query,
+        ci_low=low, ci_high=high, ci_level=ci_level, components=components,
+        query=query_echo("relative_effect", arm_to, arm_from, predicate=predicate),
     )

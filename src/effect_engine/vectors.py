@@ -1,10 +1,11 @@
-"""Baseline and delta vectors: the two primitives every query reduces to.
+"""Baseline and delta rows, and the one primitive every query reduces to.
 
-A baseline vector, multiplied against the fitted coefficients, yields the
+A baseline row, multiplied against the fitted coefficients, yields the
 model-implied average outcome under one arm at a covariate profile. A delta
-vector is the difference of two baseline vectors and yields a treatment
-effect. Variances are plain quadratic forms against the coefficient
-covariance, so arbitrary interaction structure needs no manual bookkeeping.
+row is the difference of two baseline rows and yields a treatment effect.
+Every query stacks such rows into a matrix L and reads the mean ``L @ beta``
+and covariance ``L @ cov_beta @ L.T`` from :func:`moments`, so arbitrary
+interaction structure needs no manual bookkeeping.
 """
 
 from __future__ import annotations
@@ -15,15 +16,15 @@ import numpy as np
 
 from .data import Dataset
 from .model import ColumnSchema, FittedModel, covariate_matrix
-from .predicates import resolve_mask
+from .predicates import describe_predicate, resolve_mask
 
 __all__ = [
     "CovariateProfile",
-    "EffectVector",
     "profile_from_subset",
     "baseline_vector",
     "delta_vector",
-    "apply",
+    "moments",
+    "query_echo",
 ]
 
 # Quadratic forms can round slightly negative; anything worse is a real bug.
@@ -54,29 +55,6 @@ class CovariateProfile:
         return self.values.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class EffectVector:
-    """Row vector aligned to a column schema.
-
-    ``kind`` is ``"baseline"`` (average outcome under ``arm_to``) or
-    ``"delta"`` (effect of ``arm_to`` relative to ``arm_from``).
-    Equality is identity.
-    """
-
-    entries: np.ndarray
-    kind: str
-    arm_to: str
-    arm_from: str | None
-    profile: CovariateProfile
-
-    def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=np.float64)
-        entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
-        if self.kind not in ("baseline", "delta"):
-            raise ValueError(f"unknown effect-vector kind {self.kind!r}")
-
-
 def _check_profile(schema: ColumnSchema, profile: CovariateProfile) -> CovariateProfile:
     q = len(schema.covariate_indices)
     if len(profile) != q:
@@ -103,10 +81,10 @@ def profile_from_subset(data: Dataset, schema: ColumnSchema, predicate=None,
     return CovariateProfile(covariate_matrix(data, schema, rows=mask).mean(axis=0))
 
 
-def baseline_vector(schema: ColumnSchema, profile: CovariateProfile, arm: str) -> EffectVector:
-    """Vector whose product with the coefficients is the average outcome
-    under ``arm`` at ``profile``. The reference arm is allowed; its arm
-    block is all zeros."""
+def baseline_vector(schema: ColumnSchema, profile: CovariateProfile, arm: str) -> np.ndarray:
+    """Read-only (p,) row whose product with the coefficients is the average
+    outcome under ``arm`` at ``profile``. The reference arm is allowed; its
+    arm block is all zeros."""
     arm = schema.require_arm(arm)
     profile = _check_profile(schema, profile)
     entries = np.zeros(schema.p)
@@ -121,15 +99,16 @@ def baseline_vector(schema: ColumnSchema, profile: CovariateProfile, arm: str) -
     inter_idx = schema.interaction_indices
     if inter_idx:
         entries[list(inter_idx)] = np.outer(profile.values, onehot).ravel()
-    return EffectVector(entries=entries, kind="baseline", arm_to=arm, arm_from=None,
-                        profile=profile)
+    entries.setflags(write=False)
+    return entries
 
 
 def delta_vector(schema: ColumnSchema, profile: CovariateProfile, arm_to: str,
-                 arm_from: str) -> EffectVector:
-    """Difference of two baseline vectors, computed in closed form: zero
-    intercept and covariate blocks, indicator difference in the arm block,
-    profile times that difference in the interaction block."""
+                 arm_from: str) -> np.ndarray:
+    """Read-only (p,) row equal to the difference of two baseline rows,
+    computed in closed form: zero intercept and covariate blocks, indicator
+    difference in the arm block, profile times that difference in the
+    interaction block."""
     arm_to = schema.require_arm(arm_to)
     arm_from = schema.require_arm(arm_from)
     if arm_to == arm_from:
@@ -143,26 +122,40 @@ def delta_vector(schema: ColumnSchema, profile: CovariateProfile, arm_to: str,
     inter_idx = schema.interaction_indices
     if inter_idx:
         entries[list(inter_idx)] = np.outer(profile.values, diff).ravel()
-    return EffectVector(entries=entries, kind="delta", arm_to=arm_to, arm_from=arm_from,
-                        profile=profile)
+    entries.setflags(write=False)
+    return entries
 
 
-def apply(vec, model: FittedModel) -> tuple[float, float]:
-    """Evaluate an effect vector against a fitted model.
+def moments(model: FittedModel, rows):
+    """Mean and covariance of linear functionals of the coefficients.
 
-    Returns ``(value, variance)`` where value is the vector times the
-    coefficients and variance the quadratic form against the coefficient
-    covariance. Tiny negative variances from rounding clamp to zero.
+    ``rows`` is one (p,) row, giving the floats ``(row @ beta, row @ cov_beta
+    @ row)``, or a (k, p) stack L, giving the (k,) array ``L @ beta`` and the
+    symmetrised (k, k) array ``L @ cov_beta @ L.T``. Variances that round
+    slightly negative clamp to zero; anything below -1e-12 raises.
     """
-    entries = vec.entries if isinstance(vec, EffectVector) else np.asarray(vec, dtype=np.float64)
-    if entries.shape != (model.p,):
-        raise ValueError(
-            f"effect vector has length {entries.shape}, model expects {model.p}"
-        )
-    value = float(entries @ model.beta)
-    variance = float(entries @ model.cov_beta @ entries)
-    if variance < 0.0:
-        if variance < _VARIANCE_CLAMP:
-            raise ValueError(f"variance quadratic form is negative: {variance}")
-        variance = 0.0
-    return value, variance
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.ndim not in (1, 2) or rows.shape[-1] != model.p:
+        raise ValueError(f"rows have shape {rows.shape}, model expects {model.p} columns")
+    mean = rows @ model.beta
+    cov = rows @ model.cov_beta @ rows.T
+    cov = np.atleast_2d((cov + cov.T) / 2.0)
+    variances = cov.diagonal()
+    if np.any(variances < _VARIANCE_CLAMP):
+        raise ValueError(f"variance quadratic form is negative: {variances.min()}")
+    np.fill_diagonal(cov, np.where(variances < 0.0, 0.0, variances))
+    if rows.ndim == 1:
+        return float(mean), float(cov[0, 0])
+    return mean, cov
+
+
+def query_echo(kind: str, arm_to=None, arm_from=None, predicate=None, **fields) -> dict:
+    """The ``query`` block a result echoes: its type, its arm labels as
+    strings, any further ``fields``, and the predicate when one is given."""
+    query = {"type": kind}
+    if arm_to is not None:
+        query.update(arm_to=str(arm_to), arm_from=str(arm_from))
+    query.update(fields)
+    if predicate is not None:
+        query["predicate"] = describe_predicate(predicate)
+    return query

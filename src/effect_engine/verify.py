@@ -88,8 +88,8 @@ def delta_identity_check(n_schemas: int = 200, seed: int = 901) -> VerifyResult:
         schema = build_schema(data, spec)
         profile = CovariateProfile(rng.normal(size=len(schema.covariate_indices)))
         w2, w1 = rng.choice(data.arms, size=2, replace=False)
-        lhs = delta_vector(schema, profile, w2, w1).entries
-        rhs = baseline_vector(schema, profile, w2).entries - baseline_vector(schema, profile, w1).entries
+        lhs = delta_vector(schema, profile, w2, w1)
+        rhs = baseline_vector(schema, profile, w2) - baseline_vector(schema, profile, w1)
         if not np.array_equal(lhs, rhs):
             mismatches += 1
     elapsed = time.perf_counter() - start

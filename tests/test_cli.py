@@ -296,3 +296,24 @@ def test_bad_bayes_prior_exits_1(tmp_path):
         proc = run_cli(command, "--config", "config.json", cwd=tmp_path)
         assert proc.returncode == 1, proc.stderr
         assert "config error: model.bayes.prior_covariance" in proc.stderr
+
+
+@pytest.mark.parametrize("field, literal, message", [
+    # A JSON integer beyond the float range where a number goes.
+    ("ci_level", "1" + "0" * 400, "queries[0].ci_level must be finite"),
+    # A literal past Python's digit limit for integers.
+    ("ci_level", "1" + "0" * 5000, "config file cannot be read: Exceeds the limit"),
+    # Nesting past the interpreter's recursion limit.
+    ("ci_level", "[" * 100_000 + "]" * 100_000, "config file cannot be read: maximum recursion"),
+    # A lone surrogate, valid JSON but not encodable as UTF-8.
+    ("name", '"\\ud800"', "config cannot be digested as UTF-8 JSON"),
+], ids=["float-overflow", "digit-limit", "deep-nesting", "lone-surrogate"])
+def test_unusable_json_values_exit_1(tmp_path, field, literal, message):
+    path = write_workspace(tmp_path, [{"type": "ate", "arm_to": "1", "arm_from": "0",
+                                       field: "PLACEHOLDER"}])
+    text = path.read_text(encoding="utf-8").replace('"PLACEHOLDER"', literal)
+    path.write_text(text, encoding="utf-8")
+    for command in ("validate", "run"):
+        proc = run_cli(command, "--config", "config.json", cwd=tmp_path)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("config error: " + message), proc.stderr

@@ -1,8 +1,11 @@
 """Strict run-config validation."""
 
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 from effect_engine.config import ConfigError, load_config, parse_config, spec_from_config
@@ -137,6 +140,109 @@ def test_column_in_two_roles_rejected(columns, roles):
     assert str(info.value) == f"data.columns: column {roles}; each column may have one role"
 
 
+def with_bayes():
+    cfg = full_config()
+    cfg["model"]["covariance"] = "hc1"
+    cfg["model"]["bayes"] = {"prior_mean": [0.0, 0.5],
+                             "prior_covariance": [[4.0, 0.0], [0.0, 4.0]],
+                             "noise_variance": 1.0}
+    return cfg
+
+
+HUGE = 10**400  # a valid JSON integer that float() cannot hold
+LONG = 10**5000  # past Python's digit limit for str() and json
+
+
+# Where a number goes, as the message names it and as a path into with_bayes().
+NUMBER_FIELDS = {
+    "queries[1].ci_level": ("queries", 1, "ci_level"),
+    "queries[4].guard": ("queries", 4, "guard"),
+    "mvn_tol": ("mvn_tol",),
+    "model.bayes.prior_mean[1]": ("model", "bayes", "prior_mean", 1),
+    "model.bayes.prior_covariance[0][1]": ("model", "bayes", "prior_covariance", 0, 1),
+    "model.bayes.noise_variance": ("model", "bayes", "noise_variance"),
+}
+
+
+@pytest.mark.parametrize("where", list(NUMBER_FIELDS))
+def test_huge_integer_is_a_config_error(where):
+    cfg = with_bayes()
+    *parents, last = NUMBER_FIELDS[where]
+    node = cfg
+    for key in parents:
+        node = node[key]
+    node[last] = -HUGE if where == "mvn_tol" else HUGE
+    with pytest.raises(ConfigError) as info:
+        parse_config(cfg)
+    assert str(info.value) == f"{where} must be finite"
+
+
+def test_huge_prior_variance_is_a_config_error():
+    cfg = with_bayes()
+    cfg["model"]["bayes"] = {"prior_variance": HUGE, "noise_variance": 1.0}
+    with pytest.raises(ConfigError) as info:
+        parse_config(cfg)
+    assert str(info.value) == "model.bayes.prior_variance must be finite"
+
+
+def _paths(node, prefix=()):
+    """Every key or index path in a JSON document, the root included."""
+    yield prefix
+    children = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from _paths(child, prefix + (key,))
+
+
+JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.sampled_from([HUGE, -HUGE, 2**1024, 0, -1, 1, 2]),
+    st.integers(4400, 4500).map(lambda digits: 10**digits),  # no repr past the limit
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.5, 1e-300, 1e308]),
+    st.text(st.characters(exclude_categories=()), max_size=8),  # lone surrogates too
+    st.sampled_from(["x >= 2", "x", "y", "0", "1", "cluster", "categorical", "ate", "prob_best",
+                     "and", "x == 'a", "==", "", "\ud800"]),
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=12), children, max_size=4),
+    max_leaves=10,
+)
+
+
+@st.composite
+def mangled_config(draw):
+    """A valid config with a few values, anywhere in it, replaced by
+    arbitrary JSON: nested lists and objects, NaN/inf, oversized integers,
+    booleans and strings."""
+    cfg = with_bayes()
+    paths = list(_paths(cfg))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(paths))
+        value = draw(JSON_VALUES)
+        if not path:
+            return value
+        node = cfg
+        try:
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+        except (KeyError, IndexError, TypeError):
+            continue  # an earlier replacement removed this path
+    return cfg
+
+
+@settings(max_examples=400, deadline=None)
+@given(mangled_config())
+def test_parse_config_fuzz_parses_or_raises_config_error(doc):
+    try:
+        parse_config(doc)
+    except ConfigError:
+        pass
+
+
 def test_unknown_query_type():
     cfg = full_config()
     cfg["queries"][0] = {"type": "att", "arm_to": "1", "arm_from": "0"}
@@ -196,6 +302,8 @@ def test_scalar_validations():
     cfg = full_config()
     cfg["model"]["covariance"] = "hc3"
     reject(cfg, "model.covariance 'hc3' is not one of")
+    cfg["model"]["covariance"] = LONG  # no repr past the digit limit
+    reject(cfg, "^model.covariance must be a non-empty string$")
     cfg = full_config()
     cfg["model"]["interactions"] = "yes"
     reject(cfg, "interactions must be a boolean")
@@ -312,3 +420,28 @@ def test_load_config(tmp_path):
     bad.write_text("{not json", encoding="utf-8")
     with pytest.raises(ConfigError, match="not valid JSON"):
         load_config(bad)
+
+    bad.write_bytes(b'{"output": "caf\xe9"}')  # Latin-1
+    with pytest.raises(ConfigError, match="config file cannot be read: 'utf-8' codec"):
+        load_config(bad)
+    bad.write_text('{"seed": 1%s}' % ("0" * 5000), encoding="utf-8")
+    with pytest.raises(ConfigError, match="config file cannot be read: Exceeds the limit"):
+        load_config(bad)
+    bad.write_text('{"seed": %s%s}' % ("[" * 100_000, "]" * 100_000), encoding="utf-8")
+    with pytest.raises(ConfigError, match="config file cannot be read: maximum recursion"):
+        load_config(bad)
+
+
+def test_values_that_cannot_be_labels_or_digested():
+    cfg = full_config()
+    cfg["model"]["reference_arm"] = LONG
+    reject(cfg, r"^model.reference_arm must be an arm label$")
+    cfg = full_config()
+    cfg["queries"][6]["arms"] = ["0", None]
+    reject(cfg, r"^queries\[6\].arms\[1\] must be an arm label$")
+    cfg = full_config()
+    cfg["queries"][0]["name"] = "\ud800"  # a lone surrogate, as json.loads gives for "\ud800"
+    reject(cfg, "^config cannot be digested as UTF-8 JSON: 'utf-8' codec can't encode")
+    cfg = full_config()
+    cfg["seed"] = LONG
+    reject(cfg, "^config cannot be digested as UTF-8 JSON: Exceeds the limit")

@@ -454,3 +454,14 @@ def test_load_csv_matches_row_wise_reference(case):
     assert got.covariate_names == want.covariate_names
     for name in want.covariate_names:
         _assert_same_array(got.covariates[name], want.covariates[name])
+
+
+def test_load_csv_column_in_two_roles_rejected(tmp_path):
+    # Called directly, as a library function, it must not regress y on y.
+    path = _write(tmp_path, "y,arm,x\n1,0,1\n3,0,2\n4,1,1\n6,1,2\n")
+    with pytest.raises(ValueError) as info:
+        load_csv(path, {"outcome": "y", "arm": "arm", "covariates": ["x", "y"]})
+    assert str(info.value) == ("column 'y' is named as outcome and covariates[1]; "
+                               "each column may have one role")
+    with pytest.raises(ValueError, match="'arm' is named as arm and period"):
+        load_csv(path, {"outcome": "y", "arm": "arm", "period": "arm"})

@@ -8,7 +8,7 @@ from effect_engine.data import Dataset, add_period_covariate
 from effect_engine.effects import ate, cate, dte, hte
 from effect_engine.model import ModelSpec, fit_model
 from effect_engine.predicates import parse_predicate
-from effect_engine.vectors import apply, delta_vector, profile_from_subset
+from effect_engine.vectors import delta_vector, moments, profile_from_subset
 
 # Standard normal quantiles, Phi^-1(0.975) and Phi^-1(0.9).
 Z_95 = 1.959963984540054
@@ -121,9 +121,9 @@ def test_hte_variance_is_full_contrast_quadratic_form():
     est = hte(model, data, "1", "0", "grade == l")
     profile_in = profile_from_subset(data, model.schema, "grade == l")
     profile_out = profile_from_subset(data, model.schema, "grade == l", complement=True)
-    contrast = (delta_vector(model.schema, profile_in, "1", "0").entries
-                - delta_vector(model.schema, profile_out, "1", "0").entries)
-    value, variance = apply(contrast, model)
+    contrast = (delta_vector(model.schema, profile_in, "1", "0")
+                - delta_vector(model.schema, profile_out, "1", "0"))
+    value, variance = moments(model, contrast)
     assert_allclose(est.estimate, value, rtol=0, atol=0)
     assert_allclose(est.std_error, np.sqrt(variance), rtol=0, atol=0)
 

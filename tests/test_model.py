@@ -19,7 +19,7 @@ from effect_engine.model import (
     fit_model,
     fit_ols,
 )
-from effect_engine.vectors import CovariateProfile, EffectVector
+from effect_engine.vectors import CovariateProfile
 
 
 def two_arm_data():
@@ -444,8 +444,6 @@ def test_fit_model_expands_prior_forms():
     lambda: BayesPrior(mean=np.zeros(2), covariance=np.eye(2), noise_variance=1.0),
     lambda: CovariateProfile(values=[1.0, 2.0]),
     lambda: fit_model(two_arm_data(), ModelSpec(reference_arm="0")),
-    lambda: EffectVector(entries=[1.0, 0.0], kind="baseline", arm_to="0", arm_from=None,
-                         profile=CovariateProfile(values=[])),
 ])
 def test_array_holding_dataclasses_compare_by_identity(make):
     obj = make()

@@ -44,6 +44,7 @@ def test_bivariate_centered_identity():
         res = mvn_orthant(np.zeros(2), equicorrelated(2, rho), tol=5e-4, seed=3)
         assert res.method == "qmc"
         assert res.error <= 5e-4
+        assert type(res.error) is float and type(res.probability) is float
         assert abs(res.probability - exact) < 5e-4, rho
 
 

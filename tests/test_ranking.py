@@ -8,7 +8,7 @@ from scipy.special import ndtr
 from effect_engine.data import Dataset
 from effect_engine.model import ModelSpec, as_flat_prior_posterior, fit_model
 from effect_engine.ranking import prob_best, prob_positive
-from effect_engine.vectors import apply, delta_vector, profile_from_subset
+from effect_engine.vectors import delta_vector, moments, profile_from_subset
 
 
 def flat_posterior_model():
@@ -127,7 +127,7 @@ def test_prob_positive_with_predicate():
     est = prob_positive(model, data, "1", "0", predicate="x >= 0")
     assert est.query["predicate"] == "x >= 0"
     profile = profile_from_subset(data, model.schema, "x >= 0")
-    mu, var = apply(delta_vector(model.schema, profile, "1", "0"), model)
+    mu, var = moments(model, delta_vector(model.schema, profile, "1", "0"))
     assert_allclose(est.probability, ndtr(mu / np.sqrt(var)), rtol=0, atol=1e-14)
 
     plain = prob_positive(model, data, "1", "0")

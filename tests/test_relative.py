@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 from effect_engine.data import Dataset
 from effect_engine.model import ModelSpec, fit_model
 from effect_engine.relative import ratio_moments, relative_effect
-from effect_engine.vectors import apply, baseline_vector, delta_vector, profile_from_subset
+from effect_engine.vectors import baseline_vector, delta_vector, profile_from_subset
 from effect_engine import relative as relative_mod
 
 
@@ -151,13 +151,14 @@ def test_predicate_conditions_both_numerator_and_denominator():
     est = relative_effect(model, data, "1", "0", predicate="x >= 0")
     assert est.query["predicate"] == "x >= 0"
 
+    # Stacked reference: both rows at the subset's profile, one L Σ Lᵀ.
     profile = profile_from_subset(data, model.schema, "x >= 0")
-    dvec = delta_vector(model.schema, profile, "1", "0")
-    bvec = baseline_vector(model.schema, profile, "0")
-    er, vr = apply(dvec, model)
-    es, vs = apply(bvec, model)
-    crs = float(dvec.entries @ model.cov_beta @ bvec.entries)
-    mean, var = ratio_moments(er, es, vr, vs, crs)
+    rows = np.vstack([delta_vector(model.schema, profile, "1", "0"),
+                      baseline_vector(model.schema, profile, "0")])
+    mu = rows @ model.beta
+    sigma = rows @ model.cov_beta @ rows.T
+    sigma = (sigma + sigma.T) / 2.0
+    mean, var = ratio_moments(mu[0], mu[1], sigma[0, 0], sigma[1, 1], sigma[0, 1])
     assert_allclose(est.estimate, mean, rtol=0, atol=0)
     assert_allclose(est.std_error, np.sqrt(var), rtol=0, atol=0)
 

@@ -1,4 +1,4 @@
-"""Baseline/delta effect vectors and their evaluation."""
+"""Baseline/delta rows and their moments under a fitted model."""
 
 import numpy as np
 import pytest
@@ -17,10 +17,9 @@ from effect_engine.model import (
 )
 from effect_engine.vectors import (
     CovariateProfile,
-    EffectVector,
-    apply,
     baseline_vector,
     delta_vector,
+    moments,
     profile_from_subset,
 )
 
@@ -47,24 +46,49 @@ def test_apply_frozen_two_arm_values():
     model = two_arm_model()
     profile = CovariateProfile(np.array([]))
     d = delta_vector(model.schema, profile, arm_to="1", arm_from="0")
-    assert_array_equal(d.entries, [0.0, 1.0])
-    value, variance = apply(d, model)
+    assert_array_equal(d, [0.0, 1.0])
+    value, variance = moments(model, d)
+    assert type(value) is float and type(variance) is float
     assert_allclose([value, variance], [3.0, 2.0], rtol=0, atol=1e-12)
 
     b0 = baseline_vector(model.schema, profile, arm="0")
-    assert_array_equal(b0.entries, [1.0, 0.0])
-    assert_allclose(apply(b0, model), [2.0, 1.0], rtol=0, atol=1e-12)
+    assert_array_equal(b0, [1.0, 0.0])
+    assert_allclose(moments(model, b0), [2.0, 1.0], rtol=0, atol=1e-12)
 
     b1 = baseline_vector(model.schema, profile, arm="1")
-    assert_array_equal(b1.entries, [1.0, 1.0])
-    assert_allclose(apply(b1, model), [5.0, 1.0], rtol=0, atol=1e-12)
+    assert_array_equal(b1, [1.0, 1.0])
+    assert_allclose(moments(model, b1), [5.0, 1.0], rtol=0, atol=1e-12)
+
+    # Stacked, the same numbers come back with the covariances between rows:
+    # cov(d, b0) = -1, cov(d, b1) = -1 + 2 = 1, cov(b0, b1) = 1 - 1 = 0.
+    mean, cov = moments(model, np.vstack([d, b0, b1]))
+    assert_allclose(mean, [3.0, 2.0, 5.0], rtol=0, atol=1e-12)
+    assert_allclose(cov, [[2.0, -1.0, 1.0], [-1.0, 1.0, 0.0], [1.0, 0.0, 1.0]],
+                    rtol=0, atol=1e-12)
+    assert_array_equal(cov, cov.T)
 
 
 def test_apply_accepts_raw_arrays():
+    # moments takes any (p,) row or (k, p) stack, lists included.
     model = two_arm_model()
-    assert_allclose(apply(np.array([0.0, 1.0]), model), [3.0, 2.0], rtol=0, atol=1e-12)
-    with pytest.raises(ValueError, match="model expects 2"):
-        apply(np.array([0.0, 1.0, 0.0]), model)
+    assert_allclose(moments(model, [0.0, 1.0]), [3.0, 2.0], rtol=0, atol=1e-12)
+    mean, cov = moments(model, [[0.0, 1.0]])
+    assert mean.shape == (1,) and cov.shape == (1, 1)
+    assert_allclose([mean[0], cov[0, 0]], [3.0, 2.0], rtol=0, atol=1e-12)
+    for bad in (np.array([0.0, 1.0, 0.0]), np.zeros((2, 3)), np.zeros((1, 1, 2)), 1.0):
+        with pytest.raises(ValueError, match="model expects 2 columns"):
+            moments(model, bad)
+
+
+def test_stacked_moments_are_symmetric_and_match_single_rows():
+    data = mixed_data()
+    model = fit_model(data, ModelSpec(reference_arm="a", encodings={"k": "categorical"}))
+    rows = np.random.default_rng(7).normal(size=(6, model.p))
+    mean, cov = moments(model, rows)
+    assert_array_equal(cov, cov.T)  # cov[i, j] and cov[j, i] are the same number
+    for i, row in enumerate(rows):
+        value, variance = moments(model, row)
+        assert_allclose([mean[i], cov[i, i]], [value, variance], rtol=1e-12, atol=0)
 
 
 def test_variance_clamp_and_failure():
@@ -75,10 +99,17 @@ def test_variance_clamp_and_failure():
         return FittedModel(schema=model.schema, beta=np.zeros(2), cov_beta=cov,
                            n=4, dof=2, covariance_kind="classical")
 
-    _, variance = apply(np.array([1.0, -1.0]), with_offdiag(2.5e-13))
+    row = np.array([1.0, -1.0])
+    _, variance = moments(with_offdiag(2.5e-13), row)
     assert variance == 0.0
     with pytest.raises(ValueError, match="variance quadratic form is negative"):
-        apply(np.array([1.0, -1.0]), with_offdiag(5e-12))
+        moments(with_offdiag(5e-12), row)
+    # In a stack the clamp applies to the diagonal only.
+    _, cov = moments(with_offdiag(2.5e-13), np.vstack([row, [1.0, 0.0]]))
+    assert cov[0, 0] == 0.0 and cov[1, 1] == 1.0
+    assert_allclose(cov[0, 1], -2.5e-13, rtol=1e-3, atol=0)
+    with pytest.raises(ValueError, match="variance quadratic form is negative"):
+        moments(with_offdiag(5e-12), np.vstack([[1.0, 0.0], row]))
 
 
 def test_profile_from_subset_means():
@@ -172,11 +203,15 @@ def test_reference_arm_baseline_has_zero_arm_block():
     data = covariate_data()
     _, _, schema = build_design(data, ModelSpec(reference_arm="a"))
     profile = profile_from_subset(data, schema)
-    vec = baseline_vector(schema, profile, arm="a")
-    assert vec.entries[0] == 1.0
-    assert_array_equal(vec.entries[list(schema.arm_indices)], [0.0])
-    assert_array_equal(vec.entries[list(schema.interaction_indices)], [0.0, 0.0])
-    assert_allclose(vec.entries[list(schema.covariate_indices)], profile.values)
+    row = baseline_vector(schema, profile, arm="a")
+    assert row.shape == (schema.p,)
+    assert row[0] == 1.0
+    assert_array_equal(row[list(schema.arm_indices)], [0.0])
+    assert_array_equal(row[list(schema.interaction_indices)], [0.0, 0.0])
+    assert_allclose(row[list(schema.covariate_indices)], profile.values)
+    for read_only in (row, delta_vector(schema, profile, "b", "a")):
+        with pytest.raises(ValueError):
+            read_only[0] = 2.0
 
 
 def test_delta_needs_distinct_arms():
@@ -201,12 +236,6 @@ def test_profile_validation():
         profile.values[0] = 2.0
 
 
-def test_unknown_vector_kind_rejected():
-    with pytest.raises(ValueError, match="unknown effect-vector kind"):
-        EffectVector(entries=np.zeros(2), kind="ratio", arm_to="1", arm_from="0",
-                     profile=CovariateProfile(np.array([])))
-
-
 def test_three_arm_block_placement():
     data = Dataset(
         outcome=np.arange(6, dtype=float),
@@ -217,24 +246,22 @@ def test_three_arm_block_placement():
     profile = CovariateProfile(np.array([3.5]))
 
     base = baseline_vector(schema, profile, arm="2")
-    assert_array_equal(base.entries[list(schema.arm_indices)], [1.0, 0.0])
-    assert_array_equal(base.entries[list(schema.interaction_indices)], [3.5, 0.0])
+    assert_array_equal(base[list(schema.arm_indices)], [1.0, 0.0])
+    assert_array_equal(base[list(schema.interaction_indices)], [3.5, 0.0])
 
     d = delta_vector(schema, profile, arm_to="2", arm_from="3")
-    assert_array_equal(d.entries[list(schema.arm_indices)], [1.0, -1.0])
-    assert_array_equal(d.entries[list(schema.interaction_indices)], [3.5, -3.5])
-    assert_array_equal(
-        delta_vector(schema, profile, "3", "2").entries, -d.entries
-    )
+    assert_array_equal(d[list(schema.arm_indices)], [1.0, -1.0])
+    assert_array_equal(d[list(schema.interaction_indices)], [3.5, -3.5])
+    assert_array_equal(delta_vector(schema, profile, "3", "2"), -d)
 
 
 def test_apply_is_linear_in_the_vector():
     model = two_arm_model()
     u = np.array([1.0, 0.0])
     v = np.array([0.0, 1.0])
-    assert apply(np.zeros(2), model) == (0.0, 0.0)
-    combo, _ = apply(2.0 * u - 3.0 * v, model)
-    assert_allclose(combo, 2.0 * apply(u, model)[0] - 3.0 * apply(v, model)[0],
+    assert moments(model, np.zeros(2)) == (0.0, 0.0)
+    combo, _ = moments(model, 2.0 * u - 3.0 * v)
+    assert_allclose(combo, 2.0 * moments(model, u)[0] - 3.0 * moments(model, v)[0],
                     rtol=0, atol=1e-12)
 
 
@@ -270,6 +297,6 @@ def test_delta_is_exact_baseline_difference(case):
     # subtraction of the two baseline vectors, for any profile values.
     schema, profile, arm_to, arm_from = case
     direct = delta_vector(schema, profile, arm_to, arm_from)
-    diff = (baseline_vector(schema, profile, arm_to).entries
-            - baseline_vector(schema, profile, arm_from).entries)
-    assert np.array_equal(direct.entries, diff)
+    diff = (baseline_vector(schema, profile, arm_to)
+            - baseline_vector(schema, profile, arm_from))
+    assert np.array_equal(direct, diff)

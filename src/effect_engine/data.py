@@ -26,6 +26,16 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _labels(values) -> np.ndarray:
+    """Frozen object array of ``str(v)`` for each ``v`` in ``values``. A 1-D
+    object array that holds only ``str`` cells, as :func:`load_csv` builds,
+    is copied as it is, without that per-cell pass."""
+    if (isinstance(values, np.ndarray) and values.dtype == object and values.ndim == 1
+            and set(map(type, values)) <= {str}):
+        return _freeze(values.copy())
+    return _freeze(np.asarray([str(v) for v in values], dtype=object))
+
+
 def factorize(labels: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
     """Distinct labels in ``sorted(set(labels))`` order, and each label's
     index into them, in one pass over the labels."""
@@ -74,7 +84,7 @@ class Dataset:
 
     def __post_init__(self):
         outcome = _freeze(np.asarray(self.outcome, dtype=np.float64))
-        arm = _freeze(np.asarray([str(a) for a in self.arm], dtype=object))
+        arm = _labels(self.arm)
         object.__setattr__(self, "outcome", outcome)
         object.__setattr__(self, "arm", arm)
         n = outcome.shape[0]
@@ -99,13 +109,13 @@ class Dataset:
                     raise ValueError(f"covariate {name!r} has a non-finite value at row "
                                      f"{bad}: {float(col[bad])!r}")
             else:
-                col = np.asarray([str(v) for v in col.tolist()], dtype=object)
+                col = _labels(col if col.dtype == object and col.ndim == 1 else col.tolist())
             if col.shape != (n,):
                 raise ValueError(f"covariate {name!r} length does not match outcome")
             covs[name] = _freeze(col)
         object.__setattr__(self, "covariates", covs)
         if self.unit_id is not None:
-            uid = _freeze(np.asarray([str(u) for u in self.unit_id], dtype=object))
+            uid = _labels(self.unit_id)
             if uid.shape != (n,):
                 raise ValueError("unit_id length does not match outcome")
             object.__setattr__(self, "unit_id", uid)
@@ -233,6 +243,9 @@ def load_csv(path, column_map: Mapping[str, object]) -> Dataset:
     ignored and blank lines are skipped; rows in error messages are counted
     from 0 among the data rows.
     """
+    for role in ("outcome", "arm"):
+        if column_map.get(role) is None:
+            raise ValueError(f"column_map names no {role} column; outcome and arm are required")
     check_column_roles(column_map)
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, qr as _qr_pivoted, solve_triangular
+from scipy.linalg import cho_factor, cho_solve, qr, solve_triangular
 
 from .data import Dataset, factorize
 
@@ -279,24 +279,22 @@ def build_design(data: Dataset, spec: ModelSpec):
     ordered per the schema, arm columns are 0/1 indicators of each
     non-reference arm, and interaction columns are elementwise products of
     their covariate and arm parents.
+
+    The n x p design is allocated once and every block is written into its
+    column slices, so besides the design only the covariate block that
+    :func:`covariate_matrix` returns is held (n x q, q < p).
     """
     schema = build_schema(data, spec)
-    n = data.n
-    covs = covariate_matrix(data, schema)
-    arm_block = np.column_stack(
-        [(data.arm == a).astype(np.float64) for a in schema.arm_labels]
-    ) if schema.arm_labels else np.empty((n, 0))
-    blocks = [np.ones((n, 1)), covs, arm_block]
-    if schema.interaction_indices:
-        inter = np.empty((n, covs.shape[1] * arm_block.shape[1]))
-        k = 0
-        for i in range(covs.shape[1]):
-            for j in range(arm_block.shape[1]):
-                inter[:, k] = covs[:, i] * arm_block[:, j]
-                k += 1
-        blocks.append(inter)
-    design = np.hstack(blocks)
-    assert design.shape == (n, schema.p)
+    design = np.empty((data.n, schema.p))
+    design[:, 0] = 1.0
+    cov_idx, arm_idx = schema.covariate_indices, schema.arm_indices
+    design[:, 1:1 + len(cov_idx)] = covariate_matrix(data, schema)
+    for k, arm in zip(arm_idx, schema.arm_labels):
+        design[:, k] = data.arm == arm
+    # Interaction columns are ordered covariate-major, as the schema lists them.
+    pairs = ((i, j) for i in cov_idx for j in arm_idx)
+    for k, (i, j) in zip(schema.interaction_indices, pairs):
+        np.multiply(design[:, i], design[:, j], out=design[:, k])
     return design, np.asarray(data.outcome, dtype=np.float64), schema
 
 
@@ -345,13 +343,26 @@ class FittedModel:
 
 def _dependent_column_labels(design: np.ndarray, schema: ColumnSchema | None, rank: int) -> str:
     """Name the columns a pivoted QR leaves beyond the numerical rank."""
-    _, _, piv = _qr_pivoted(design, mode="economic", pivoting=True)
+    _, _, piv = qr(design, mode="economic", pivoting=True)
     dependent = sorted(piv[rank:].tolist())
     if schema is not None:
         names = [schema.columns[i].label for i in dependent]
     else:
         names = [f"column {i}" for i in dependent]
     return ", ".join(names)
+
+
+def _check_finite(X: np.ndarray, y: np.ndarray, schema: ColumnSchema | None) -> None:
+    """Raise ``ValueError`` naming the first row (and design column) that
+    holds a NaN or infinity."""
+    if not np.isfinite(y).all():
+        r = int(np.flatnonzero(~np.isfinite(y))[0])
+        raise ValueError(f"outcome has a non-finite value at row {r}: {float(y[r])!r}")
+    if not np.isfinite(X).all():
+        r, c = (int(i) for i in np.argwhere(~np.isfinite(X))[0])
+        column = repr(schema.columns[c].label) if schema is not None else c
+        raise ValueError(f"design has a non-finite value at row {r}, column {column}: "
+                         f"{float(X[r, c])!r}")
 
 
 def fit_ols(design: np.ndarray, y: np.ndarray, covariance_kind: str = "hc1",
@@ -365,11 +376,20 @@ def fit_ols(design: np.ndarray, y: np.ndarray, covariance_kind: str = "hc1",
     Cluster scores are accumulated in one pass over the rows (each cluster
     sums its rows in row order), so the cost is linear in rows, not rows
     times clusters.
-    The design is factorized once, by QR. The rank check reads the singular
-    values of the p x p triangular factor R, which are those of the design;
-    the solve and the covariance's (X'X)^-1 come from R too, so no explicit
-    inverse of the design is formed. Only a rank-deficient design is
-    factorized again, by a pivoted QR that names the dependent columns.
+
+    The fit is one Householder QR of ``[X | y]``, computed in place in a
+    Fortran-ordered n x (p+1) copy and kept only as its (p+1) x (p+1)
+    triangle: the top p x p block is R, and the column above the diagonal
+    is Q'y, so Q itself is never formed (Golub & Van Loan, *Matrix
+    Computations*, section 5.3). The copy is dropped before the residuals
+    and scores are computed, so at most two n x p arrays are held at once:
+    the caller's design and that copy, or the design and its residual-scaled
+    scores. The rank check reads the singular values of R, which are those
+    of the design; the solve and the covariance's (X'X)^-1 come from R too,
+    so no explicit inverse of the design is formed. Only a rank-deficient
+    design is factorized again, by a pivoted QR that names the dependent
+    columns. A NaN or infinity in the design or outcome is rejected first,
+    with its row.
     """
     X = np.asarray(design, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -384,15 +404,22 @@ def fit_ols(design: np.ndarray, y: np.ndarray, covariance_kind: str = "hc1",
         raise ValueError("cluster covariance requires cluster_ids")
     if n <= p:
         raise ValueError(f"need more rows than design columns (n={n}, p={p})")
+    _check_finite(X, y, schema)
 
-    Q, R = np.linalg.qr(X, mode="reduced")
+    xy = np.empty((n, p + 1), order="F")
+    xy[:, :p] = X
+    xy[:, p] = y
+    # mode="raw" keeps the factor in ``xy``; mode="r" would copy all n rows of it.
+    Rxy = qr(xy, mode="raw", overwrite_a=True, check_finite=False)[1]
+    del xy
+    R = Rxy[:p, :p]
     singular = np.linalg.svd(R, compute_uv=False)
     rank = int(np.sum(singular > RANK_RTOL * singular[0]))
     if rank < p:
         names = _dependent_column_labels(X, schema, rank)
         raise ValueError(f"design matrix is rank deficient; dependent columns: {names}")
 
-    beta = solve_triangular(R, Q.T @ y)
+    beta = solve_triangular(R, Rxy[:p, p])
     resid = y - X @ beta
     r_inv = solve_triangular(R, np.eye(p))
     xtx_inv = r_inv @ r_inv.T

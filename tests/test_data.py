@@ -22,6 +22,27 @@ def test_arm_labels_coerced_to_strings():
     assert_array_equal(data.arm_mask(1), [False, True, True])
 
 
+def test_label_columns_become_fresh_frozen_str_arrays():
+    # Object arrays of str pass through as copies; anything else is str()-ed.
+    arm = np.asarray(["b", "a", "b"], dtype=object)
+    site = np.asarray(["n", "s", "n"], dtype=object)
+    units = np.asarray(["u1", 2, 2.5], dtype=object)
+    data = Dataset(outcome=[1.0, 2.0, 3.0], arm=arm, covariates={"site": site, "g": [1, "x", 2]},
+                   unit_id=units)
+    assert data.arm.tolist() == ["b", "a", "b"]
+    assert data.covariates["site"].tolist() == ["n", "s", "n"]
+    assert data.covariates["g"].tolist() == ["1", "x", "2"]
+    assert data.unit_id.tolist() == ["u1", "2", "2.5"]
+    for got, given in ((data.arm, arm), (data.covariates["site"], site)):
+        assert got.dtype == object and not np.shares_memory(got, given)
+        assert not got.flags.writeable and given.flags.writeable
+    records = [{"outcome": 1.0, "arm": 1, "unit_id": 7}, {"outcome": 2.0, "arm": 2.5, "unit_id": 8}]
+    data = Dataset.from_records(records)
+    assert data.arm.tolist() == ["1", "2.5"]
+    assert data.unit_id.tolist() == ["7", "8"]
+    assert all(type(v) is str for v in data.arm.tolist() + data.unit_id.tolist())
+
+
 def test_requires_two_distinct_arms():
     with pytest.raises(ValueError, match="at least 2 distinct arm"):
         Dataset(outcome=[1.0, 2.0], arm=["a", "a"])
@@ -193,6 +214,19 @@ def test_load_csv_missing_column(tmp_path):
     path = _write(tmp_path, "y,arm\n1.0,0\n2.0,1\n")
     with pytest.raises(ValueError, match="outcome column 'score' not found"):
         load_csv(path, {"outcome": "score", "arm": "arm"})
+
+
+@pytest.mark.parametrize("role", ["outcome", "arm"])
+def test_load_csv_names_a_missing_role(tmp_path, role):
+    path = _write(tmp_path, "y,arm\n1.0,0\n2.0,1\n")
+    column_map = {"outcome": "y", "arm": "arm"}
+    del column_map[role]
+    with pytest.raises(ValueError) as info:
+        load_csv(path, column_map)
+    assert str(info.value) == (f"column_map names no {role} column; "
+                               "outcome and arm are required")
+    with pytest.raises(ValueError, match=f"names no {role} column"):
+        load_csv(path, {**column_map, role: None})
 
 
 def test_load_csv_ragged_row(tmp_path):

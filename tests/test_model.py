@@ -8,6 +8,7 @@ import scipy.linalg
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.linalg import solve_triangular
 
+from effect_engine import model as model_module
 from effect_engine.data import Dataset
 from effect_engine.model import (
     BayesPrior,
@@ -195,16 +196,21 @@ def test_rank_deficient_message_names_pivoted_qr_columns(make_design):
 
 def test_full_rank_fit_factorizes_the_design_once(monkeypatch):
     calls = []
-    for name in ("qr", "svd"):
-        def spy(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
-            calls.append((_name, np.shape(a)))
-            return _original(a, *args, **kwargs)
-        monkeypatch.setattr(np.linalg, name, spy)
+
+    def spy(name, original):
+        def call(a, *args, **kwargs):
+            calls.append((name, np.shape(a), kwargs.get("mode")))
+            return original(a, *args, **kwargs)
+        return call
+
+    monkeypatch.setattr(model_module, "qr", spy("qr", model_module.qr))
+    monkeypatch.setattr(np.linalg, "svd", spy("svd", np.linalg.svd))
+    monkeypatch.setattr(np.linalg, "qr", spy("np.linalg.qr", np.linalg.qr))
     rng = np.random.default_rng(2)
     X = np.column_stack([np.ones(40), rng.normal(size=(40, 2))])
     fit_ols(X, rng.normal(size=40), "hc1")
-    # One QR of the n x p design; the rank check reads the p x p factor R.
-    assert calls == [("qr", (40, 3)), ("svd", (3, 3))]
+    # One R-only QR of [X | y]; the rank check reads the p x p factor R.
+    assert calls == [("qr", (40, 4), "raw"), ("svd", (3, 3), None)]
 
 
 def test_more_columns_than_rows_rejected():
@@ -281,8 +287,9 @@ def _cluster_cov_by_label_loop(X, y, labels):
     clusters in ``sorted(set(labels))`` order, same factorization and
     operation order as ``fit_ols``."""
     n, p = X.shape
-    Q, R = np.linalg.qr(X, mode="reduced")
-    beta = solve_triangular(R, Q.T @ y)
+    _, Rxy = scipy.linalg.qr(np.asfortranarray(np.column_stack([X, y])), mode="raw")
+    R = Rxy[:p, :p]
+    beta = solve_triangular(R, Rxy[:p, p])
     resid = y - X @ beta
     r_inv = solve_triangular(R, np.eye(p))
     xtx_inv = r_inv @ r_inv.T

@@ -4,7 +4,8 @@ A :class:`Dataset` holds one experiment's rows in columnar form: an outcome
 value, a treatment-arm label, zero or more covariates (numeric or
 categorical), and optional unit and period columns for repeated-measures
 designs. Arm labels and categorical levels are always strings so that runs
-are reproducible regardless of how the input was typed.
+are reproducible regardless of how the input was typed, and each label
+column holds one shared ``str`` object per distinct label.
 """
 
 from __future__ import annotations
@@ -26,20 +27,29 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _labels(values) -> np.ndarray:
-    """Frozen object array of ``str(v)`` for each ``v`` in ``values``. A 1-D
-    object array that holds only ``str`` cells, as :func:`load_csv` builds,
-    is copied as it is, without that per-cell pass."""
-    if (isinstance(values, np.ndarray) and values.dtype == object and values.ndim == 1
-            and set(map(type, values)) <= {str}):
-        return _freeze(values.copy())
-    return _freeze(np.asarray([str(v) for v in values], dtype=object))
+def _labels(values) -> tuple[np.ndarray, tuple[str, ...], np.ndarray]:
+    """Frozen object array of ``str(v)`` for each ``v`` in ``values``, with
+    its sorted distinct levels and each row's index into them, from one
+    :func:`factorize`. The array is gathered from the levels, so it holds one
+    shared ``str`` per distinct label however many rows carry it, and the
+    input's own per-row objects can be freed."""
+    levels, codes = factorize(values)
+    return _freeze(np.asarray(levels, dtype=object)[codes]), levels, _freeze(codes)
 
 
-def factorize(labels: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
+def factorize(labels: Sequence) -> tuple[tuple[str, ...], np.ndarray]:
     """Distinct labels in ``sorted(set(labels))`` order, and each label's
-    index into them, in one pass over the labels."""
-    levels = sorted(set(labels))
+    index into them. Labels are read as ``str(label)``; that pass over the
+    labels is skipped when every distinct label already is a ``str``."""
+    try:
+        distinct = set(labels)
+        plain = all(type(v) is str for v in distinct)
+    except TypeError:  # unhashable labels, such as lists
+        plain = False
+    if not plain:
+        labels = list(map(str, labels))
+        distinct = set(labels)
+    levels = sorted(distinct)
     lookup = {level: i for i, level in enumerate(levels)}
     codes = np.fromiter(map(lookup.__getitem__, labels), dtype=np.intp, count=len(labels))
     return tuple(levels), codes
@@ -70,9 +80,12 @@ class Dataset:
     unit_id : optional (n,) object array of string unit identifiers
     period : optional (n,) int array of ordinal time indices
 
-    Categorical encodings (see :meth:`categorical_codes`) are computed on
-    first use and cached per dataset; copies start with an empty cache.
-    Equality is identity.
+    Every label column (``arm``, ``unit_id`` and the object covariates)
+    holds one shared ``str`` object per distinct label, so a column costs a
+    pointer per row plus its levels. Categorical encodings (see
+    :meth:`categorical_codes`) are cached per dataset: those of object
+    covariates come from that construction, numeric ones are computed on
+    first use. Copies build their own. Equality is identity.
     """
 
     outcome: np.ndarray
@@ -84,7 +97,7 @@ class Dataset:
 
     def __post_init__(self):
         outcome = _freeze(np.asarray(self.outcome, dtype=np.float64))
-        arm = _labels(self.arm)
+        arm, arm_levels = _labels(self.arm)[:2]
         object.__setattr__(self, "outcome", outcome)
         object.__setattr__(self, "arm", arm)
         n = outcome.shape[0]
@@ -95,9 +108,8 @@ class Dataset:
         if not np.all(np.isfinite(outcome)):
             bad = int(np.flatnonzero(~np.isfinite(outcome))[0])
             raise ValueError(f"outcome is not finite at row {bad}")
-        labels = set(arm.tolist())
-        if len(labels) < 2:
-            found = ", ".join(map(repr, labels)) or "none"
+        if len(arm_levels) < 2:
+            found = ", ".join(map(repr, arm_levels)) or "none"
             raise ValueError(f"need at least 2 distinct arm labels, found {found}")
         covs = {}
         for name, values in self.covariates.items():
@@ -109,13 +121,15 @@ class Dataset:
                     raise ValueError(f"covariate {name!r} has a non-finite value at row "
                                      f"{bad}: {float(col[bad])!r}")
             else:
-                col = _labels(col if col.dtype == object and col.ndim == 1 else col.tolist())
+                col, levels, codes = _labels(
+                    col if col.dtype == object and col.ndim == 1 else col.tolist())
+                self._codes[name] = (levels, codes)
             if col.shape != (n,):
                 raise ValueError(f"covariate {name!r} length does not match outcome")
             covs[name] = _freeze(col)
         object.__setattr__(self, "covariates", covs)
         if self.unit_id is not None:
-            uid = _labels(self.unit_id)
+            uid = _labels(self.unit_id)[0]
             if uid.shape != (n,):
                 raise ValueError("unit_id length does not match outcome")
             object.__setattr__(self, "unit_id", uid)
@@ -150,10 +164,7 @@ class Dataset:
         their values. Computed once per dataset and cached."""
         cached = self._codes.get(name)
         if cached is None:
-            labels = self.covariates[name].tolist()
-            if self.is_numeric(name):
-                labels = [str(v) for v in labels]
-            levels, codes = factorize(labels)
+            levels, codes = factorize(self.covariates[name].tolist())
             # setdefault: concurrent first calls all return the one stored entry
             cached = self._codes.setdefault(name, (levels, _freeze(codes)))
         return cached
@@ -305,7 +316,7 @@ def load_csv(path, column_map: Mapping[str, object]) -> Dataset:
         outcome = None
     if outcome is None or not np.isfinite(outcome).all():
         raise _cell_error("outcome", outcome_name, cells, _finite_float)
-    arm = np.asarray(columns[arm_i], dtype=object)
+    arm = columns[arm_i]
 
     covariates: dict[str, np.ndarray] = {}
     for name in cov_names:
@@ -317,7 +328,7 @@ def load_csv(path, column_map: Mapping[str, object]) -> Dataset:
 
     unit_id = None
     if unit_name is not None:
-        unit_id = np.asarray(columns[col_idx("unit_id", unit_name)], dtype=object)
+        unit_id = columns[col_idx("unit_id", unit_name)]
     period = None
     if period_name is not None:
         cells = columns[col_idx("period", period_name)]

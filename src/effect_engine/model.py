@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -122,7 +123,8 @@ class ColumnSchema:
     Layout: intercept first, then the expanded covariate block, then one
     indicator per non-reference arm, then the interaction block ordered
     covariate-major (all arm columns for the first covariate column, then
-    the next covariate column, ...).
+    the next covariate column, ...). The derived tuples are built on first
+    use and kept.
     """
 
     columns: tuple[Column, ...]
@@ -136,32 +138,32 @@ class ColumnSchema:
     def p(self) -> int:
         return len(self.columns)
 
-    @property
+    @cached_property
     def labels(self) -> tuple[str, ...]:
         return tuple(c.label for c in self.columns)
 
-    @property
+    @cached_property
     def covariate_columns(self) -> tuple[Column, ...]:
         return tuple(c for c in self.columns if c.kind == "covariate")
 
-    @property
+    @cached_property
     def covariate_indices(self) -> tuple[int, ...]:
         return tuple(i for i, c in enumerate(self.columns) if c.kind == "covariate")
 
-    @property
+    @cached_property
     def arm_labels(self) -> tuple[str, ...]:
         """Non-reference arms, in column order."""
         return tuple(c.arm for c in self.columns if c.kind == "arm")
 
-    @property
+    @cached_property
     def arm_indices(self) -> tuple[int, ...]:
         return tuple(i for i, c in enumerate(self.columns) if c.kind == "arm")
 
-    @property
+    @cached_property
     def interaction_indices(self) -> tuple[int, ...]:
         return tuple(i for i, c in enumerate(self.columns) if c.kind == "interaction")
 
-    @property
+    @cached_property
     def all_arms(self) -> tuple[str, ...]:
         return (self.reference_arm,) + self.arm_labels
 
@@ -432,10 +434,9 @@ def fit_ols(design: np.ndarray, y: np.ndarray, covariance_kind: str = "hc1",
         meat = xe.T @ xe
         cov = xtx_inv @ meat @ xtx_inv * (n / (n - p))
     else:
-        labels = [str(c) for c in cluster_ids]
-        if len(labels) != n:
+        if len(cluster_ids) != n:
             raise ValueError("cluster_ids length does not match design rows")
-        groups, group_of_row = factorize(labels)
+        groups, group_of_row = factorize(cluster_ids)
         n_groups = len(groups)
         if n_groups < 2:
             raise ValueError("cluster covariance requires at least 2 clusters")

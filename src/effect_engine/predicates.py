@@ -52,23 +52,25 @@ class Clause:
 
     def mask(self, data: Dataset) -> np.ndarray:
         col = _column_values(data, self.column)
-        lit = self.literal
         if col.dtype.kind == "f":
             try:
-                lit = float(lit)
+                lit = float(self.literal)
             except (TypeError, ValueError):
                 raise ValueError(
                     f"predicate literal {self.literal!r} is not numeric but "
                     f"column {self.column!r} is"
                 ) from None
-        else:
-            if self.op in _ORDERING_OPS:
-                raise ValueError(
-                    f"ordering operator {self.op!r} requires a numeric column, "
-                    f"but {self.column!r} is categorical"
-                )
-            lit = str(lit)
-        return _OPS[self.op](col, lit)
+            return _OPS[self.op](col, lit)
+        if self.op in _ORDERING_OPS:
+            raise ValueError(
+                f"ordering operator {self.op!r} requires a numeric column, "
+                f"but {self.column!r} is categorical"
+            )
+        # Compare the cached level codes, not the label objects row by row.
+        levels, codes = data.categorical_codes(self.column)
+        lit = str(self.literal)
+        hit = codes == levels.index(lit) if lit in levels else np.zeros(data.n, dtype=bool)
+        return hit if self.op == "==" else ~hit
 
 
 @dataclass(frozen=True)

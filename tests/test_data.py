@@ -2,8 +2,10 @@
 
 import csv
 import dataclasses
+import gc
 import io
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +25,7 @@ def test_arm_labels_coerced_to_strings():
 
 
 def test_label_columns_become_fresh_frozen_str_arrays():
-    # Object arrays of str pass through as copies; anything else is str()-ed.
+    # Label columns are new frozen arrays; cells that are not str are str()-ed.
     arm = np.asarray(["b", "a", "b"], dtype=object)
     site = np.asarray(["n", "s", "n"], dtype=object)
     units = np.asarray(["u1", 2, 2.5], dtype=object)
@@ -41,6 +43,60 @@ def test_label_columns_become_fresh_frozen_str_arrays():
     assert data.arm.tolist() == ["1", "2.5"]
     assert data.unit_id.tolist() == ["7", "8"]
     assert all(type(v) is str for v in data.arm.tolist() + data.unit_id.tolist())
+
+
+def _shared(col) -> bool:
+    """Whether an object column holds one object per distinct label."""
+    cells = col.tolist()
+    return len({id(v) for v in cells}) == len(set(cells))
+
+
+def test_label_columns_share_one_str_per_distinct_label(tmp_path):
+    # Equal labels built as separate objects, as a CSV reader yields them.
+    def cells(labels, n=120):
+        return ["".join(list(labels[i % len(labels)])) for i in range(n)]
+
+    arm, site, unit = cells(["ctl", "trt"]), cells(["north", "south", "east"]), cells(["u1", "u2"])
+    assert not _shared(np.asarray(arm, dtype=object))
+    n = len(arm)
+    data = Dataset(outcome=np.arange(n, dtype=float), arm=arm, covariates={"site": site},
+                   unit_id=unit, period=np.arange(n) % 3)
+    records = [{"outcome": 1.0, "arm": a, "unit_id": u, "covariates": {"site": s}}
+               for a, u, s in zip(arm, unit, site)]
+    path = _write(tmp_path, "y,arm,site,u,t\n" + "".join(
+        f"{i},{a},{s},{u},{i % 3}\n" for i, (a, s, u) in enumerate(zip(arm, site, unit))))
+    loaded = load_csv(path, {"outcome": "y", "arm": "arm", "unit_id": "u", "period": "t"})
+    for ds in (data, Dataset.from_records(records), loaded, add_period_covariate(loaded)):
+        columns = [ds.arm, ds.unit_id, *(c for c in ds.covariates.values() if c.dtype == object)]
+        assert len(columns) == 3 + ("period" in ds.covariates)
+        for col in columns:
+            assert _shared(col)
+    assert loaded.arm.tolist() == arm and loaded.covariates["site"].tolist() == site
+
+
+def test_loaded_dataset_keeps_little_more_than_its_arrays(tmp_path):
+    # One shared str per label: what a loaded dataset keeps alive is its
+    # arrays (and the codes of its categorical columns), not a str per cell.
+    rng = np.random.default_rng(3)
+    n = 20000
+    arm = rng.choice(["control", "v1", "v2", "v3", "v4", "v5"], size=n)
+    region = rng.choice([f"r{k}" for k in range(10)], size=n)
+    x1, x2 = rng.normal(size=n), rng.uniform(0.0, 4.0, size=n)
+    lines = [f"{y:.4f},{a},{r},{u:.4f},{v:.4f}\n"
+             for y, a, r, u, v in zip(rng.normal(size=n), arm, region, x1, x2)]
+    path = _write(tmp_path, "y,arm,region,x1,x2\n" + "".join(lines))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        data = load_csv(path, {"outcome": "y", "arm": "arm"})
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    arrays = [data.outcome, data.arm, *data.covariates.values(),
+              data.categorical_codes("region")[1]]
+    assert kept <= 1.1 * sum(a.nbytes for a in arrays)
 
 
 def test_requires_two_distinct_arms():
@@ -295,7 +351,7 @@ def test_categorical_codes_sorted_and_cached():
     assert data.categorical_codes("g")[1] is codes
     # Numeric columns are read as the strings of their values.
     assert data.categorical_codes("x")[0] == ("1.5", "10.0", "2.0")
-    # Copies start with an empty cache and encode their own columns.
+    # Copies encode their own columns.
     copy = dataclasses.replace(data)
     assert copy.categorical_codes("g")[1] is not codes
     assert_array_equal(copy.categorical_codes("g")[1], codes)
@@ -488,6 +544,9 @@ def test_load_csv_matches_row_wise_reference(case):
     assert got.covariate_names == want.covariate_names
     for name in want.covariate_names:
         _assert_same_array(got.covariates[name], want.covariates[name])
+    for col in (got.arm, got.unit_id, *got.covariates.values()):
+        if col is not None and col.dtype == object:
+            assert _shared(col)
 
 
 def test_load_csv_column_in_two_roles_rejected(tmp_path):

@@ -44,6 +44,20 @@ def test_quoted_literal_stays_string():
     assert_array_equal(double.mask(sample_data()), [False, True, False, True])
 
 
+@pytest.mark.parametrize("op", ["==", "!="])
+@pytest.mark.parametrize("literal", ["4", "10", "north", 4, "4.0", ""])
+def test_categorical_mask_equals_object_comparison(op, literal):
+    # Present levels, an absent one, and the numeric-looking "4" whose float
+    # rendering "4.0" is absent: the code comparison selects what comparing
+    # the label objects would.
+    data = sample_data()
+    col = data.covariates["grade"]
+    want = col == str(literal) if op == "==" else col != str(literal)
+    got = Clause(column="grade", op=op, literal=literal).mask(data)
+    assert got.dtype == bool
+    assert_array_equal(got, want)
+
+
 def test_float_literal_on_numeric_column():
     pred = parse_predicate("x < 1.5")
     assert_array_equal(pred.mask(sample_data()), [True, False, False, False])

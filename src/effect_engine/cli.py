@@ -19,7 +19,7 @@ import warnings as _warnings
 import numpy as np
 
 from . import effects, ranking, relative
-from .config import ConfigError, QuerySpec, RunConfig, load_config, spec_from_config
+from .config import ConfigError, QuerySpec, RunConfig, load_config
 from .data import Dataset, add_period_covariate, load_csv
 # build_design and fit_bayes are not called here: every fit goes through
 # fit_model. They stay module attributes because the benchmark's tracer
@@ -141,7 +141,7 @@ def execute(cfg: RunConfig, *, flat_prior_ok: bool = False, partial: bool = Fals
     failure becomes an ``errors`` entry and the remaining queries still run.
     """
     needs_posterior = [q for q in cfg.queries if q.type in ("prob_positive", "prob_best")]
-    if needs_posterior and cfg.bayes is None and not flat_prior_ok:
+    if needs_posterior and cfg.model.bayes is None and not flat_prior_ok:
         q = needs_posterior[0]
         raise ConfigError(
             f"queries[{q.index}] ({q.type}) reads the fitted coefficients as a "
@@ -158,7 +158,7 @@ def execute(cfg: RunConfig, *, flat_prior_ok: bool = False, partial: bool = Fals
     with _warnings.catch_warnings(record=True) as caught:
         _warnings.simplefilter("always")
         # a model that cannot fit is fatal regardless of --partial
-        fits = _FitCache(data, spec_from_config(cfg))
+        fits = _FitCache(data, cfg.model)
         for query in cfg.queries:
             try:
                 results.append(_run_query(query, fits, data, cfg))
@@ -207,7 +207,7 @@ def _cmd_validate(args) -> int:
     try:
         cfg = load_config(args.config)
         data = load_csv(cfg.data_path, cfg.column_map)
-        schema = build_schema(data, spec_from_config(cfg))
+        schema = build_schema(data, cfg.model)
     except (ValueError, OSError) as exc:  # ConfigError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -19,8 +19,7 @@ from .model import COVARIANCE_KINDS, BayesPrior, ModelSpec
 from .predicates import parse_predicate
 from .report import sha256_config
 
-__all__ = ["ConfigError", "QuerySpec", "RunConfig", "parse_config", "load_config",
-           "spec_from_config"]
+__all__ = ["ConfigError", "QuerySpec", "RunConfig", "parse_config", "load_config"]
 
 QUERY_TYPES = (
     "ate",
@@ -61,15 +60,12 @@ class QuerySpec:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run configuration, paths resolved relative to the file."""
+    """Validated run configuration, paths resolved relative to the file;
+    ``model`` is the config's model block, prior included."""
 
     data_path: str
     column_map: Mapping[str, object]
-    reference_arm: str
-    covariance: str
-    interactions: bool
-    encodings: Mapping[str, str] | None
-    bayes: Mapping[str, object] | None
+    model: ModelSpec
     queries: tuple[QuerySpec, ...]
     seed: int
     mvn_tol: float
@@ -156,13 +152,12 @@ def _as_number_list(value, where: str) -> list[float]:
     return [_as_number(v, f"{where}[{i}]") for i, v in enumerate(value)]
 
 
-def _parse_bayes(obj, where: str) -> dict:
+def _parse_bayes(obj, where: str) -> BayesPrior:
     obj = _as_mapping(obj, where)
     _check_keys(obj, {"prior_mean", "prior_variance", "prior_covariance", "noise_variance"}, where)
-    out: dict = {}
     mean = obj.get("prior_mean", 0.0)
     parse_mean = _as_number_list if _is_list(mean) else _as_number
-    out["prior_mean"] = parse_mean(mean, f"{where}.prior_mean")
+    mean = parse_mean(mean, f"{where}.prior_mean")
     if "prior_variance" in obj and "prior_covariance" in obj:
         raise ConfigError(f"{where}: give prior_variance or prior_covariance, not both")
     if "prior_covariance" in obj:
@@ -176,17 +171,14 @@ def _parse_bayes(obj, where: str) -> dict:
             cov = _as_number_list(cov, cov_where)
             if min(cov) <= 0:
                 raise ConfigError(f"{cov_where} must hold positive variances")
-        out["prior_covariance"] = cov
     else:
-        var = _as_number(obj.get("prior_variance", 100.0), f"{where}.prior_variance")
-        if var <= 0:
+        cov = _as_number(obj.get("prior_variance", 100.0), f"{where}.prior_variance")
+        if cov <= 0:
             raise ConfigError(f"{where}.prior_variance must be positive")
-        out["prior_variance"] = var
     noise = _as_number(_require(obj, "noise_variance", where), f"{where}.noise_variance")
     if noise <= 0:
         raise ConfigError(f"{where}.noise_variance must be positive")
-    out["noise_variance"] = noise
-    return out
+    return BayesPrior(mean=mean, covariance=cov, noise_variance=noise)
 
 
 def _parse_query(obj, index: int) -> QuerySpec:
@@ -301,35 +293,13 @@ def parse_config(obj, base_dir: str = ".") -> RunConfig:
     return RunConfig(
         data_path=path,
         column_map=columns,
-        reference_arm=reference,
-        covariance=covariance,
-        interactions=interactions,
-        encodings=encodings,
-        bayes=bayes,
+        model=ModelSpec(reference_arm=reference, covariance_kind=covariance,
+                        encodings=encodings, interactions=interactions, bayes=bayes),
         queries=queries,
         seed=seed,
         mvn_tol=mvn_tol,
         output=output,
         config_digest=digest,
-    )
-
-
-def spec_from_config(cfg: RunConfig) -> ModelSpec:
-    """The model spec of the config's model block, prior included."""
-    prior = None
-    if cfg.bayes is not None:
-        bayes = cfg.bayes
-        prior = BayesPrior(
-            mean=bayes["prior_mean"],
-            covariance=bayes.get("prior_covariance", bayes.get("prior_variance")),
-            noise_variance=bayes["noise_variance"],
-        )
-    return ModelSpec(
-        reference_arm=cfg.reference_arm,
-        covariance_kind=cfg.covariance,
-        encodings=cfg.encodings,
-        interactions=cfg.interactions,
-        bayes=prior,
     )
 
 

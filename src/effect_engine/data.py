@@ -10,16 +10,22 @@ column holds one shared ``str`` object per distinct label.
 
 from __future__ import annotations
 
+import copy
 import csv
 import gc
 import math
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-__all__ = ["Dataset", "load_csv", "add_period_covariate", "check_column_roles", "factorize"]
+__all__ = ["Dataset", "load_csv", "add_period_covariate", "check_column_roles", "factorize",
+           "PERIOD_COVARIATE"]
+
+# The name of the categorical covariate add_period_covariate adds, which
+# effects.dte looks for in the model's schema.
+PERIOD_COVARIATE = "period"
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -27,13 +33,23 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _labels(values) -> tuple[np.ndarray, tuple[str, ...], np.ndarray]:
+def _labels(values, role: str) -> tuple[np.ndarray, tuple[str, ...], np.ndarray]:
     """Frozen object array of ``str(v)`` for each ``v`` in ``values``, with
     its sorted distinct levels and each row's index into them, from one
     :func:`factorize`. The array is gathered from the levels, so it holds one
     shared ``str`` per distinct label however many rows carry it, and the
-    input's own per-row objects can be freed."""
+    input's own per-row objects can be freed. This is the one place a label
+    column is factorized, so it is also where two levels that differ only in
+    whitespace (``t1`` and `` t1``) are rejected; ``role`` names the column
+    in that error."""
     levels, codes = factorize(values)
+    seen: dict[str, int] = {}
+    for i, level in enumerate(levels):
+        j = seen.setdefault("".join(level.split()), i)
+        if j != i:
+            rows = [int(np.argmax(codes == k)) for k in (j, i)]
+            raise ValueError(f"{role} labels {levels[j]!r} (row {rows[0]}) and {level!r} "
+                             f"(row {rows[1]}) differ only in whitespace")
     return _freeze(np.asarray(levels, dtype=object)[codes]), levels, _freeze(codes)
 
 
@@ -55,18 +71,6 @@ def factorize(labels: Sequence) -> tuple[tuple[str, ...], np.ndarray]:
     return tuple(levels), codes
 
 
-def _as_covariate_array(values: Sequence) -> np.ndarray:
-    """Coerce one covariate column: all-numeric values stay numeric,
-    anything else becomes categorical string levels."""
-    numeric = all(
-        isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
-        for v in values
-    )
-    if numeric:
-        return np.asarray(values, dtype=np.float64)
-    return np.asarray([str(v) for v in values], dtype=object)
-
-
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Columnar experiment data.
@@ -79,13 +83,15 @@ class Dataset:
         object columns hold categorical string levels
     unit_id : optional (n,) object array of string unit identifiers
     period : optional (n,) int array of ordinal time indices
+    arms : distinct arm labels in sorted order (derived, not an argument)
 
-    Every label column (``arm``, ``unit_id`` and the object covariates)
-    holds one shared ``str`` object per distinct label, so a column costs a
-    pointer per row plus its levels. Categorical encodings (see
-    :meth:`categorical_codes`) are cached per dataset: those of object
-    covariates come from that construction, numeric ones are computed on
-    first use. Copies build their own. Equality is identity.
+    Every label column (``arm``, ``unit_id`` and the object covariates) is
+    factorized once, here, and holds one shared ``str`` object per distinct
+    label, so a column costs a pointer per row plus its levels. Categorical
+    encodings (see :meth:`categorical_codes`) are cached per dataset: those
+    of object covariates come from that construction, numeric ones are
+    computed on first use. :func:`add_period_covariate` shares the arrays
+    and cached encodings of the dataset it extends. Equality is identity.
     """
 
     outcome: np.ndarray
@@ -93,13 +99,15 @@ class Dataset:
     covariates: Mapping[str, np.ndarray] = field(default_factory=dict)
     unit_id: np.ndarray | None = None
     period: np.ndarray | None = None
+    arms: tuple[str, ...] = field(default=(), init=False, repr=False)
     _codes: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         outcome = _freeze(np.asarray(self.outcome, dtype=np.float64))
-        arm, arm_levels = _labels(self.arm)[:2]
+        arm, arm_levels = _labels(self.arm, "arm")[:2]
         object.__setattr__(self, "outcome", outcome)
         object.__setattr__(self, "arm", arm)
+        object.__setattr__(self, "arms", arm_levels)
         n = outcome.shape[0]
         if outcome.ndim != 1:
             raise ValueError("outcome must be one-dimensional")
@@ -122,14 +130,15 @@ class Dataset:
                                      f"{bad}: {float(col[bad])!r}")
             else:
                 col, levels, codes = _labels(
-                    col if col.dtype == object and col.ndim == 1 else col.tolist())
+                    col if col.dtype == object and col.ndim == 1 else col.tolist(),
+                    f"covariate {name!r}")
                 self._codes[name] = (levels, codes)
             if col.shape != (n,):
                 raise ValueError(f"covariate {name!r} length does not match outcome")
             covs[name] = _freeze(col)
         object.__setattr__(self, "covariates", covs)
         if self.unit_id is not None:
-            uid = _labels(self.unit_id)[0]
+            uid = _labels(self.unit_id, "unit_id")[0]
             if uid.shape != (n,):
                 raise ValueError("unit_id length does not match outcome")
             object.__setattr__(self, "unit_id", uid)
@@ -144,19 +153,11 @@ class Dataset:
         return self.outcome.shape[0]
 
     @property
-    def arms(self) -> tuple[str, ...]:
-        """Distinct arm labels in sorted order."""
-        return tuple(sorted(set(self.arm.tolist())))
-
-    @property
     def covariate_names(self) -> tuple[str, ...]:
         return tuple(self.covariates)
 
     def is_numeric(self, name: str) -> bool:
         return self.covariates[name].dtype.kind == "f"
-
-    def arm_mask(self, arm: str) -> np.ndarray:
-        return self.arm == str(arm)
 
     def categorical_codes(self, name: str) -> tuple[tuple[str, ...], np.ndarray]:
         """Sorted distinct string levels of covariate ``name`` and each
@@ -168,45 +169,6 @@ class Dataset:
             # setdefault: concurrent first calls all return the one stored entry
             cached = self._codes.setdefault(name, (levels, _freeze(codes)))
         return cached
-
-    @classmethod
-    def from_records(cls, records: Iterable[Mapping]) -> "Dataset":
-        """Build a dataset from per-row mappings.
-
-        Each record needs ``outcome`` and ``arm`` keys, an optional
-        ``covariates`` sub-mapping, and optional ``unit_id`` / ``period``
-        keys. Every record must carry the same covariate-name set.
-        """
-        rows = list(records)
-        if not rows:
-            raise ValueError("no records")
-        names = list(rows[0].get("covariates", {}) or {})
-        name_set = set(names)
-        per_cov: dict[str, list] = {name: [] for name in names}
-        outcome, arm, unit_id, period = [], [], [], []
-        for i, row in enumerate(rows):
-            covs = row.get("covariates", {}) or {}
-            if set(covs) != name_set:
-                raise ValueError(f"row {i} covariate names differ from row 0")
-            outcome.append(row["outcome"])
-            arm.append(row["arm"])
-            unit_id.append(row.get("unit_id"))
-            period.append(row.get("period"))
-            for name in names:
-                per_cov[name].append(covs[name])
-        has_unit = any(u is not None for u in unit_id)
-        has_period = any(p is not None for p in period)
-        if has_unit and any(u is None for u in unit_id):
-            raise ValueError("unit_id present in some rows but not all")
-        if has_period and any(p is None for p in period):
-            raise ValueError("period present in some rows but not all")
-        return cls(
-            outcome=np.asarray(outcome, dtype=np.float64),
-            arm=np.asarray(arm, dtype=object),
-            covariates={n: _as_covariate_array(v) for n, v in per_cov.items()},
-            unit_id=np.asarray(unit_id, dtype=object) if has_unit else None,
-            period=np.asarray(period, dtype=np.int64) if has_period else None,
-        )
 
 
 def _finite_float(cell: str) -> float:
@@ -342,21 +304,24 @@ def load_csv(path, column_map: Mapping[str, object]) -> Dataset:
                    unit_id=unit_id, period=period)
 
 
-def add_period_covariate(data: Dataset, name: str = "period") -> Dataset:
-    """Return a copy of ``data`` with the period column added as a
-    categorical covariate, so per-period effects can be expressed through
-    period-by-arm interactions.
+def add_period_covariate(data: Dataset) -> Dataset:
+    """Return ``data`` with the period column added as the categorical
+    covariate :data:`PERIOD_COVARIATE`, so per-period effects can be
+    expressed through period-by-arm interactions.
 
+    Only the period column is factorized: the result shares ``data``'s
+    frozen arrays and cached encodings, and ``data`` itself is unchanged.
     With fewer than two distinct periods the time axis is degenerate and the
     data is returned unchanged (a single-level categorical cannot be encoded).
     """
     if data.period is None:
         raise ValueError("dataset has no period column")
-    if name in data.covariates:
-        raise ValueError(f"covariate {name!r} already exists")
+    if PERIOD_COVARIATE in data.covariates:
+        raise ValueError(f"covariate {PERIOD_COVARIATE!r} already exists")
     if len(np.unique(data.period)) < 2:
         return data
-    covs = dict(data.covariates)
-    covs[name] = np.asarray([str(p) for p in data.period.tolist()], dtype=object)
-    return Dataset(outcome=data.outcome, arm=data.arm, covariates=covs,
-                   unit_id=data.unit_id, period=data.period)
+    col, levels, codes = _labels(data.period.tolist(), f"covariate {PERIOD_COVARIATE!r}")
+    out = copy.copy(data)
+    object.__setattr__(out, "covariates", {**data.covariates, PERIOD_COVARIATE: col})
+    object.__setattr__(out, "_codes", {**data._codes, PERIOD_COVARIATE: (levels, codes)})
+    return out

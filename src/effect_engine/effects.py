@@ -14,7 +14,7 @@ from typing import Mapping
 import numpy as np
 from scipy.special import ndtri
 
-from .data import Dataset
+from .data import PERIOD_COVARIATE, Dataset
 from .model import FittedModel
 from .vectors import delta_vector, moments, profile_from_subset, query_echo
 
@@ -99,16 +99,16 @@ def hte(model: FittedModel, data: Dataset, arm_to: str, arm_from: str, predicate
 
 
 def dte(model: FittedModel, data: Dataset, arm_to: str, arm_from: str, period: int,
-        ci_level: float = 0.95, period_covariate: str = "period") -> EffectEstimate:
+        ci_level: float = 0.95) -> EffectEstimate:
     """Treatment effect within one time period.
 
     Repeated measures correlate within a unit, so the model must have been
     fitted with cluster-robust covariance; anything else silently
     understates the standard error and is refused. The period column must
-    also have been encoded as a categorical covariate (see
-    ``add_period_covariate``) unless the data has a single period, in which
-    case the time axis is degenerate and the estimate equals the average
-    effect.
+    also have been encoded as the categorical covariate ``PERIOD_COVARIATE``
+    (see ``add_period_covariate``) unless the data has a single period, in
+    which case the time axis is degenerate and the estimate equals the
+    average effect.
     """
     if model.covariance_kind != "cluster":
         raise ValueError("time-dynamic effects require cluster-robust covariance")
@@ -120,11 +120,11 @@ def dte(model: FittedModel, data: Dataset, arm_to: str, arm_from: str, period: i
         raise ValueError(f"unknown period {period}; data has periods {periods}")
     if len(periods) > 1:
         has_period_cov = any(
-            c.covariate == period_covariate for c in model.schema.covariate_columns
+            c.covariate == PERIOD_COVARIATE for c in model.schema.covariate_columns
         )
         if not has_period_cov:
             raise ValueError(
-                f"model schema lacks the {period_covariate!r} covariate; encode the "
+                f"model schema lacks the {PERIOD_COVARIATE!r} covariate; encode the "
                 "period column as a categorical covariate before fitting"
             )
     mask = np.asarray(data.period, dtype=np.int64) == period

@@ -69,9 +69,6 @@ class RankingResult:
     def total_error(self) -> float:
         return float(sum(e.error for e in self.entries))
 
-    def best(self) -> ArmProbability:
-        return max(self.entries, key=lambda e: e.probability)
-
     def to_dict(self) -> dict:
         return {
             "kind": "prob_best",

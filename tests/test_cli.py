@@ -1,8 +1,10 @@
 """End-to-end command-line behavior, exercised through subprocesses."""
 
+import importlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from numpy.testing import assert_allclose
@@ -317,3 +319,18 @@ def test_unusable_json_values_exit_1(tmp_path, field, literal, message):
         proc = run_cli(command, "--config", "config.json", cwd=tmp_path)
         assert proc.returncode == 1, proc.stderr
         assert proc.stderr.startswith("config error: " + message), proc.stderr
+
+
+def test_every_traced_site_exists(monkeypatch):
+    # The benchmark's tracer (perfbench/tracer.py) patches these module
+    # attributes by name, so a refactor that drops one breaks only the trace.
+    # Import it without writing bytecode next to it.
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    monkeypatch.delitem(sys.modules, "tracer", raising=False)
+    tracer = importlib.import_module("tracer")
+    sites = [site for sites in tracer.SPANS.values() for site in sites]
+    assert "cli.add_period_covariate" in sites
+    for site in sites:
+        module, attr = site.split(".")
+        assert callable(getattr(importlib.import_module(f"effect_engine.{module}"), attr, None)), site

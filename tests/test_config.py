@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
-from effect_engine.config import ConfigError, load_config, parse_config, spec_from_config
+from effect_engine.config import ConfigError, load_config, parse_config
 
 
 def full_config():
@@ -40,8 +40,8 @@ def test_full_config_parses():
     cfg = parse_config(full_config(), base_dir="/tmp/runs")
     assert cfg.data_path == "/tmp/runs/data.csv"
     assert cfg.output == "/tmp/runs/out/report.json"
-    assert cfg.reference_arm == "0"
-    assert cfg.covariance == "cluster"
+    assert cfg.model.reference_arm == "0"
+    assert cfg.model.covariance_kind == "cluster"
     assert cfg.seed == 11
     assert cfg.mvn_tol == 1e-3
     assert [q.type for q in cfg.queries] == [
@@ -63,14 +63,14 @@ def test_defaults():
         "model": {"reference_arm": 0},
         "queries": [{"type": "ate", "arm_to": 1, "arm_from": 0}],
     })
-    assert cfg.covariance == "hc1"
-    assert cfg.interactions is True
+    assert cfg.model.covariance_kind == "hc1"
+    assert cfg.model.interactions is True
     assert cfg.seed == 0
     assert cfg.mvn_tol == 5e-4
     assert cfg.output is None
-    assert cfg.bayes is None
+    assert cfg.model.bayes is None
     # Numeric arm labels are coerced to strings everywhere.
-    assert cfg.reference_arm == "0"
+    assert cfg.model.reference_arm == "0"
     assert cfg.queries[0].params == {"arm_to": "1", "arm_from": "0"}
 
 
@@ -315,13 +315,18 @@ def test_scalar_validations():
     reject(cfg, "queries must be a non-empty list")
 
 
+def _prior(cfg) -> tuple:
+    """The parsed prior's mean, covariance and noise variance as plain values."""
+    prior = parse_config(cfg).model.bayes
+    assert prior.mean.dtype == prior.covariance.dtype == float
+    return prior.mean.tolist(), prior.covariance.tolist(), prior.noise_variance
+
+
 def test_bayes_block():
     cfg = full_config()
     cfg["model"]["covariance"] = "hc1"
     cfg["model"]["bayes"] = {"noise_variance": 1.5}
-    parsed = parse_config(cfg)
-    assert parsed.bayes == {"prior_mean": 0.0, "prior_variance": 100.0,
-                            "noise_variance": 1.5}
+    assert _prior(cfg) == (0.0, 100.0, 1.5)
 
     cfg["model"]["bayes"] = {"prior_variance": 4.0, "prior_covariance": [[1.0]],
                              "noise_variance": 1.0}
@@ -342,13 +347,10 @@ def test_bayes_prior_forms():
     cfg["model"]["covariance"] = "hc1"
     cfg["model"]["bayes"] = {"prior_mean": [1, 2.5], "prior_covariance": [3, 4],
                              "noise_variance": 1}
-    assert parse_config(cfg).bayes == {"prior_mean": [1.0, 2.5], "prior_covariance": [3.0, 4.0],
-                                       "noise_variance": 1.0}
+    assert _prior(cfg) == ([1.0, 2.5], [3.0, 4.0], 1.0)
     cfg["model"]["bayes"] = {"prior_mean": 2, "prior_covariance": [[2, 1], [1, 2]],
                              "noise_variance": 1}
-    assert parse_config(cfg).bayes == {"prior_mean": 2.0,
-                                       "prior_covariance": [[2.0, 1.0], [1.0, 2.0]],
-                                       "noise_variance": 1.0}
+    assert _prior(cfg) == (2.0, [[2.0, 1.0], [1.0, 2.0]], 1.0)
 
 
 @pytest.mark.parametrize("key, value", [
@@ -378,7 +380,7 @@ def test_bad_bayes_prior_rejected(key, value):
 
 def test_spec_from_config():
     cfg = full_config()
-    spec = spec_from_config(parse_config(cfg))
+    spec = parse_config(cfg).model
     assert spec.reference_arm == "0"
     assert spec.covariance_kind == "cluster"
     assert spec.interactions is True
@@ -386,14 +388,14 @@ def test_spec_from_config():
     assert spec.bayes is None
 
     cfg["model"]["bayes"] = {"noise_variance": 2}
-    prior = spec_from_config(parse_config(cfg)).bayes
+    prior = parse_config(cfg).model.bayes
     assert (prior.mean.shape, float(prior.mean)) == ((), 0.0)
     assert (prior.covariance.shape, float(prior.covariance)) == ((), 100.0)
     assert prior.noise_variance == 2.0
 
     cfg["model"]["bayes"] = {"prior_mean": [1, 2], "prior_covariance": [3, 4],
                              "noise_variance": 2}
-    prior = spec_from_config(parse_config(cfg)).bayes
+    prior = parse_config(cfg).model.bayes
     assert_array_equal(prior.mean, [1.0, 2.0])
     assert_array_equal(prior.covariance, [3.0, 4.0])
 

@@ -21,7 +21,7 @@ def test_arm_labels_coerced_to_strings():
     data = Dataset(outcome=[1.0, 2.0, 3.0], arm=[0, 1, 1])
     assert data.arm.tolist() == ["0", "1", "1"]
     assert data.arms == ("0", "1")
-    assert_array_equal(data.arm_mask(1), [False, True, True])
+    assert data.arms is data.arms  # the levels of the one factorization, not re-sorted
 
 
 def test_label_columns_become_fresh_frozen_str_arrays():
@@ -38,8 +38,7 @@ def test_label_columns_become_fresh_frozen_str_arrays():
     for got, given in ((data.arm, arm), (data.covariates["site"], site)):
         assert got.dtype == object and not np.shares_memory(got, given)
         assert not got.flags.writeable and given.flags.writeable
-    records = [{"outcome": 1.0, "arm": 1, "unit_id": 7}, {"outcome": 2.0, "arm": 2.5, "unit_id": 8}]
-    data = Dataset.from_records(records)
+    data = Dataset(outcome=[1.0, 2.0], arm=[1, 2.5], unit_id=[7, 8])
     assert data.arm.tolist() == ["1", "2.5"]
     assert data.unit_id.tolist() == ["7", "8"]
     assert all(type(v) is str for v in data.arm.tolist() + data.unit_id.tolist())
@@ -61,12 +60,10 @@ def test_label_columns_share_one_str_per_distinct_label(tmp_path):
     n = len(arm)
     data = Dataset(outcome=np.arange(n, dtype=float), arm=arm, covariates={"site": site},
                    unit_id=unit, period=np.arange(n) % 3)
-    records = [{"outcome": 1.0, "arm": a, "unit_id": u, "covariates": {"site": s}}
-               for a, u, s in zip(arm, unit, site)]
     path = _write(tmp_path, "y,arm,site,u,t\n" + "".join(
         f"{i},{a},{s},{u},{i % 3}\n" for i, (a, s, u) in enumerate(zip(arm, site, unit))))
     loaded = load_csv(path, {"outcome": "y", "arm": "arm", "unit_id": "u", "period": "t"})
-    for ds in (data, Dataset.from_records(records), loaded, add_period_covariate(loaded)):
+    for ds in (data, loaded, add_period_covariate(loaded)):
         columns = [ds.arm, ds.unit_id, *(c for c in ds.covariates.values() if c.dtype == object)]
         assert len(columns) == 3 + ("period" in ds.covariates)
         for col in columns:
@@ -143,42 +140,6 @@ def test_arrays_are_frozen():
         data.outcome[0] = 9.0
     with pytest.raises(ValueError):
         data.covariates["x"][0] = 9.0
-
-
-def test_from_records_roundtrip():
-    records = [
-        {"outcome": 1.0, "arm": "a", "covariates": {"x": 0.5}, "unit_id": "u1", "period": 0},
-        {"outcome": 2.0, "arm": "b", "covariates": {"x": 1.5}, "unit_id": "u2", "period": 1},
-    ]
-    data = Dataset.from_records(records)
-    assert_array_equal(data.outcome, [1.0, 2.0])
-    assert data.arm.tolist() == ["a", "b"]
-    assert_array_equal(data.covariates["x"], [0.5, 1.5])
-    assert data.unit_id.tolist() == ["u1", "u2"]
-    assert data.period.tolist() == [0, 1]
-
-
-def test_from_records_covariate_sets_must_match():
-    records = [
-        {"outcome": 1.0, "arm": "a", "covariates": {"x": 0.5}},
-        {"outcome": 2.0, "arm": "b", "covariates": {"z": 1.5}},
-    ]
-    with pytest.raises(ValueError, match="row 1 covariate names"):
-        Dataset.from_records(records)
-
-
-def test_from_records_partial_unit_id_rejected():
-    records = [
-        {"outcome": 1.0, "arm": "a", "unit_id": "u1"},
-        {"outcome": 2.0, "arm": "b"},
-    ]
-    with pytest.raises(ValueError, match="unit_id present in some rows"):
-        Dataset.from_records(records)
-
-
-def test_from_records_empty():
-    with pytest.raises(ValueError, match="no records"):
-        Dataset.from_records([])
 
 
 def _write(tmp_path, text):
@@ -316,6 +277,27 @@ def test_add_period_covariate():
     assert with_period.covariates["period"].tolist() == ["0", "0", "1", "1"]
 
 
+def test_add_period_covariate_shares_the_parent():
+    periods = np.arange(24) % 12
+    data = Dataset(outcome=np.arange(24.0), arm=["a", "b"] * 12,
+                   covariates={"site": ["n", "s", "e"] * 8, "x": np.arange(24.0) % 5},
+                   unit_id=[f"u{i % 6}" for i in range(24)], period=periods)
+    cached = {name: data.categorical_codes(name) for name in ("site", "x")}
+    with_period = add_period_covariate(data)
+    for field in ("outcome", "arm", "unit_id", "period"):
+        assert getattr(with_period, field) is getattr(data, field)
+    assert with_period.arms is data.arms
+    for name in ("site", "x"):
+        assert with_period.covariates[name] is data.covariates[name]
+        assert with_period.categorical_codes(name) is cached[name]
+    # Only the period column is new; its levels sort as strings.
+    levels, codes = with_period.categorical_codes("period")
+    assert levels == tuple(sorted(map(str, range(12))))
+    assert [levels[c] for c in codes] == [str(p) for p in periods]
+    assert with_period.covariate_names == ("site", "x", "period")
+    assert "period" not in data.covariates and "period" not in data._codes
+
+
 def test_add_period_covariate_single_period_is_noop():
     data = Dataset(outcome=[1.0, 2.0], arm=["a", "b"], period=[3, 3])
     assert add_period_covariate(data) is data
@@ -336,6 +318,35 @@ def test_add_period_covariate_name_clash():
     )
     with pytest.raises(ValueError, match="already exists"):
         add_period_covariate(data)
+
+
+SEVEN_ROWS = [("1.0", "ctrl", "north", "u1"), ("2.0", "t1", "south", "u2"),
+              ("1.5", "ctrl", "north", "u3"), ("2.5", "t1", "south", "u4"),
+              ("1.2", "ctrl", "north", "u1"), ("2.2", "t1", "south", "u2"),
+              ("1.1", "ctrl", "north", "u3")]
+
+
+@pytest.mark.parametrize("column, role", [(1, "arm"), (2, "covariate 'site'"), (3, "unit_id")])
+def test_labels_differing_only_in_whitespace_rejected(tmp_path, column, role):
+    def load(rows):
+        text = "y,arm,site,u\n" + "".join(",".join(row) + "\n" for row in rows)
+        return load_csv(_write(tmp_path, text), {"outcome": "y", "arm": "arm", "unit_id": "u"})
+
+    rows = [list(row) for row in SEVEN_ROWS]
+    assert load(rows).arms == ("ctrl", "t1")
+    clean = rows[1][column]
+    rows[3][column] = " " + clean
+    with pytest.raises(ValueError) as info:
+        load(rows)
+    assert str(info.value) == (f"{role} labels ' {clean}' (row 3) and '{clean}' (row 1) "
+                               "differ only in whitespace")
+
+
+def test_labels_differing_in_inner_whitespace_rejected():
+    with pytest.raises(ValueError, match=r"^arm labels 'a\\tb' \(row 1\) and 'a b' \(row 0\)"):
+        Dataset(outcome=[1.0, 2.0, 3.0], arm=["a b", "a\tb", "c"])
+    data = Dataset(outcome=[1.0, 2.0], arm=["a b", "a c"])
+    assert data.arms == ("a b", "a c")
 
 
 def test_categorical_codes_sorted_and_cached():

@@ -12,7 +12,6 @@ from .effects import EffectEstimate, ate, cate, dte, hte
 from .model import (
     COVARIANCE_KINDS,
     BayesPrior,
-    Column,
     ColumnSchema,
     FittedModel,
     ModelSpec,
@@ -44,7 +43,6 @@ __all__ = [
     "BayesPrior",
     "COVARIANCE_KINDS",
     "Clause",
-    "Column",
     "ColumnSchema",
     "ConfigError",
     "CovariateProfile",

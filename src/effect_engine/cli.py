@@ -25,6 +25,7 @@ from .data import Dataset, add_period_covariate, load_csv
 # fit_model. They stay module attributes because the benchmark's tracer
 # (perfbench/tracer.py) patches them at these names.
 from .model import (  # noqa: F401
+    ColumnSchema,
     FittedModel,
     ModelSpec,
     as_flat_prior_posterior,
@@ -33,7 +34,7 @@ from .model import (  # noqa: F401
     fit_bayes,
     fit_model,
 )
-from .predicates import parse_predicate
+from .predicates import parse_predicate, resolve_mask
 from .report import build_report, render_report, sha256_file, write_report
 from .verify import SUITES, run_suite
 
@@ -203,11 +204,32 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _check_queries(cfg: RunConfig, data: Dataset, schema: ColumnSchema) -> None:
+    """Raise ``ConfigError`` naming ``queries[i].<field>`` for an arm label
+    the data lacks or a predicate that cannot be resolved on the data."""
+    for query in cfg.queries:
+        where, params = f"queries[{query.index}]", query.params
+        arms = [(key, params[key]) for key in ("arm_to", "arm_from") if key in params]
+        arms += [(f"arms[{j}]", arm) for j, arm in enumerate(params.get("arms", ()))]
+        for field, arm in arms:
+            if arm not in schema.all_arms:
+                raise ConfigError(f"{where}.{field} {arm!r} is not an arm of the data; "
+                                  f"arms are {list(schema.all_arms)}")
+        if "predicate" in params:
+            try:
+                resolve_mask(data, params["predicate"])
+            except ValueError as exc:
+                raise ConfigError(f"{where}.predicate: {exc}") from None
+
+
 def _cmd_validate(args) -> int:
     try:
         cfg = load_config(args.config)
         data = load_csv(cfg.data_path, cfg.column_map)
         schema = build_schema(data, cfg.model)
+        if cfg.model.bayes is not None:
+            cfg.model.bayes.expand(schema.p)
+        _check_queries(cfg, data, schema)
     except (ValueError, OSError) as exc:  # ConfigError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return 1

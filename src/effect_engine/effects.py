@@ -118,15 +118,11 @@ def dte(model: FittedModel, data: Dataset, arm_to: str, arm_from: str, period: i
     period = int(period)
     if period not in periods:
         raise ValueError(f"unknown period {period}; data has periods {periods}")
-    if len(periods) > 1:
-        has_period_cov = any(
-            c.covariate == PERIOD_COVARIATE for c in model.schema.covariate_columns
+    if len(periods) > 1 and all(name != PERIOD_COVARIATE for name, _ in model.schema.covariates):
+        raise ValueError(
+            f"model schema lacks the {PERIOD_COVARIATE!r} covariate; encode the "
+            "period column as a categorical covariate before fitting"
         )
-        if not has_period_cov:
-            raise ValueError(
-                f"model schema lacks the {PERIOD_COVARIATE!r} covariate; encode the "
-                "period column as a categorical covariate before fitting"
-            )
     mask = np.asarray(data.period, dtype=np.int64) == period
     profile = profile_from_subset(data, model.schema, mask)
     row = delta_vector(model.schema, profile, arm_to, arm_from)

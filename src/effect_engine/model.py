@@ -23,7 +23,6 @@ from .data import Dataset, factorize
 __all__ = [
     "BayesPrior",
     "ModelSpec",
-    "Column",
     "ColumnSchema",
     "FittedModel",
     "build_design",
@@ -50,8 +49,8 @@ class BayesPrior:
 
     ``mean`` is a scalar shared by every coefficient or a (p,) vector;
     ``covariance`` is a scalar variance (times the identity), a (p,)
-    diagonal, or a full (p, p) matrix. :func:`fit_model` expands both to
-    full form once the design's p is known. Equality is identity.
+    diagonal, or a full (p, p) matrix; :meth:`expand` gives both in full
+    form once the design's p is known. Equality is identity.
     """
 
     mean: np.ndarray
@@ -63,6 +62,25 @@ class BayesPrior:
         object.__setattr__(self, "covariance", np.asarray(self.covariance, dtype=np.float64))
         if self.noise_variance <= 0:
             raise ValueError("noise_variance must be positive")
+
+    def expand(self, p: int) -> tuple[np.ndarray, np.ndarray]:
+        """The (p,) mean and (p, p) covariance for a design of p columns.
+        Raises ``ValueError`` naming the config field whose vector or matrix
+        form does not fit p."""
+        mean, cov = self.mean, self.covariance
+        if mean.ndim == 0:
+            mean = np.full(p, float(mean))
+        elif mean.shape != (p,):
+            raise ValueError(f"model.bayes.prior_mean has shape {mean.shape} but the "
+                             f"design has p = {p} columns")
+        if cov.ndim == 0:
+            cov = np.eye(p) * float(cov)
+        elif cov.shape in ((p,), (p, p)):
+            cov = np.diag(cov) if cov.ndim == 1 else cov
+        else:
+            raise ValueError(f"model.bayes.prior_covariance has shape {cov.shape} but the "
+                             f"design has p = {p} columns")
+        return mean, cov
 
 
 @dataclass(frozen=True)
@@ -96,76 +114,59 @@ class ModelSpec:
 
 
 @dataclass(frozen=True)
-class Column:
-    """One design-matrix column descriptor."""
-
-    kind: str  # "intercept" | "covariate" | "arm" | "interaction"
-    covariate: str | None = None
-    level: str | None = None
-    arm: str | None = None
-
-    @property
-    def label(self) -> str:
-        if self.kind == "intercept":
-            return "intercept"
-        if self.kind == "covariate":
-            return self.covariate if self.level is None else f"{self.covariate}={self.level}"
-        if self.kind == "arm":
-            return f"arm={self.arm}"
-        cov = self.covariate if self.level is None else f"{self.covariate}={self.level}"
-        return f"{cov}:arm={self.arm}"
-
-
-@dataclass(frozen=True)
 class ColumnSchema:
-    """Ordered column descriptors binding coefficients to design columns.
+    """The design layout ``[1 | covariates | arms | covariates x arms]``,
+    and the one writer of it (:meth:`fill`).
 
-    Layout: intercept first, then the expanded covariate block, then one
-    indicator per non-reference arm, then the interaction block ordered
-    covariate-major (all arm columns for the first covariate column, then
-    the next covariate column, ...). The derived tuples are built on first
-    use and kept.
+    ``covariates`` holds one ``(name, level)`` pair per covariate column:
+    ``level`` is None for a numeric covariate and a non-reference level for
+    a categorical indicator. ``all_arms`` lists the reference arm first; each
+    other arm has an indicator column. With ``interactions`` the last block
+    holds every covariate column times every arm indicator, covariate-major
+    (all arm columns for the first covariate column, then the next, ...).
     """
 
-    columns: tuple[Column, ...]
-    reference_arm: str
+    covariates: tuple[tuple[str, str | None], ...]
+    all_arms: tuple[str, ...]
+    interactions: bool = True
 
-    def __post_init__(self):
-        if not self.columns or self.columns[0].kind != "intercept":
-            raise ValueError("schema must start with the intercept column")
+    @property
+    def reference_arm(self) -> str:
+        return self.all_arms[0]
+
+    @property
+    def arm_labels(self) -> tuple[str, ...]:
+        """Non-reference arms, in column order."""
+        return self.all_arms[1:]
 
     @property
     def p(self) -> int:
-        return len(self.columns)
+        q, k = len(self.covariates), len(self.arm_labels)
+        return 1 + q + k + (q * k if self.interactions else 0)
 
     @cached_property
     def labels(self) -> tuple[str, ...]:
-        return tuple(c.label for c in self.columns)
+        covs = [name if level is None else f"{name}={level}" for name, level in self.covariates]
+        arms = [f"arm={a}" for a in self.arm_labels]
+        inter = [f"{c}:{a}" for c in covs for a in arms] if self.interactions else []
+        return ("intercept", *covs, *arms, *inter)
 
-    @cached_property
-    def covariate_columns(self) -> tuple[Column, ...]:
-        return tuple(c for c in self.columns if c.kind == "covariate")
+    def fill(self, out: np.ndarray, z: np.ndarray, a: np.ndarray) -> np.ndarray:
+        """Write ``[1 | z | a | z (x) a]`` into the last axis of ``out`` and
+        return it.
 
-    @cached_property
-    def covariate_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, c in enumerate(self.columns) if c.kind == "covariate")
-
-    @cached_property
-    def arm_labels(self) -> tuple[str, ...]:
-        """Non-reference arms, in column order."""
-        return tuple(c.arm for c in self.columns if c.kind == "arm")
-
-    @cached_property
-    def arm_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, c in enumerate(self.columns) if c.kind == "arm")
-
-    @cached_property
-    def interaction_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, c in enumerate(self.columns) if c.kind == "interaction")
-
-    @cached_property
-    def all_arms(self) -> tuple[str, ...]:
-        return (self.reference_arm,) + self.arm_labels
+        ``out`` is (p,) or (n, p); ``z`` holds the expanded covariate values,
+        (q,) or (n, q), and ``a`` the arm indicators, (k,) or (n, k). The
+        interaction block is one product into a (q, k) view of its columns.
+        """
+        q, k = len(self.covariates), len(self.arm_labels)
+        out[..., 0] = 1.0
+        out[..., 1:1 + q] = z
+        out[..., 1 + q:1 + q + k] = a
+        if self.interactions:
+            block = out[..., 1 + q + k:].reshape(out.shape[:-1] + (q, k))
+            np.multiply(z[..., :, None], a[..., None, :], out=block)
+        return out
 
     def require_arm(self, arm: str) -> str:
         arm = str(arm)
@@ -176,15 +177,12 @@ class ColumnSchema:
     def arm_onehot(self, arm: str) -> np.ndarray:
         """Indicator over the arm block; all zeros for the reference arm."""
         arm = self.require_arm(arm)
-        onehot = np.zeros(len(self.arm_labels))
-        if arm != self.reference_arm:
-            onehot[self.arm_labels.index(arm)] = 1.0
-        return onehot
+        return np.array([a == arm for a in self.arm_labels], dtype=np.float64)
 
 
-def _covariate_descriptors(data: Dataset, spec: ModelSpec) -> list[Column]:
+def _covariate_columns(data: Dataset, spec: ModelSpec) -> list[tuple[str, str | None]]:
     encodings = spec.encodings or {}
-    descriptors: list[Column] = []
+    columns: list[tuple[str, str | None]] = []
     for name in data.covariate_names:
         enc = encodings.get(name)
         if enc is None:
@@ -203,7 +201,7 @@ def _covariate_descriptors(data: Dataset, spec: ModelSpec) -> list[Column]:
                     UserWarning,
                     stacklevel=3,
                 )
-            descriptors.append(Column(kind="covariate", covariate=name))
+            columns.append((name, None))
         else:
             levels, _ = data.categorical_codes(name)
             if len(levels) < 2:
@@ -212,9 +210,8 @@ def _covariate_descriptors(data: Dataset, spec: ModelSpec) -> list[Column]:
                     f"{levels[0]!r} and cannot be encoded"
                 )
             # Alphabetically-first level is the dropped reference level.
-            for level in levels[1:]:
-                descriptors.append(Column(kind="covariate", covariate=name, level=level))
-    return descriptors
+            columns.extend((name, level) for level in levels[1:])
+    return columns
 
 
 def build_schema(data: Dataset, spec: ModelSpec) -> ColumnSchema:
@@ -226,18 +223,9 @@ def build_schema(data: Dataset, spec: ModelSpec) -> ColumnSchema:
     arms = data.arms
     if reference not in arms:
         raise ValueError(f"reference arm {reference!r} not present in data; arms are {arms}")
-    cov_cols = _covariate_descriptors(data, spec)
-    arm_cols = [Column(kind="arm", arm=a) for a in arms if a != reference]
-    columns: list[Column] = [Column(kind="intercept")]
-    columns.extend(cov_cols)
-    columns.extend(arm_cols)
-    if spec.interactions:
-        for c in cov_cols:
-            for a in arm_cols:
-                columns.append(
-                    Column(kind="interaction", covariate=c.covariate, level=c.level, arm=a.arm)
-                )
-    return ColumnSchema(columns=tuple(columns), reference_arm=reference)
+    return ColumnSchema(covariates=tuple(_covariate_columns(data, spec)),
+                        all_arms=(reference, *(a for a in arms if a != reference)),
+                        interactions=spec.interactions)
 
 
 def covariate_matrix(data: Dataset, schema: ColumnSchema, rows=None) -> np.ndarray:
@@ -259,44 +247,32 @@ def covariate_matrix(data: Dataset, schema: ColumnSchema, rows=None) -> np.ndarr
                 raise ValueError(f"row mask has shape {rows.shape}, expected ({n},)")
             rows = np.flatnonzero(rows)
         n = rows.shape[0]
-    columns = schema.covariate_columns
-    out = np.empty((n, len(columns)))
+    out = np.empty((n, len(schema.covariates)))
     gathered: dict[str, np.ndarray] = {}
-    for k, c in enumerate(columns):
-        if c.level is None:
-            values = data.covariates[c.covariate]
+    for k, (name, level) in enumerate(schema.covariates):
+        if level is None:
+            values = data.covariates[name]
             out[:, k] = values if rows is None else values[rows]
             continue
-        levels, codes = data.categorical_codes(c.covariate)
-        if c.covariate not in gathered:
-            gathered[c.covariate] = codes if rows is None else codes[rows]
-        out[:, k] = gathered[c.covariate] == levels.index(c.level)
+        levels, codes = data.categorical_codes(name)
+        if name not in gathered:
+            gathered[name] = codes if rows is None else codes[rows]
+        out[:, k] = gathered[name] == levels.index(level)
     return out
 
 
 def build_design(data: Dataset, spec: ModelSpec):
     """Build the interacted design matrix.
 
-    Returns ``(design, y, schema)`` where ``design`` is n x p with columns
-    ordered per the schema, arm columns are 0/1 indicators of each
-    non-reference arm, and interaction columns are elementwise products of
-    their covariate and arm parents.
-
-    The n x p design is allocated once and every block is written into its
-    column slices, so besides the design only the covariate block that
-    :func:`covariate_matrix` returns is held (n x q, q < p).
+    Returns ``(design, y, schema)`` where ``design`` is the n x p array that
+    :meth:`ColumnSchema.fill` writes from the covariate block of
+    :func:`covariate_matrix` and the n x k indicators of the non-reference
+    arms, so besides the design only those two blocks are held (n x q
+    floats with q < p, and n x k booleans).
     """
     schema = build_schema(data, spec)
-    design = np.empty((data.n, schema.p))
-    design[:, 0] = 1.0
-    cov_idx, arm_idx = schema.covariate_indices, schema.arm_indices
-    design[:, 1:1 + len(cov_idx)] = covariate_matrix(data, schema)
-    for k, arm in zip(arm_idx, schema.arm_labels):
-        design[:, k] = data.arm == arm
-    # Interaction columns are ordered covariate-major, as the schema lists them.
-    pairs = ((i, j) for i in cov_idx for j in arm_idx)
-    for k, (i, j) in zip(schema.interaction_indices, pairs):
-        np.multiply(design[:, i], design[:, j], out=design[:, k])
+    arms = data.arm[:, None] == np.array(schema.arm_labels, dtype=object)
+    design = schema.fill(np.empty((data.n, schema.p)), covariate_matrix(data, schema), arms)
     return design, np.asarray(data.outcome, dtype=np.float64), schema
 
 
@@ -313,7 +289,6 @@ class FittedModel:
     beta: np.ndarray
     cov_beta: np.ndarray
     n: int
-    dof: int
     covariance_kind: str
     posterior: bool = False
 
@@ -348,7 +323,7 @@ def _dependent_column_labels(design: np.ndarray, schema: ColumnSchema | None, ra
     _, _, piv = qr(design, mode="economic", pivoting=True)
     dependent = sorted(piv[rank:].tolist())
     if schema is not None:
-        names = [schema.columns[i].label for i in dependent]
+        names = [schema.labels[i] for i in dependent]
     else:
         names = [f"column {i}" for i in dependent]
     return ", ".join(names)
@@ -356,13 +331,15 @@ def _dependent_column_labels(design: np.ndarray, schema: ColumnSchema | None, ra
 
 def _check_finite(X: np.ndarray, y: np.ndarray, schema: ColumnSchema | None) -> None:
     """Raise ``ValueError`` naming the first row (and design column) that
-    holds a NaN or infinity."""
+    holds a NaN or infinity. The design is screened by its minimum and
+    maximum, which a NaN propagates to and an infinity reaches, so no n x p
+    mask is made unless a bad value is there to find."""
     if not np.isfinite(y).all():
         r = int(np.flatnonzero(~np.isfinite(y))[0])
         raise ValueError(f"outcome has a non-finite value at row {r}: {float(y[r])!r}")
-    if not np.isfinite(X).all():
+    if X.size and not np.isfinite([X.min(), X.max()]).all():
         r, c = (int(i) for i in np.argwhere(~np.isfinite(X))[0])
-        column = repr(schema.columns[c].label) if schema is not None else c
+        column = repr(schema.labels[c]) if schema is not None else c
         raise ValueError(f"design has a non-finite value at row {r}, column {column}: "
                          f"{float(X[r, c])!r}")
 
@@ -450,15 +427,13 @@ def fit_ols(design: np.ndarray, y: np.ndarray, covariance_kind: str = "hc1",
     cov = (cov + cov.T) / 2.0
     if schema is None:
         schema = _anonymous_schema(p)
-    return FittedModel(schema=schema, beta=beta, cov_beta=cov, n=n, dof=n - p,
+    return FittedModel(schema=schema, beta=beta, cov_beta=cov, n=n,
                        covariance_kind=covariance_kind, posterior=False)
 
 
 def _anonymous_schema(p: int) -> ColumnSchema:
     """Placeholder schema for fits on raw matrices (mostly tests)."""
-    cols = [Column(kind="intercept")]
-    cols += [Column(kind="covariate", covariate=f"x{i}") for i in range(1, p)]
-    return ColumnSchema(columns=tuple(cols), reference_arm="0")
+    return ColumnSchema(covariates=tuple((f"x{i}", None) for i in range(1, p)), all_arms=("0",))
 
 
 def fit_bayes(design: np.ndarray, y: np.ndarray, prior_mean: np.ndarray,
@@ -469,6 +444,8 @@ def fit_bayes(design: np.ndarray, y: np.ndarray, prior_mean: np.ndarray,
     With prior N(m0, S0) and known noise variance s2, the posterior
     covariance is (S0^-1 + X'X/s2)^-1 and the posterior mean is that
     covariance applied to (S0^-1 m0 + X'y/s2). No approximation is involved.
+    A NaN or infinity in the design or outcome is rejected first, with its
+    row.
     """
     X = np.asarray(design, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -479,6 +456,7 @@ def fit_bayes(design: np.ndarray, y: np.ndarray, prior_mean: np.ndarray,
         raise ValueError("cannot fit a posterior on an empty dataset")
     if noise_variance <= 0:
         raise ValueError("noise_variance must be positive")
+    _check_finite(X, y, schema)
     m0 = np.asarray(prior_mean, dtype=np.float64)
     S0 = np.asarray(prior_covariance, dtype=np.float64)
     if m0.shape != (p,) or S0.shape != (p, p):
@@ -500,7 +478,7 @@ def fit_bayes(design: np.ndarray, y: np.ndarray, prior_mean: np.ndarray,
     beta = cho_solve(cA, prior_precision @ m0 + X.T @ y / noise_variance)
     if schema is None:
         schema = _anonymous_schema(p)
-    return FittedModel(schema=schema, beta=beta, cov_beta=cov, n=n, dof=n - p,
+    return FittedModel(schema=schema, beta=beta, cov_beta=cov, n=n,
                        covariance_kind="bayes", posterior=True)
 
 
@@ -508,18 +486,14 @@ def fit_model(data: Dataset, spec: ModelSpec) -> FittedModel:
     """Build the design for ``data`` under ``spec`` and fit it.
 
     Dispatches to the conjugate posterior when ``spec.bayes`` is present,
-    with its scalar or diagonal forms expanded to the design's p,
+    with its prior expanded to the design's p (:meth:`BayesPrior.expand`),
     otherwise to least squares with the requested covariance estimator
     (cluster covariance pulls cluster ids from ``data.unit_id``).
     """
     design, y, schema = build_design(data, spec)
     if spec.bayes is not None:
-        prior, p = spec.bayes, schema.p
-        mean = prior.mean if prior.mean.ndim else np.full(p, float(prior.mean))
-        cov = prior.covariance
-        if cov.ndim < 2:
-            cov = np.diag(cov) if cov.ndim else np.eye(p) * float(cov)
-        return fit_bayes(design, y, mean, cov, prior.noise_variance, schema=schema)
+        mean, cov = spec.bayes.expand(schema.p)
+        return fit_bayes(design, y, mean, cov, spec.bayes.noise_variance, schema=schema)
     cluster_ids = None
     if spec.covariance_kind == "cluster":
         if data.unit_id is None:

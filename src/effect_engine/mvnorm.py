@@ -44,6 +44,12 @@ _BIT = np.arange(_SOBOL_BITS)
 _LSB_WEIGHTS = np.uint32(1) << _BIT.astype(np.uint32)
 _MSB_WEIGHTS = _LSB_WEIGHTS[::-1].copy()
 
+# Each level integrates BATCHES independent scramblings of 2**k points, for
+# k from MIN_LOG2_POINTS up to MAX_LOG2_POINTS (the per-batch budget).
+BATCHES = 10
+MIN_LOG2_POINTS = 10
+MAX_LOG2_POINTS = 17
+
 
 @dataclass(frozen=True)
 class OrthantResult:
@@ -58,14 +64,6 @@ class OrthantResult:
     error: float
     method: str
     points: int
-
-    def to_dict(self) -> dict:
-        return {
-            "probability": self.probability,
-            "error": self.error,
-            "method": self.method,
-            "points": self.points,
-        }
 
 
 def _cholesky_with_jitter(cov: np.ndarray) -> np.ndarray:
@@ -164,21 +162,19 @@ def _sov_batch(b: np.ndarray, chol: np.ndarray, u: np.ndarray) -> float:
     return float(f.mean())
 
 
-def mvn_orthant(mean, cov, tol: float = 5e-4, seed=None, batches: int = 10,
-                min_log2_points: int = 10, max_log2_points: int = 17) -> OrthantResult:
+def mvn_orthant(mean, cov, tol: float = 5e-4, seed=None) -> OrthantResult:
     """Probability that every component of N(mean, cov) is positive.
 
     One dimension short-circuits to the exact normal CDF. Otherwise the
     variables are reordered by ascending marginal probability (hardest
     constraint integrated first), and randomized-QMC batches grow until
     three standard errors of the batch means drop below ``tol`` or the
-    per-batch budget of ``2**max_log2_points`` points is reached; the
+    per-batch budget of ``2**MAX_LOG2_POINTS`` points is reached; the
     result always reports its own error, so a cap hit is visible rather
     than silent.
 
     ``seed`` takes an int or a ``numpy.random.SeedSequence``; fixed seeds
-    give bit-identical results. At most 21201 dimensions and
-    ``max_log2_points <= 30`` are supported.
+    give bit-identical results. At most 21201 dimensions are supported.
     """
     mu = np.atleast_1d(np.asarray(mean, dtype=np.float64))
     sigma = np.atleast_2d(np.asarray(cov, dtype=np.float64))
@@ -187,10 +183,6 @@ def mvn_orthant(mean, cov, tol: float = 5e-4, seed=None, batches: int = 10,
         raise ValueError(f"mean has length {m} but covariance has shape {sigma.shape}")
     if m > _SOBOL_MAX_DIM:
         raise ValueError(f"at most {_SOBOL_MAX_DIM} dimensions are supported, got {m}")
-    if not 0 <= min_log2_points <= max_log2_points <= _SOBOL_BITS:
-        raise ValueError(
-            f"need 0 <= min_log2_points <= max_log2_points <= {_SOBOL_BITS}, "
-            f"got {min_log2_points} and {max_log2_points}")
     if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(sigma))):
         raise ValueError("mean and covariance must be finite")
     if not np.allclose(sigma, sigma.T, rtol=1e-8, atol=1e-12):
@@ -199,8 +191,6 @@ def mvn_orthant(mean, cov, tol: float = 5e-4, seed=None, batches: int = 10,
         raise ValueError("covariance has a negative diagonal entry")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if batches < 2:
-        raise ValueError("need at least 2 batches to estimate the error")
     sigma = (sigma + sigma.T) / 2.0
 
     if m == 1:
@@ -222,12 +212,12 @@ def mvn_orthant(mean, cov, tol: float = 5e-4, seed=None, batches: int = 10,
 
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     estimate, error, points = np.nan, np.inf, 0
-    for k in range(min_log2_points, max_log2_points + 1):
+    for k in range(MIN_LOG2_POINTS, MAX_LOG2_POINTS + 1):
         means = np.array([_sov_batch(b, chol, u)
-                          for u in _scrambled_sobol(m, ss.spawn(batches), k)])
+                          for u in _scrambled_sobol(m, ss.spawn(BATCHES), k)])
         estimate = float(means.mean())
-        error = 3.0 * float(means.std(ddof=1)) / float(np.sqrt(batches))
-        points = batches * 2**k
+        error = 3.0 * float(means.std(ddof=1)) / float(np.sqrt(BATCHES))
+        points = BATCHES * 2**k
         if error <= tol:
             break
     return OrthantResult(float(np.clip(estimate, 0.0, 1.0)), error, "qmc", points)

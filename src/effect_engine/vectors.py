@@ -55,16 +55,6 @@ class CovariateProfile:
         return self.values.shape[0]
 
 
-def _check_profile(schema: ColumnSchema, profile: CovariateProfile) -> CovariateProfile:
-    q = len(schema.covariate_indices)
-    if len(profile) != q:
-        raise ValueError(
-            f"profile has {len(profile)} values but the schema's covariate "
-            f"block has {q} columns"
-        )
-    return profile
-
-
 def profile_from_subset(data: Dataset, schema: ColumnSchema, predicate=None,
                         complement: bool = False) -> CovariateProfile:
     """Column means of the expanded covariate block over the selected rows.
@@ -83,45 +73,27 @@ def profile_from_subset(data: Dataset, schema: ColumnSchema, predicate=None,
 
 def baseline_vector(schema: ColumnSchema, profile: CovariateProfile, arm: str) -> np.ndarray:
     """Read-only (p,) row whose product with the coefficients is the average
-    outcome under ``arm`` at ``profile``. The reference arm is allowed; its
-    arm block is all zeros."""
-    arm = schema.require_arm(arm)
-    profile = _check_profile(schema, profile)
-    entries = np.zeros(schema.p)
-    entries[0] = 1.0
-    cov_idx = schema.covariate_indices
-    if cov_idx:
-        entries[list(cov_idx)] = profile.values
+    outcome under ``arm`` at ``profile``: the design row that
+    :meth:`ColumnSchema.fill` writes for those covariate values and that
+    arm. The reference arm is allowed; its arm block is all zeros."""
     onehot = schema.arm_onehot(arm)
-    arm_idx = schema.arm_indices
-    if arm_idx:
-        entries[list(arm_idx)] = onehot
-    inter_idx = schema.interaction_indices
-    if inter_idx:
-        entries[list(inter_idx)] = np.outer(profile.values, onehot).ravel()
+    if len(profile) != len(schema.covariates):
+        raise ValueError(f"profile has {len(profile)} values but the schema's covariate "
+                         f"block has {len(schema.covariates)} columns")
+    entries = schema.fill(np.empty(schema.p), profile.values, onehot)
     entries.setflags(write=False)
     return entries
 
 
 def delta_vector(schema: ColumnSchema, profile: CovariateProfile, arm_to: str,
                  arm_from: str) -> np.ndarray:
-    """Read-only (p,) row equal to the difference of two baseline rows,
-    computed in closed form: zero intercept and covariate blocks, indicator
-    difference in the arm block, profile times that difference in the
-    interaction block."""
+    """Read-only (p,) row: the baseline row of ``arm_to`` minus that of
+    ``arm_from`` at the same profile."""
     arm_to = schema.require_arm(arm_to)
-    arm_from = schema.require_arm(arm_from)
-    if arm_to == arm_from:
+    if arm_to == schema.require_arm(arm_from):
         raise ValueError(f"delta vector needs two distinct arms, got {arm_to!r} twice")
-    profile = _check_profile(schema, profile)
-    entries = np.zeros(schema.p)
-    diff = schema.arm_onehot(arm_to) - schema.arm_onehot(arm_from)
-    arm_idx = schema.arm_indices
-    if arm_idx:
-        entries[list(arm_idx)] = diff
-    inter_idx = schema.interaction_indices
-    if inter_idx:
-        entries[list(inter_idx)] = np.outer(profile.values, diff).ravel()
+    entries = (baseline_vector(schema, profile, arm_to)
+               - baseline_vector(schema, profile, arm_from))
     entries.setflags(write=False)
     return entries
 

@@ -86,7 +86,7 @@ def delta_identity_check(n_schemas: int = 200, seed: int = 901) -> VerifyResult:
             interactions=bool(rng.integers(0, 2)),
         )
         schema = build_schema(data, spec)
-        profile = CovariateProfile(rng.normal(size=len(schema.covariate_indices)))
+        profile = CovariateProfile(rng.normal(size=len(schema.covariates)))
         w2, w1 = rng.choice(data.arms, size=2, replace=False)
         lhs = delta_vector(schema, profile, w2, w1)
         rhs = baseline_vector(schema, profile, w2) - baseline_vector(schema, profile, w1)

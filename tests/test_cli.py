@@ -334,3 +334,33 @@ def test_every_traced_site_exists(monkeypatch):
     for site in sites:
         module, attr = site.split(".")
         assert callable(getattr(importlib.import_module(f"effect_engine.{module}"), attr, None)), site
+
+
+SIX_ROW_CSV = "y,arm,x\n1,0,0.5\n3,0,1.5\n2,0,1.0\n4,1,2.0\n6,1,3.0\n5,1,2.5\n"
+
+
+@pytest.mark.parametrize("query, bayes, message", [
+    ({"type": "ate", "arm_to": "1", "arm_from": "0"},
+     {"prior_mean": [0, 0, 0], "noise_variance": 1.0},
+     "model.bayes.prior_mean has shape (3,) but the design has p = 4 columns"),
+    ({"type": "ate", "arm_to": "2", "arm_from": "0"}, None,
+     "queries[0].arm_to '2' is not an arm of the data; arms are ['0', '1']"),
+    ({"type": "prob_best", "arms": ["0", "7"]}, {"noise_variance": 1.0},
+     "queries[0].arms[1] '7' is not an arm of the data; arms are ['0', '1']"),
+    ({"type": "cate", "arm_to": "1", "arm_from": "0", "predicate": "z > 1"}, None,
+     "queries[0].predicate: unknown predicate column 'z'"),
+], ids=["prior-length", "unknown-arm", "unknown-ranked-arm", "unknown-column"])
+def test_validate_rejects_what_run_rejects(tmp_path, query, bayes, message):
+    model = {"reference_arm": "0", **({"bayes": bayes} if bayes else {})}
+    write_workspace(tmp_path, [query], csv=SIX_ROW_CSV, model=model,
+                    columns={"outcome": "y", "arm": "arm", "covariates": ["x"]})
+    proc = run_cli("validate", "--config", "config.json", cwd=tmp_path)
+    assert proc.returncode == 1, proc.stdout
+    assert proc.stderr == f"config error: {message}\n"
+    proc = run_cli("run", "--config", "config.json", cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    if message.startswith("queries"):
+        # --partial still records a query's failure and runs on.
+        proc = run_cli("run", "--config", "config.json", "--partial", cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert [e["index"] for e in json.loads(proc.stdout)["errors"]] == [0]

@@ -15,7 +15,8 @@ from numpy.testing import assert_array_equal
 from scipy.linalg import solve_triangular
 
 from effect_engine.data import Dataset
-from effect_engine.model import ModelSpec, build_design, build_schema, covariate_matrix, fit_ols
+from effect_engine.model import (ModelSpec, build_design, build_schema, covariate_matrix,
+                                 fit_bayes, fit_ols)
 
 KINDS = ("classical", "hc1", "cluster")
 
@@ -80,7 +81,7 @@ def _hstack_design(data, spec):
     arm_block = np.column_stack(
         [(data.arm == a).astype(np.float64) for a in schema.arm_labels])
     blocks = [np.ones((n, 1)), covs, arm_block]
-    if schema.interaction_indices:
+    if schema.interactions:
         inter = np.empty((n, covs.shape[1] * arm_block.shape[1]))
         for k, (i, j) in enumerate(itertools.product(range(covs.shape[1]),
                                                      range(arm_block.shape[1]))):
@@ -182,3 +183,19 @@ def test_non_finite_outcome_names_row(bad):
     X[3, 1] = np.nan  # the outcome is checked first
     with pytest.raises(ValueError, match=rf"^outcome has a non-finite value at row 23: {bad!r}$"):
         fit_ols(X, y, "cluster", cluster_ids=[i % 4 for i in range(40)])
+
+
+@pytest.mark.parametrize("where", ["design", "outcome"])
+def test_fit_bayes_non_finite_names_row(where):
+    data = _mixed_dataset(np.random.default_rng(38), 60)
+    design, y, schema = build_design(data, ModelSpec(reference_arm="t0"))
+    y = y.copy()
+    if where == "design":
+        design[9, schema.labels.index("w")] = np.inf
+        expected = r"^design has a non-finite value at row 9, column 'w': inf$"
+    else:
+        y[12] = np.nan
+        expected = r"^outcome has a non-finite value at row 12: nan$"
+    p = schema.p
+    with pytest.raises(ValueError, match=expected):
+        fit_bayes(design, y, np.zeros(p), np.eye(p), 1.0, schema=schema)

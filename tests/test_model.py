@@ -38,7 +38,6 @@ def test_two_arm_fit_matches_hand_computation():
     assert_allclose(model.cov_beta, [[1.0, -1.0], [-1.0, 2.0]], rtol=0, atol=1e-12)
     assert_allclose(model.std_errors, [1.0, np.sqrt(2.0)], rtol=0, atol=1e-12)
     assert model.n == 4
-    assert model.dof == 2
     assert not model.posterior
 
 
@@ -155,7 +154,7 @@ def test_interactions_off_drops_block():
     )
     _, _, schema = build_design(data, ModelSpec(reference_arm="a", interactions=False))
     assert schema.labels == ("intercept", "x", "arm=b")
-    assert schema.interaction_indices == ()
+    assert schema.interactions is False
 
 
 def test_rank_deficient_design_names_columns():
@@ -441,9 +440,15 @@ def test_fit_model_expands_prior_forms():
         assert model.posterior
         assert_array_equal(model.beta, full.beta)
         assert_array_equal(model.cov_beta, full.cov_beta)
-    with pytest.raises(ValueError, match="prior dimensions"):
-        fit_model(data, ModelSpec(reference_arm="0", bayes=BayesPrior(
-            mean=np.zeros(3), covariance=1.0, noise_variance=1.0)))
+    for mean, cov, message in [
+        (np.zeros(3), 1.0, "model.bayes.prior_mean has shape (3,)"),
+        (0.0, np.ones(3), "model.bayes.prior_covariance has shape (3,)"),
+        (0.0, np.eye(3), "model.bayes.prior_covariance has shape (3, 3)"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            fit_model(data, ModelSpec(reference_arm="0", bayes=BayesPrior(
+                mean=mean, covariance=cov, noise_variance=1.0)))
+        assert str(info.value) == f"{message} but the design has p = 2 columns"
 
 
 @pytest.mark.parametrize("make", [
@@ -475,15 +480,15 @@ def test_fitted_model_validation():
     model = fit_model(two_arm_data(), ModelSpec(reference_arm="0"))
     with pytest.raises(ValueError, match="beta has length"):
         FittedModel(schema=model.schema, beta=np.zeros(3), cov_beta=np.eye(2),
-                    n=4, dof=2, covariance_kind="classical")
+                    n=4, covariance_kind="classical")
     with pytest.raises(ValueError, match="not symmetric"):
         FittedModel(schema=model.schema, beta=np.zeros(2),
                     cov_beta=np.array([[1.0, 0.5], [0.0, 1.0]]),
-                    n=4, dof=2, covariance_kind="classical")
+                    n=4, covariance_kind="classical")
     with pytest.raises(ValueError, match="negative diagonal"):
         FittedModel(schema=model.schema, beta=np.zeros(2),
                     cov_beta=np.array([[-1.0, 0.0], [0.0, 1.0]]),
-                    n=4, dof=2, covariance_kind="classical")
+                    n=4, covariance_kind="classical")
 
 
 def test_arm_onehot_and_require_arm():

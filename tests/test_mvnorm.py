@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 from scipy.special import ndtr
 
 from conftest import cli_env
+from effect_engine import mvnorm
 from effect_engine.mvnorm import (OrthantResult, _cholesky_with_jitter, _scrambled_sobol,
                                   _sov_batch, mvn_orthant)
 
@@ -99,9 +100,9 @@ def test_seed_determinism():
     assert d.probability == a.probability
 
 
-def test_budget_cap_reports_honest_error():
-    res = mvn_orthant(np.zeros(2), equicorrelated(2, 0.3), tol=1e-12, seed=13,
-                      min_log2_points=10, max_log2_points=10)
+def test_budget_cap_reports_honest_error(monkeypatch):
+    monkeypatch.setattr(mvnorm, "MAX_LOG2_POINTS", 10)
+    res = mvn_orthant(np.zeros(2), equicorrelated(2, 0.3), tol=1e-12, seed=13)
     assert res.points == 10 * 2**10
     assert res.error > 1e-12  # cap hit; the reported error says so
 
@@ -117,8 +118,6 @@ def test_validation_errors():
         mvn_orthant([0.0, 0.0], [[-1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(ValueError, match="tol must be positive"):
         mvn_orthant([0.0, 0.0], np.eye(2), tol=0.0)
-    with pytest.raises(ValueError, match="at least 2 batches"):
-        mvn_orthant([0.0, 0.0], np.eye(2), batches=1)
 
 
 def test_orthant_probability_monotone_in_mean():
@@ -237,20 +236,17 @@ def test_mvn_orthant_matches_scipy_engine_reference(m):
                             reference_mvn_orthant(mu, cov, seed=np.random.SeedSequence(seed)))
 
 
-def test_mvn_orthant_matches_reference_past_the_first_levels():
+def test_mvn_orthant_matches_reference_past_the_first_levels(monkeypatch):
     # A target no level meets: every level up to the cap is integrated.
+    monkeypatch.setattr(mvnorm, "MAX_LOG2_POINTS", 13)
     cov = equicorrelated(3, 0.5)
-    kw = dict(tol=1e-9, seed=21, max_log2_points=13)
-    got = mvn_orthant(np.zeros(3), cov, **kw)
+    got = mvn_orthant(np.zeros(3), cov, tol=1e-9, seed=21)
     assert got.points == 10 * 2**13
-    _assert_same_result(got, reference_mvn_orthant(np.zeros(3), cov, **kw))
+    _assert_same_result(got, reference_mvn_orthant(np.zeros(3), cov, tol=1e-9, seed=21,
+                                                   max_log2_points=13))
 
 
 def test_sobol_limits_fail_loudly():
-    with pytest.raises(ValueError, match="max_log2_points <= 30"):
-        mvn_orthant([0.0, 0.0], np.eye(2), max_log2_points=31)
-    with pytest.raises(ValueError, match="min_log2_points"):
-        mvn_orthant([0.0, 0.0], np.eye(2), min_log2_points=11, max_log2_points=10)
     # 21202 dimensions: a zero-stride covariance keeps the test small.
     m = 21202
     with pytest.raises(ValueError, match="at most 21201 dimensions"):

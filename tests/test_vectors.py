@@ -1,5 +1,7 @@
 """Baseline/delta rows and their moments under a fitted model."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -97,7 +99,7 @@ def test_variance_clamp_and_failure():
     def with_offdiag(eps):
         cov = np.array([[1.0, 1.0 + eps], [1.0 + eps, 1.0]])
         return FittedModel(schema=model.schema, beta=np.zeros(2), cov_beta=cov,
-                           n=4, dof=2, covariance_kind="classical")
+                           n=4, covariance_kind="classical")
 
     row = np.array([1.0, -1.0])
     _, variance = moments(with_offdiag(2.5e-13), row)
@@ -130,13 +132,13 @@ def _restringified_block(data, schema):
     """Covariate block built without the dataset's cached codes: every
     categorical column is turned into strings and compared per level."""
     cols = []
-    for c in schema.covariate_columns:
-        values = data.covariates[c.covariate]
-        if c.level is None:
+    for name, level in schema.covariates:
+        values = data.covariates[name]
+        if level is None:
             cols.append(np.asarray(values, dtype=np.float64))
         else:
             strings = np.asarray([str(v) for v in values.tolist()], dtype=object)
-            cols.append((strings == c.level).astype(np.float64))
+            cols.append((strings == level).astype(np.float64))
     return np.column_stack(cols)
 
 
@@ -150,6 +152,32 @@ def mixed_data(names=("x", "g", "k", "s"), n=1000):
     }
     return Dataset(outcome=rng.normal(size=n), arm=rng.choice(["a", "b", "c"], size=n),
                    covariates={name: covariates[name] for name in names})
+
+
+@pytest.mark.parametrize("names, interactions, n_arms", itertools.product(
+    [("x", "g", "k"), ("x",), ("g",), ("k",), ()], [True, False], [2, 3, 4, 5]))
+def test_design_rows_are_baseline_rows(names, interactions, n_arms):
+    # One layout: every design row is, bit for bit, the baseline row at that
+    # row's own covariate values and arm. Negative x times a zero indicator
+    # gives -0.0, so the bytes compare the signs of zeros too.
+    rng = np.random.default_rng(700 + 10 * len(names) + n_arms)
+    n = 30
+    arms = [f"w{i}" for i in range(n_arms)]
+    covariates = {
+        "x": rng.normal(size=n),
+        "g": rng.choice(["10", "9", "B", "a"], size=n),
+        "k": rng.choice([0.5, 2.0, 10.0], size=n),  # numeric, encoded as categorical
+    }
+    data = Dataset(outcome=rng.normal(size=n),
+                   arm=list(rng.choice(arms, size=n - n_arms)) + arms,
+                   covariates={name: covariates[name] for name in names})
+    spec = ModelSpec(reference_arm=str(rng.choice(arms)), interactions=interactions,
+                     encodings={"k": "categorical"} if "k" in names else None)
+    design, _, schema = build_design(data, spec)
+    values = _restringified_block(data, schema) if names else np.empty((n, 0))
+    for i in range(n):
+        row = baseline_vector(schema, CovariateProfile(values[i]), data.arm[i])
+        assert row.tobytes() == design[i].tobytes(), i
 
 
 def test_covariate_matrix_row_selection_is_exact():
@@ -199,6 +227,13 @@ def test_profile_from_subset_empty_rejected():
         profile_from_subset(data, schema, "x > 100")
 
 
+def blocks(schema, row):
+    """The covariate, arm and interaction blocks of a (p,) row, sliced by
+    the layout ``[1 | covariates | arms | covariates x arms]``."""
+    q, k = len(schema.covariates), len(schema.arm_labels)
+    return row[1:1 + q], row[1 + q:1 + q + k], row[1 + q + k:]
+
+
 def test_reference_arm_baseline_has_zero_arm_block():
     data = covariate_data()
     _, _, schema = build_design(data, ModelSpec(reference_arm="a"))
@@ -206,9 +241,10 @@ def test_reference_arm_baseline_has_zero_arm_block():
     row = baseline_vector(schema, profile, arm="a")
     assert row.shape == (schema.p,)
     assert row[0] == 1.0
-    assert_array_equal(row[list(schema.arm_indices)], [0.0])
-    assert_array_equal(row[list(schema.interaction_indices)], [0.0, 0.0])
-    assert_allclose(row[list(schema.covariate_indices)], profile.values)
+    covariates, arms, interactions = blocks(schema, row)
+    assert_array_equal(arms, [0.0])
+    assert_array_equal(interactions, [0.0, 0.0])
+    assert_allclose(covariates, profile.values)
     for read_only in (row, delta_vector(schema, profile, "b", "a")):
         with pytest.raises(ValueError):
             read_only[0] = 2.0
@@ -246,12 +282,12 @@ def test_three_arm_block_placement():
     profile = CovariateProfile(np.array([3.5]))
 
     base = baseline_vector(schema, profile, arm="2")
-    assert_array_equal(base[list(schema.arm_indices)], [1.0, 0.0])
-    assert_array_equal(base[list(schema.interaction_indices)], [3.5, 0.0])
+    assert_array_equal(blocks(schema, base)[1], [1.0, 0.0])
+    assert_array_equal(blocks(schema, base)[2], [3.5, 0.0])
 
     d = delta_vector(schema, profile, arm_to="2", arm_from="3")
-    assert_array_equal(d[list(schema.arm_indices)], [1.0, -1.0])
-    assert_array_equal(d[list(schema.interaction_indices)], [3.5, -3.5])
+    assert_array_equal(blocks(schema, d)[1], [1.0, -1.0])
+    assert_array_equal(blocks(schema, d)[2], [3.5, -3.5])
     assert_array_equal(delta_vector(schema, profile, "3", "2"), -d)
 
 

@@ -15,6 +15,7 @@ import dataclasses
 import os
 import sys
 import warnings as _warnings
+from functools import cached_property
 
 import numpy as np
 
@@ -36,9 +37,29 @@ from .model import (  # noqa: F401
 )
 from .predicates import parse_predicate, resolve_mask
 from .report import build_report, render_report, sha256_file, write_report
+from .vectors import profile_from_subset
 from .verify import SUITES, run_suite
 
 __all__ = ["main", "execute"]
+
+
+def _period_inputs(data: Dataset, spec: ModelSpec) -> tuple[Dataset, ModelSpec]:
+    """The data and model block of the per-period fit: the period encoded as
+    a covariate, and cluster-robust covariance. Raises for a Bayes prior or
+    for data without a period or unit_id column."""
+    if spec.bayes is not None:
+        raise ValueError(
+            "dte queries are incompatible with a bayes prior; the "
+            "per-period contract requires cluster-robust covariance"
+        )
+    if data.period is None:
+        raise ValueError("dte queries need data.columns.period in the config")
+    if data.unit_id is None:
+        raise ValueError(
+            "dte queries need data.columns.unit_id in the config "
+            "(cluster-robust covariance clusters on it)"
+        )
+    return add_period_covariate(data), dataclasses.replace(spec, covariance_kind="cluster")
 
 
 class _FitCache:
@@ -56,65 +77,32 @@ class _FitCache:
         self._spec = spec
         self.base = fit_model(data, spec)
         self.posterior = as_flat_prior_posterior(self.base)
-        self._period_cluster: tuple[Dataset, FittedModel] | None = None
 
+    @cached_property
     def period_cluster(self) -> tuple[Dataset, FittedModel]:
-        if self._period_cluster is None:
-            if self._spec.bayes is not None:
-                raise ValueError(
-                    "dte queries are incompatible with a bayes prior; the "
-                    "per-period contract requires cluster-robust covariance"
-                )
-            if self._data.period is None:
-                raise ValueError("dte queries need data.columns.period in the config")
-            if self._data.unit_id is None:
-                raise ValueError(
-                    "dte queries need data.columns.unit_id in the config "
-                    "(cluster-robust covariance clusters on it)"
-                )
-            pdata = add_period_covariate(self._data)
-            spec = dataclasses.replace(self._spec, covariance_kind="cluster")
-            self._period_cluster = (pdata, fit_model(pdata, spec))
-        return self._period_cluster
+        pdata, spec = _period_inputs(self._data, self._spec)
+        return pdata, fit_model(pdata, spec)
 
 
-def _maybe_predicate(params: dict):
-    text = params.get("predicate")
-    return None if text is None else parse_predicate(text)
+# The module whose function of the same name answers each query type. The
+# function is looked up at each call, so a patched module attribute sees it.
+_ANSWERED_BY = {"ate": effects, "cate": effects, "hte": effects, "dte": effects,
+                "relative_effect": relative, "prob_positive": ranking, "prob_best": ranking}
+_POSTERIOR_TYPES = ("prob_positive", "prob_best")
 
 
 def _run_query(query: QuerySpec, fits: _FitCache, data: Dataset, cfg: RunConfig) -> dict:
-    p = dict(query.params)
-    ci = p.get("ci_level", 0.95)
-    seed = np.random.SeedSequence([cfg.seed, query.index])
-    if query.type == "ate":
-        res = effects.ate(fits.base, data, p["arm_to"], p["arm_from"], ci_level=ci)
-    elif query.type == "cate":
-        res = effects.cate(fits.base, data, p["arm_to"], p["arm_from"],
-                           parse_predicate(p["predicate"]), ci_level=ci)
-    elif query.type == "hte":
-        res = effects.hte(fits.base, data, p["arm_to"], p["arm_from"],
-                          parse_predicate(p["predicate"]), ci_level=ci)
+    kwargs = dict(query.params)
+    if "predicate" in kwargs:
+        kwargs["predicate"] = parse_predicate(kwargs["predicate"])
+    model = fits.base
+    if query.type in _POSTERIOR_TYPES:
+        model = fits.posterior
+        kwargs.update(tol=cfg.mvn_tol, seed=np.random.SeedSequence([cfg.seed, query.index]))
     elif query.type == "dte":
-        pdata, model = fits.period_cluster()
-        res = effects.dte(model, pdata, p["arm_to"], p["arm_from"], p["period"], ci_level=ci)
-    elif query.type == "relative_effect":
-        res = relative.relative_effect(fits.base, data, p["arm_to"], p["arm_from"],
-                                       predicate=_maybe_predicate(p), ci_level=ci,
-                                       guard=p.get("guard", 5.0))
-    elif query.type == "prob_positive":
-        res = ranking.prob_positive(fits.posterior, data, p["arm_to"], p["arm_from"],
-                                    predicate=_maybe_predicate(p),
-                                    tol=cfg.mvn_tol, seed=seed)
-    elif query.type == "prob_best":
-        res = ranking.prob_best(fits.posterior, data, arms=p.get("arms"),
-                                predicate=_maybe_predicate(p),
-                                tol=cfg.mvn_tol, seed=seed)
-    else:  # pragma: no cover - config validation rejects unknown types
-        raise ValueError(f"unknown query type {query.type!r}")
-    out = res.to_dict()
-    out["index"] = query.index
-    out["name"] = query.name
+        data, model = fits.period_cluster
+    result = getattr(_ANSWERED_BY[query.type], query.type)(model, data, **kwargs)
+    out = {**result.to_dict(), "index": query.index, "name": query.name}
     if query.type == "dte":
         out["model_variant"] = "period_cluster"
     return out
@@ -141,7 +129,7 @@ def execute(cfg: RunConfig, *, flat_prior_ok: bool = False, partial: bool = Fals
     Without ``partial`` the first query failure propagates; with it, each
     failure becomes an ``errors`` entry and the remaining queries still run.
     """
-    needs_posterior = [q for q in cfg.queries if q.type in ("prob_positive", "prob_best")]
+    needs_posterior = [q for q in cfg.queries if q.type in _POSTERIOR_TYPES]
     if needs_posterior and cfg.model.bayes is None and not flat_prior_ok:
         q = needs_posterior[0]
         raise ConfigError(
@@ -204,9 +192,19 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _at(where: str, check, *args):
+    """``check(*args)``, one of ``run``'s checks, with a failure raised as
+    ``ConfigError`` behind ``where``."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
 def _check_queries(cfg: RunConfig, data: Dataset, schema: ColumnSchema) -> None:
-    """Raise ``ConfigError`` naming ``queries[i].<field>`` for an arm label
-    the data lacks or a predicate that cannot be resolved on the data."""
+    """Run, on the data and without a fit, the checks ``run`` makes of each
+    query's arm labels, subsets and period; raise ``ConfigError`` naming
+    ``queries[i]`` and the field at fault."""
     for query in cfg.queries:
         where, params = f"queries[{query.index}]", query.params
         arms = [(key, params[key]) for key in ("arm_to", "arm_from") if key in params]
@@ -216,17 +214,19 @@ def _check_queries(cfg: RunConfig, data: Dataset, schema: ColumnSchema) -> None:
                 raise ConfigError(f"{where}.{field} {arm!r} is not an arm of the data; "
                                   f"arms are {list(schema.all_arms)}")
         if "predicate" in params:
-            try:
-                resolve_mask(data, params["predicate"])
-            except ValueError as exc:
-                raise ConfigError(f"{where}.predicate: {exc}") from None
+            mask = _at(f"{where}.predicate", resolve_mask, data, params["predicate"])
+            for rows in (mask, ~mask) if query.type == "hte" else (mask,):
+                _at(f"{where}.predicate", profile_from_subset, data, schema, rows)
+        if query.type == "dte":
+            _at(where, _period_inputs, data, cfg.model)
+            _at(where, effects.period_mask, data, params["period"])
 
 
 def _cmd_validate(args) -> int:
     try:
         cfg = load_config(args.config)
         data = load_csv(cfg.data_path, cfg.column_map)
-        schema = build_schema(data, cfg.model)
+        schema = _at("model", build_schema, data, cfg.model)
         if cfg.model.bayes is not None:
             cfg.model.bayes.expand(schema.p)
         _check_queries(cfg, data, schema)

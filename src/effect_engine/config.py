@@ -21,18 +21,9 @@ from .report import sha256_config
 
 __all__ = ["ConfigError", "QuerySpec", "RunConfig", "parse_config", "load_config"]
 
-QUERY_TYPES = (
-    "ate",
-    "cate",
-    "hte",
-    "dte",
-    "relative_effect",
-    "prob_positive",
-    "prob_best",
-)
-
-# Per query type: (required keys, optional keys). "type" and "name" are
-# handled generically.
+# The query types, each with (required keys, optional keys): the keyword
+# arguments of the function that answers it. "type" and "name" are handled
+# generically.
 _QUERY_KEYS: dict[str, tuple[set, set]] = {
     "ate": ({"arm_to", "arm_from"}, {"ci_level"}),
     "cate": ({"arm_to", "arm_from", "predicate"}, {"ci_level"}),
@@ -185,8 +176,8 @@ def _parse_query(obj, index: int) -> QuerySpec:
     where = f"queries[{index}]"
     obj = _as_mapping(obj, where)
     qtype = _as_str(_require(obj, "type", where), f"{where}.type")
-    if qtype not in QUERY_TYPES:
-        raise ConfigError(f"{where}.type {qtype!r} is not one of {list(QUERY_TYPES)}")
+    if qtype not in _QUERY_KEYS:
+        raise ConfigError(f"{where}.type {qtype!r} is not one of {list(_QUERY_KEYS)}")
     required, optional = _QUERY_KEYS[qtype]
     _check_keys(obj, required | optional | {"type", "name"}, where)
     for key in required:

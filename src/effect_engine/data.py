@@ -166,8 +166,7 @@ class Dataset:
         cached = self._codes.get(name)
         if cached is None:
             levels, codes = factorize(self.covariates[name].tolist())
-            # setdefault: concurrent first calls all return the one stored entry
-            cached = self._codes.setdefault(name, (levels, _freeze(codes)))
+            cached = self._codes[name] = (levels, _freeze(codes))
         return cached
 
 

@@ -16,14 +16,17 @@ from scipy.special import ndtri
 
 from .data import PERIOD_COVARIATE, Dataset
 from .model import FittedModel
-from .vectors import delta_vector, moments, profile_from_subset, query_echo
+from .predicates import resolve_mask
+from .vectors import Record, delta_vector, moments, profile_from_subset, query_echo
 
-__all__ = ["EffectEstimate", "ate", "cate", "hte", "dte"]
+__all__ = ["EffectEstimate", "ate", "cate", "hte", "dte", "period_mask"]
 
 
 @dataclass(frozen=True)
-class EffectEstimate:
+class EffectEstimate(Record):
     """Point estimate with normal-quantile confidence interval."""
+
+    kind = "effect"
 
     estimate: float
     std_error: float
@@ -31,17 +34,6 @@ class EffectEstimate:
     ci_high: float
     ci_level: float
     query: Mapping[str, object]
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "effect",
-            "estimate": self.estimate,
-            "std_error": self.std_error,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "ci_level": self.ci_level,
-            "query": dict(self.query),
-        }
 
 
 def normal_interval(value: float, variance: float,
@@ -90,8 +82,9 @@ def hte(model: FittedModel, data: Dataset, arm_to: str, arm_from: str, predicate
     accounts for the covariance between the two conditional effects; it is
     not a difference of the two standalone standard errors.
     """
-    profile_in = profile_from_subset(data, model.schema, predicate)
-    profile_out = profile_from_subset(data, model.schema, predicate, complement=True)
+    mask = resolve_mask(data, predicate)
+    profile_in = profile_from_subset(data, model.schema, mask)
+    profile_out = profile_from_subset(data, model.schema, ~mask)
     contrast = (delta_vector(model.schema, profile_in, arm_to, arm_from)
                 - delta_vector(model.schema, profile_out, arm_to, arm_from))
     return _estimate(model, contrast, ci_level,
@@ -112,18 +105,25 @@ def dte(model: FittedModel, data: Dataset, arm_to: str, arm_from: str, period: i
     """
     if model.covariance_kind != "cluster":
         raise ValueError("time-dynamic effects require cluster-robust covariance")
+    mask = period_mask(data, period)
+    # rows outside the period mean the data has more than one
+    if not mask.all() and all(name != PERIOD_COVARIATE for name, _ in model.schema.covariates):
+        raise ValueError(
+            f"model schema lacks the {PERIOD_COVARIATE!r} covariate; encode the "
+            "period column as a categorical covariate before fitting"
+        )
+    profile = profile_from_subset(data, model.schema, mask)
+    row = delta_vector(model.schema, profile, arm_to, arm_from)
+    return _estimate(model, row, ci_level, query_echo("dte", arm_to, arm_from, period=int(period)))
+
+
+def period_mask(data: Dataset, period: int) -> np.ndarray:
+    """Rows of ``data`` in ``period``; raises for data without a period
+    column or a period the data lacks."""
     if data.period is None:
         raise ValueError("dataset has no period column")
     periods = np.unique(data.period).tolist()
     period = int(period)
     if period not in periods:
         raise ValueError(f"unknown period {period}; data has periods {periods}")
-    if len(periods) > 1 and all(name != PERIOD_COVARIATE for name, _ in model.schema.covariates):
-        raise ValueError(
-            f"model schema lacks the {PERIOD_COVARIATE!r} covariate; encode the "
-            "period column as a categorical covariate before fitting"
-        )
-    mask = np.asarray(data.period, dtype=np.int64) == period
-    profile = profile_from_subset(data, model.schema, mask)
-    row = delta_vector(model.schema, profile, arm_to, arm_from)
-    return _estimate(model, row, ci_level, query_echo("dte", arm_to, arm_from, period=period))
+    return np.asarray(data.period, dtype=np.int64) == period

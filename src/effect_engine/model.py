@@ -217,13 +217,17 @@ def _covariate_columns(data: Dataset, spec: ModelSpec) -> list[tuple[str, str | 
 def build_schema(data: Dataset, spec: ModelSpec) -> ColumnSchema:
     """Column schema of the design for ``data`` under ``spec``, without
     building the design itself. Raises for a reference arm missing from the
-    data or a covariate that cannot be encoded, and warns for a constant
-    numeric covariate."""
+    data, a covariate that cannot be encoded, or a least-squares cluster
+    covariance without a unit_id column, and warns for a constant numeric
+    covariate."""
     reference = str(spec.reference_arm)
     arms = data.arms
     if reference not in arms:
         raise ValueError(f"reference arm {reference!r} not present in data; arms are {arms}")
-    return ColumnSchema(covariates=tuple(_covariate_columns(data, spec)),
+    covariates = tuple(_covariate_columns(data, spec))
+    if spec.bayes is None and spec.covariance_kind == "cluster" and data.unit_id is None:
+        raise ValueError("cluster covariance requires a unit_id column")
+    return ColumnSchema(covariates=covariates,
                         all_arms=(reference, *(a for a in arms if a != reference)),
                         interactions=spec.interactions)
 
@@ -494,11 +498,7 @@ def fit_model(data: Dataset, spec: ModelSpec) -> FittedModel:
     if spec.bayes is not None:
         mean, cov = spec.bayes.expand(schema.p)
         return fit_bayes(design, y, mean, cov, spec.bayes.noise_variance, schema=schema)
-    cluster_ids = None
-    if spec.covariance_kind == "cluster":
-        if data.unit_id is None:
-            raise ValueError("cluster covariance requires a unit_id column")
-        cluster_ids = data.unit_id
+    cluster_ids = data.unit_id if spec.covariance_kind == "cluster" else None
     return fit_ols(design, y, covariance_kind=spec.covariance_kind,
                    cluster_ids=cluster_ids, schema=schema)
 

@@ -18,28 +18,21 @@ import numpy as np
 from .data import Dataset
 from .model import FittedModel
 from .mvnorm import mvn_orthant
-from .vectors import delta_vector, moments, profile_from_subset, query_echo
+from .vectors import Record, delta_vector, moments, profile_from_subset, query_echo
 
 __all__ = ["ProbEstimate", "ArmProbability", "RankingResult", "prob_positive", "prob_best"]
 
 
 @dataclass(frozen=True)
-class ProbEstimate:
+class ProbEstimate(Record):
     """Posterior probability with the quadrature error bound."""
+
+    kind = "prob_positive"
 
     probability: float
     error: float
     method: str
     query: Mapping[str, object]
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "prob_positive",
-            "probability": self.probability,
-            "error": self.error,
-            "method": self.method,
-            "query": dict(self.query),
-        }
 
 
 @dataclass(frozen=True)

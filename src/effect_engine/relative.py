@@ -16,19 +16,22 @@ import numpy as np
 from .data import Dataset
 from .effects import normal_interval
 from .model import FittedModel
-from .vectors import baseline_vector, delta_vector, moments, profile_from_subset, query_echo
+from .vectors import (Record, baseline_vector, delta_vector, moments, profile_from_subset,
+                      query_echo)
 
 __all__ = ["RatioEstimate", "ratio_moments", "relative_effect"]
 
 
 @dataclass(frozen=True)
-class RatioEstimate:
+class RatioEstimate(Record):
     """Delta-method estimate of a ratio of two jointly normal quantities.
 
     ``estimate`` carries the second-order mean correction; ``first_order``
     is the plain ratio of the two means, kept alongside because readers
     expect to see it even though the corrected value is the canonical one.
     """
+
+    kind = "relative_effect"
 
     estimate: float
     first_order: float
@@ -38,19 +41,6 @@ class RatioEstimate:
     ci_level: float
     components: Mapping[str, float]
     query: Mapping[str, object]
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "relative_effect",
-            "estimate": self.estimate,
-            "first_order": self.first_order,
-            "std_error": self.std_error,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "ci_level": self.ci_level,
-            "components": dict(self.components),
-            "query": dict(self.query),
-        }
 
 
 def ratio_moments(mean_num: float, mean_den: float, var_num: float, var_den: float,

@@ -10,7 +10,8 @@ interaction structure needs no manual bookkeeping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -25,6 +26,7 @@ __all__ = [
     "delta_vector",
     "moments",
     "query_echo",
+    "Record",
 ]
 
 # Quadratic forms can round slightly negative; anything worse is a real bug.
@@ -55,17 +57,11 @@ class CovariateProfile:
         return self.values.shape[0]
 
 
-def profile_from_subset(data: Dataset, schema: ColumnSchema, predicate=None,
-                        complement: bool = False) -> CovariateProfile:
+def profile_from_subset(data: Dataset, schema: ColumnSchema,
+                        predicate=None) -> CovariateProfile:
     """Column means of the expanded covariate block over the selected rows.
-
-    With no predicate this returns the global covariate means. With
-    ``complement=True`` the means are taken over the rows the predicate
-    rejects.
-    """
+    With no predicate this returns the global covariate means."""
     mask = resolve_mask(data, predicate)
-    if complement:
-        mask = ~mask
     if not mask.any():
         raise ValueError("empty conditioning subset")
     return CovariateProfile(covariate_matrix(data, schema, rows=mask).mean(axis=0))
@@ -131,3 +127,12 @@ def query_echo(kind: str, arm_to=None, arm_from=None, predicate=None, **fields) 
     if predicate is not None:
         query["predicate"] = describe_predicate(predicate)
     return query
+
+
+class Record:
+    """A query result; its report entry is its ``kind`` and its fields."""
+
+    kind: ClassVar[str]
+
+    def to_dict(self) -> dict:
+        return {"kind": self.kind, **asdict(self)}

@@ -22,7 +22,7 @@ from .model import ModelSpec, as_flat_prior_posterior, build_schema, fit_model
 from .mvnorm import mvn_orthant
 from .ranking import prob_best
 from .relative import ratio_moments, relative_effect
-from .vectors import CovariateProfile, baseline_vector, delta_vector
+from .vectors import CovariateProfile, delta_vector
 
 __all__ = [
     "VerifyResult",
@@ -68,9 +68,23 @@ def _random_dataset(rng: np.random.Generator, n_arms: int, n_numeric: int,
     return Dataset(outcome=outcome, arm=arm_col, covariates=covariates)
 
 
+def _labelled_delta(labels, profile: CovariateProfile, arm_to: str, arm_from: str) -> np.ndarray:
+    """The delta row written from the column labels alone: 0 for the
+    intercept and each covariate, ``[a = to] - [a = from]`` for ``arm=a``,
+    and ``z_c`` times that for ``c:arm=a``."""
+    z = dict(zip((label for label in labels[1:] if "arm=" not in label), profile.values))
+    row = []
+    for label in labels:
+        covariate, is_arm, arm = label.partition("arm=")
+        step = float(arm == arm_to) - float(arm == arm_from)  # 0 for a label without "arm="
+        row.append(z[covariate[:-1]] * step if is_arm and covariate else step)
+    return np.array(row)
+
+
 def delta_identity_check(n_schemas: int = 200, seed: int = 901) -> VerifyResult:
-    """delta(w2, w1) must equal baseline(w2) - baseline(w1) entry for entry,
-    with zero tolerance, for arbitrary schemas and profiles."""
+    """delta(w2, w1) must equal, entry for entry with zero tolerance, the
+    row built from the schema's column labels alone, for arbitrary schemas
+    and profiles; a design layout that disagrees with its labels fails."""
     rng = np.random.default_rng(seed)
     start = time.perf_counter()
     mismatches = 0
@@ -88,15 +102,15 @@ def delta_identity_check(n_schemas: int = 200, seed: int = 901) -> VerifyResult:
         schema = build_schema(data, spec)
         profile = CovariateProfile(rng.normal(size=len(schema.covariates)))
         w2, w1 = rng.choice(data.arms, size=2, replace=False)
-        lhs = delta_vector(schema, profile, w2, w1)
-        rhs = baseline_vector(schema, profile, w2) - baseline_vector(schema, profile, w1)
-        if not np.array_equal(lhs, rhs):
+        if not np.array_equal(delta_vector(schema, profile, w2, w1),
+                              _labelled_delta(schema.labels, profile, w2, w1)):
             mismatches += 1
     elapsed = time.perf_counter() - start
     return VerifyResult(
         name="delta-identity",
         passed=mismatches == 0,
-        detail=f"{n_schemas} random schemas, exact equality, {mismatches} mismatches, {elapsed:.2f}s",
+        detail=f"{n_schemas} random schemas, delta row vs its column labels, exact, "
+               f"{mismatches} mismatches, {elapsed:.2f}s",
     )
 
 

@@ -40,7 +40,7 @@ def run_check(capsys, number, description, check, budget=None, **kwargs):
 def test_criterion_1_delta_identity(capsys):
     run_check(
         capsys, 1,
-        "delta vector equals baseline difference exactly (200 schemas, tol 0)",
+        "delta row equals the row built from its column labels (200 schemas, tol 0)",
         verify.delta_identity_check, budget=1.0, n_schemas=200,
     )
 

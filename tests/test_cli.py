@@ -1,15 +1,26 @@
 """End-to-end command-line behavior, exercised through subprocesses."""
 
 import importlib
+import inspect
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from conftest import cli_env
+from effect_engine import cli
+from effect_engine.cli import execute
+from effect_engine.config import _QUERY_KEYS, parse_config
+from effect_engine.data import add_period_covariate, load_csv
+from effect_engine.effects import ate, cate, dte, hte
+from effect_engine.model import as_flat_prior_posterior, fit_model
+from effect_engine.predicates import parse_predicate
+from effect_engine.ranking import prob_best, prob_positive
+from effect_engine.relative import relative_effect
 
 FOUR_ROW_CSV = "y,arm\n1,0\n3,0\n4,1\n6,1\n"
 
@@ -336,31 +347,141 @@ def test_every_traced_site_exists(monkeypatch):
         assert callable(getattr(importlib.import_module(f"effect_engine.{module}"), attr, None)), site
 
 
-SIX_ROW_CSV = "y,arm,x\n1,0,0.5\n3,0,1.5\n2,0,1.0\n4,1,2.0\n6,1,3.0\n5,1,2.5\n"
+SIX_ROW = ("y,arm,x\n1,0,0.5\n3,0,1.5\n2,0,1.0\n4,1,2.0\n6,1,3.0\n5,1,2.5\n",
+           {"outcome": "y", "arm": "arm", "covariates": ["x"]}, "0")
+PANEL = (PANEL_CSV, {"outcome": "y", "arm": "arm", "unit_id": "uid", "period": "t"}, "c")
+NO_UNIT = (PANEL_CSV, {"outcome": "y", "arm": "arm", "period": "t", "covariates": []}, "c")
+DTE = {"type": "dte", "arm_to": "t", "arm_from": "c", "period": 0}
+NO_DTE_UNIT = ("dte queries need data.columns.unit_id in the config "
+               "(cluster-robust covariance clusters on it)")
+DTE_BAYES = ("dte queries are incompatible with a bayes prior; the per-period "
+             "contract requires cluster-robust covariance")
 
 
-@pytest.mark.parametrize("query, bayes, message", [
-    ({"type": "ate", "arm_to": "1", "arm_from": "0"},
-     {"prior_mean": [0, 0, 0], "noise_variance": 1.0},
+@pytest.mark.parametrize("data, model, query, message, run_message", [
+    (SIX_ROW, {"bayes": {"prior_mean": [0, 0, 0], "noise_variance": 1.0}},
+     {"type": "ate", "arm_to": "1", "arm_from": "0"},
+     "model.bayes.prior_mean has shape (3,) but the design has p = 4 columns",
      "model.bayes.prior_mean has shape (3,) but the design has p = 4 columns"),
-    ({"type": "ate", "arm_to": "2", "arm_from": "0"}, None,
-     "queries[0].arm_to '2' is not an arm of the data; arms are ['0', '1']"),
-    ({"type": "prob_best", "arms": ["0", "7"]}, {"noise_variance": 1.0},
-     "queries[0].arms[1] '7' is not an arm of the data; arms are ['0', '1']"),
-    ({"type": "cate", "arm_to": "1", "arm_from": "0", "predicate": "z > 1"}, None,
-     "queries[0].predicate: unknown predicate column 'z'"),
-], ids=["prior-length", "unknown-arm", "unknown-ranked-arm", "unknown-column"])
-def test_validate_rejects_what_run_rejects(tmp_path, query, bayes, message):
-    model = {"reference_arm": "0", **({"bayes": bayes} if bayes else {})}
-    write_workspace(tmp_path, [query], csv=SIX_ROW_CSV, model=model,
-                    columns={"outcome": "y", "arm": "arm", "covariates": ["x"]})
+    (SIX_ROW, {}, {"type": "ate", "arm_to": "2", "arm_from": "0"},
+     "queries[0].arm_to '2' is not an arm of the data; arms are ['0', '1']",
+     "unknown arm label '2'; model has arms ('0', '1')"),
+    (SIX_ROW, {"bayes": {"noise_variance": 1.0}}, {"type": "prob_best", "arms": ["0", "7"]},
+     "queries[0].arms[1] '7' is not an arm of the data; arms are ['0', '1']",
+     "unknown arm label '7'; model has arms ('0', '1')"),
+    (SIX_ROW, {}, {"type": "cate", "arm_to": "1", "arm_from": "0", "predicate": "z > 1"},
+     "queries[0].predicate: unknown predicate column 'z'",
+     "unknown predicate column 'z'"),
+    (PANEL, {"covariance": "cluster"}, {**DTE, "period": 7},
+     "queries[0]: unknown period 7; data has periods [0, 1]",
+     "unknown period 7; data has periods [0, 1]"),
+    (PANEL, {}, {"type": "cate", "arm_to": "t", "arm_from": "c", "predicate": "period > 5"},
+     "queries[0].predicate: empty conditioning subset", "empty conditioning subset"),
+    (PANEL, {}, {"type": "hte", "arm_to": "t", "arm_from": "c", "predicate": "period >= 0"},
+     "queries[0].predicate: empty conditioning subset", "empty conditioning subset"),
+    (NO_UNIT, {}, DTE, f"queries[0]: {NO_DTE_UNIT}", NO_DTE_UNIT),
+    (PANEL, {"bayes": {"noise_variance": 1.0}}, DTE, f"queries[0]: {DTE_BAYES}", DTE_BAYES),
+    (NO_UNIT, {"covariance": "cluster"}, {"type": "ate", "arm_to": "t", "arm_from": "c"},
+     "model: cluster covariance requires a unit_id column",
+     "cluster covariance requires a unit_id column"),
+], ids=["prior-length", "unknown-arm", "unknown-ranked-arm", "unknown-column",
+        "unknown-period", "empty-subset", "empty-complement", "dte-without-unit-id",
+        "dte-with-bayes", "cluster-without-unit-id"])
+def test_validate_rejects_what_run_rejects(tmp_path, data, model, query, message, run_message):
+    csv, columns, reference = data
+    write_workspace(tmp_path, [query], csv=csv, columns=columns,
+                    model={"reference_arm": reference, **model})
     proc = run_cli("validate", "--config", "config.json", cwd=tmp_path)
     assert proc.returncode == 1, proc.stdout
     assert proc.stderr == f"config error: {message}\n"
     proc = run_cli("run", "--config", "config.json", cwd=tmp_path)
     assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == f"error: {run_message}\n"
+    proc = run_cli("run", "--config", "config.json", "--partial", cwd=tmp_path)
     if message.startswith("queries"):
         # --partial still records a query's failure and runs on.
-        proc = run_cli("run", "--config", "config.json", "--partial", cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
-        assert [e["index"] for e in json.loads(proc.stdout)["errors"]] == [0]
+        assert json.loads(proc.stdout)["errors"] == [
+            {"index": 0, "name": "q0", "error": run_message}]
+    else:
+        # a model block that cannot fit is fatal regardless of --partial
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == f"error: {run_message}\n"
+
+
+@pytest.mark.parametrize("qtype", sorted(_QUERY_KEYS))
+def test_query_fields_are_parameters_of_the_answering_function(qtype):
+    required, optional = _QUERY_KEYS[qtype]
+    function = getattr(cli._ANSWERED_BY[qtype], qtype)
+    assert required | optional <= set(inspect.signature(function).parameters)
+
+
+DISPATCH_QUERIES = [
+    {"type": "ate", "arm_to": "b", "arm_from": "a", "ci_level": 0.8},
+    {"type": "cate", "arm_to": "b", "arm_from": "a", "predicate": "x>=0", "ci_level": 0.8},
+    {"type": "hte", "arm_to": "c", "arm_from": "a", "predicate": "g == 'h'",
+     "ci_level": 0.8, "name": "het"},
+    {"type": "dte", "arm_to": "c", "arm_from": "b", "period": 1, "ci_level": 0.8},
+    {"type": "relative_effect", "arm_to": "b", "arm_from": "a", "predicate": "x>=0",
+     "ci_level": 0.8, "guard": 1.0},
+    {"type": "prob_positive", "arm_to": "c", "arm_from": "a", "predicate": "g == 'h'"},
+    {"type": "prob_best", "arms": ["c", "b"], "predicate": "x>=0"},
+]
+
+
+def test_execute_answers_each_type_with_its_library_call(tmp_path):
+    rng = np.random.default_rng(5)
+    rows = [(10 + rng.normal() + 0.5 * (i % 3), "abc"[i % 3], f"u{i % 24}", i // 24,
+             f"{rng.normal():.3f}", "hl"[i % 5 % 2]) for i in range(96)]
+    (tmp_path / "data.csv").write_text(
+        "y,arm,uid,t,x,g\n" + "".join(",".join(map(str, r)) + "\n" for r in rows),
+        encoding="utf-8")
+    cfg = parse_config({
+        "data": {"path": "data.csv", "columns": {"outcome": "y", "arm": "arm", "unit_id": "uid",
+                                                 "period": "t", "covariates": ["x", "g"]}},
+        "model": {"reference_arm": "a", "covariance": "cluster"},
+        "queries": DISPATCH_QUERIES, "seed": 3, "mvn_tol": 1e-3,
+    }, base_dir=str(tmp_path))
+    report = execute(cfg, flat_prior_ok=True)
+
+    data = load_csv(cfg.data_path, cfg.column_map)
+    base = fit_model(data, cfg.model)
+    posterior = as_flat_prior_posterior(base)
+    pdata = add_period_covariate(data)
+    period_fit = fit_model(pdata, cfg.model)
+    x_pos, g_h = parse_predicate("x >= 0"), parse_predicate("g == h")
+
+    def qmc(index):
+        return {"tol": 1e-3, "seed": np.random.SeedSequence([3, index])}
+
+    expected = [
+        ate(base, data, "b", "a", ci_level=0.8),
+        cate(base, data, "b", "a", x_pos, ci_level=0.8),
+        hte(base, data, "c", "a", g_h, ci_level=0.8),
+        dte(period_fit, pdata, "c", "b", 1, ci_level=0.8),
+        relative_effect(base, data, "b", "a", x_pos, ci_level=0.8, guard=1.0),
+        prob_positive(posterior, data, "c", "a", g_h, **qmc(5)),
+        prob_best(posterior, data, ["c", "b"], x_pos, **qmc(6)),
+    ]
+    assert report["errors"] == []
+    assert len(report["results"]) == len(expected)
+    for index, (got, res) in enumerate(zip(report["results"], expected)):
+        want = {**res.to_dict(), "index": index, "name": "het" if index == 2 else f"q{index}"}
+        if res.query["type"] == "dte":
+            want["model_variant"] = "period_cluster"
+        assert got == want
+
+
+def test_validate_accepts_every_benchmark_workload(tmp_path, monkeypatch):
+    # The benchmark's own generator (perfbench/workloads.py), imported
+    # without writing bytecode next to it, at a few thousand rows.
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    monkeypatch.delitem(sys.modules, "workloads", raising=False)
+    workloads = importlib.import_module("workloads")
+    for name in workloads.WORKLOADS:
+        paths = workloads.write_inputs(workloads.generate(name, seed=0, rows=3000),
+                                       str(tmp_path / name))
+        proc = run_cli("validate", "--config", paths["config"], cwd=tmp_path)
+        assert proc.returncode == 0, (name, proc.stderr)
+        assert proc.stdout.startswith("config OK: 3000 rows"), (name, proc.stdout)

@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from effect_engine.data import Dataset, add_period_covariate
 from effect_engine.effects import ate, cate, dte, hte
 from effect_engine.model import ModelSpec, fit_model
-from effect_engine.predicates import parse_predicate
+from effect_engine.predicates import parse_predicate, resolve_mask
 from effect_engine.vectors import delta_vector, moments, profile_from_subset
 
 # Standard normal quantiles, Phi^-1(0.975) and Phi^-1(0.9).
@@ -120,7 +120,7 @@ def test_hte_variance_is_full_contrast_quadratic_form():
     model, data = saturated_model()
     est = hte(model, data, "1", "0", "grade == l")
     profile_in = profile_from_subset(data, model.schema, "grade == l")
-    profile_out = profile_from_subset(data, model.schema, "grade == l", complement=True)
+    profile_out = profile_from_subset(data, model.schema, ~resolve_mask(data, "grade == l"))
     contrast = (delta_vector(model.schema, profile_in, "1", "0")
                 - delta_vector(model.schema, profile_out, "1", "0"))
     value, variance = moments(model, contrast)

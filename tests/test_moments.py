@@ -17,7 +17,7 @@ from effect_engine.data import Dataset, add_period_covariate
 from effect_engine.effects import ate, cate, dte, hte
 from effect_engine.model import BayesPrior, ModelSpec, as_flat_prior_posterior, fit_model
 from effect_engine.mvnorm import mvn_orthant
-from effect_engine.predicates import parse_predicate
+from effect_engine.predicates import parse_predicate, resolve_mask
 from effect_engine.ranking import prob_best, prob_positive
 from effect_engine.relative import ratio_moments, relative_effect
 from effect_engine.vectors import baseline_vector, delta_vector, profile_from_subset
@@ -44,7 +44,7 @@ def ref_effect(model, data, arm_to, arm_from, predicate=None, complement=None, c
     profile = profile_from_subset(data, model.schema, predicate)
     e = delta_vector(model.schema, profile, arm_to, arm_from)
     if complement:
-        out = profile_from_subset(data, model.schema, predicate, complement=True)
+        out = profile_from_subset(data, model.schema, ~resolve_mask(data, predicate))
         e = e - delta_vector(model.schema, out, arm_to, arm_from)
     return _interval(*_value_variance(e, model), ci)
 

@@ -17,6 +17,7 @@ from effect_engine.model import (
     covariate_matrix,
     fit_model,
 )
+from effect_engine.predicates import resolve_mask
 from effect_engine.vectors import (
     CovariateProfile,
     baseline_vector,
@@ -124,7 +125,7 @@ def test_profile_from_subset_means():
     sub = profile_from_subset(data, schema, "x >= 3")
     assert_allclose(sub.values, [4.0, 1.0], rtol=0, atol=1e-15)
 
-    comp = profile_from_subset(data, schema, "x >= 3", complement=True)
+    comp = profile_from_subset(data, schema, ~resolve_mask(data, "x >= 3"))
     assert_allclose(comp.values, [1.0, 1 / 3], rtol=0, atol=1e-15)
 
 
@@ -204,7 +205,7 @@ def test_profile_from_subset_matches_masked_mean_bit_for_bit(names):
     for predicate, rows in ((None, slice(None)), (mask, mask)):
         expected = full[rows].mean(axis=0)
         assert_array_equal(profile_from_subset(data, schema, predicate).values, expected)
-    assert_array_equal(profile_from_subset(data, schema, mask, complement=True).values,
+    assert_array_equal(profile_from_subset(data, schema, ~resolve_mask(data, mask)).values,
                        full[~mask].mean(axis=0))
 
 

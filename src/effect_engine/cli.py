@@ -34,10 +34,11 @@ from .model import (  # noqa: F401
     build_schema,
     fit_bayes,
     fit_model,
+    require_more_rows,
 )
 from .predicates import parse_predicate, resolve_mask
 from .report import build_report, render_report, sha256_file, write_report
-from .vectors import profile_from_subset
+from .vectors import distinct_arms, profile_from_subset
 from .verify import SUITES, run_suite
 
 __all__ = ["main", "execute"]
@@ -213,6 +214,10 @@ def _check_queries(cfg: RunConfig, data: Dataset, schema: ColumnSchema) -> None:
             if arm not in schema.all_arms:
                 raise ConfigError(f"{where}.{field} {arm!r} is not an arm of the data; "
                                   f"arms are {list(schema.all_arms)}")
+        if "arm_to" in params:
+            _at(f"{where}.arm_from", distinct_arms, schema, params["arm_to"], params["arm_from"])
+        if query.type == "prob_best":
+            _at(f"{where}.arms", ranking.ranked_arms, schema, params.get("arms"))
         if "predicate" in params:
             mask = _at(f"{where}.predicate", resolve_mask, data, params["predicate"])
             for rows in (mask, ~mask) if query.type == "hte" else (mask,):
@@ -229,6 +234,8 @@ def _cmd_validate(args) -> int:
         schema = _at("model", build_schema, data, cfg.model)
         if cfg.model.bayes is not None:
             cfg.model.bayes.expand(schema.p)
+        else:
+            _at("model", require_more_rows, data.n, schema.p)
         _check_queries(cfg, data, schema)
     except (ValueError, OSError) as exc:  # ConfigError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)

@@ -12,10 +12,10 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy.special import ndtri
 
 from .data import PERIOD_COVARIATE, Dataset
 from .model import FittedModel
+from .normal import ndtri
 from .predicates import resolve_mask
 from .vectors import Record, delta_vector, moments, profile_from_subset, query_echo
 

@@ -16,7 +16,7 @@ from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, qr, solve_triangular
+from numpy.linalg import lapack_lite
 
 from .data import Dataset, factorize
 
@@ -27,6 +27,7 @@ __all__ = [
     "FittedModel",
     "build_design",
     "build_schema",
+    "require_more_rows",
     "covariate_matrix",
     "fit_ols",
     "fit_bayes",
@@ -232,6 +233,13 @@ def build_schema(data: Dataset, spec: ModelSpec) -> ColumnSchema:
                         interactions=spec.interactions)
 
 
+def require_more_rows(n: int, p: int) -> None:
+    """Raise unless a least-squares fit of n rows and p columns has more
+    rows than columns."""
+    if n <= p:
+        raise ValueError(f"need more rows than design columns (n={n}, p={p})")
+
+
 def covariate_matrix(data: Dataset, schema: ColumnSchema, rows=None) -> np.ndarray:
     """Expanded covariate block (n x q) for ``data`` under ``schema``:
     numeric columns pass through, categorical columns become 0/1 indicators
@@ -323,7 +331,10 @@ class FittedModel:
 
 
 def _dependent_column_labels(design: np.ndarray, schema: ColumnSchema | None, rank: int) -> str:
-    """Name the columns a pivoted QR leaves beyond the numerical rank."""
+    """Name the columns a pivoted QR leaves beyond the numerical rank. Only
+    this error path needs scipy, so it is imported here."""
+    from scipy.linalg import qr
+
     _, _, piv = qr(design, mode="economic", pivoting=True)
     dependent = sorted(piv[rank:].tolist())
     if schema is not None:
@@ -331,6 +342,30 @@ def _dependent_column_labels(design: np.ndarray, schema: ColumnSchema | None, ra
     else:
         names = [f"column {i}" for i in dependent]
     return ", ".join(names)
+
+
+def _qr_r(xy: np.ndarray) -> np.ndarray:
+    """R of the Householder QR of the Fortran-ordered n x k ``xy``, a new
+    k x k array; ``xy`` is overwritten with the factorization.
+
+    This is LAPACK's dgeqrf through numpy's own ``lapack_lite`` (private but
+    present in numpy 2), which takes a C-contiguous array: ``xy.T`` is one,
+    and LAPACK reads it column-major as ``xy`` itself. So no copy of the n
+    rows is made, as ``np.linalg.qr`` would make. A first call with
+    ``lwork = -1`` asks for the workspace size.
+    """
+    n, k = xy.shape
+    tau, work = np.empty(k), np.empty(1)
+
+    def dgeqrf(lwork: int) -> None:
+        info = lapack_lite.dgeqrf(n, k, xy.T, n, tau, work, lwork, 0)["info"]
+        if info != 0:
+            raise RuntimeError(f"LAPACK dgeqrf failed with info = {info}")
+
+    dgeqrf(-1)
+    work = np.empty(max(int(work[0]), k))
+    dgeqrf(work.size)
+    return np.triu(xy[:k])
 
 
 def _check_finite(X: np.ndarray, y: np.ndarray, schema: ColumnSchema | None) -> None:
@@ -361,18 +396,18 @@ def fit_ols(design: np.ndarray, y: np.ndarray, covariance_kind: str = "hc1",
     times clusters.
 
     The fit is one Householder QR of ``[X | y]``, computed in place in a
-    Fortran-ordered n x (p+1) copy and kept only as its (p+1) x (p+1)
-    triangle: the top p x p block is R, and the column above the diagonal
-    is Q'y, so Q itself is never formed (Golub & Van Loan, *Matrix
-    Computations*, section 5.3). The copy is dropped before the residuals
-    and scores are computed, so at most two n x p arrays are held at once:
-    the caller's design and that copy, or the design and its residual-scaled
-    scores. The rank check reads the singular values of R, which are those
-    of the design; the solve and the covariance's (X'X)^-1 come from R too,
-    so no explicit inverse of the design is formed. Only a rank-deficient
-    design is factorized again, by a pivoted QR that names the dependent
-    columns. A NaN or infinity in the design or outcome is rejected first,
-    with its row.
+    Fortran-ordered n x (p+1) copy (:func:`_qr_r`) and kept only as its
+    (p+1) x (p+1) triangle: the top p x p block is R, and the column above
+    the diagonal is Q'y, so Q itself is never formed (Golub & Van Loan,
+    *Matrix Computations*, section 5.3). The copy is dropped before the
+    residuals and scores are computed, so at most two n x p arrays are held
+    at once: the caller's design and that copy, or the design and its
+    residual-scaled scores. The rank check reads the singular values of R,
+    which are those of the design; the solve and the covariance come from R
+    too, the sandwiches as R^-1 meat R^-T with the scores in the Q basis,
+    X R^-1, so no inverse of X'X is formed. Only a rank-deficient design is
+    factorized again, by a pivoted QR that names the dependent columns. A
+    NaN or infinity in the design or outcome is rejected first, with its row.
     """
     X = np.asarray(design, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -385,15 +420,13 @@ def fit_ols(design: np.ndarray, y: np.ndarray, covariance_kind: str = "hc1",
         )
     if covariance_kind == "cluster" and cluster_ids is None:
         raise ValueError("cluster covariance requires cluster_ids")
-    if n <= p:
-        raise ValueError(f"need more rows than design columns (n={n}, p={p})")
+    require_more_rows(n, p)
     _check_finite(X, y, schema)
 
     xy = np.empty((n, p + 1), order="F")
     xy[:, :p] = X
     xy[:, p] = y
-    # mode="raw" keeps the factor in ``xy``; mode="r" would copy all n rows of it.
-    Rxy = qr(xy, mode="raw", overwrite_a=True, check_finite=False)[1]
+    Rxy = _qr_r(xy)
     del xy
     R = Rxy[:p, :p]
     singular = np.linalg.svd(R, compute_uv=False)
@@ -402,31 +435,34 @@ def fit_ols(design: np.ndarray, y: np.ndarray, covariance_kind: str = "hc1",
         names = _dependent_column_labels(X, schema, rank)
         raise ValueError(f"design matrix is rank deficient; dependent columns: {names}")
 
-    beta = solve_triangular(R, Rxy[:p, p])
+    beta = np.linalg.solve(R, Rxy[:p, p])
     resid = y - X @ beta
-    r_inv = solve_triangular(R, np.eye(p))
-    xtx_inv = r_inv @ r_inv.T
+    r_inv = np.linalg.solve(R, np.eye(p))
 
     if covariance_kind == "classical":
         sigma2 = float(resid @ resid) / (n - p)
-        cov = sigma2 * xtx_inv
-    elif covariance_kind == "hc1":
-        xe = X * resid[:, None]
-        meat = xe.T @ xe
-        cov = xtx_inv @ meat @ xtx_inv * (n / (n - p))
+        cov = sigma2 * (r_inv @ r_inv.T)
     else:
-        if len(cluster_ids) != n:
-            raise ValueError("cluster_ids length does not match design rows")
-        groups, group_of_row = factorize(cluster_ids)
-        n_groups = len(groups)
-        if n_groups < 2:
-            raise ValueError("cluster covariance requires at least 2 clusters")
-        xe = X * resid[:, None]
-        scores = np.zeros((n_groups, p))
-        np.add.at(scores, group_of_row, xe)
-        meat = scores.T @ scores
-        correction = (n_groups / (n_groups - 1)) * ((n - 1) / (n - p))
-        cov = xtx_inv @ meat @ xtx_inv * correction
+        # Scores in the Q basis, X R^-1 scaled by the residuals, so that
+        # R^-1 meat R^-T carries eps * cond(X) where (X'X)^-1 meat (X'X)^-1
+        # would carry its square.
+        scores = X @ r_inv
+        scores *= resid[:, None]
+        if covariance_kind == "hc1":
+            meat = scores.T @ scores
+            correction = n / (n - p)
+        else:
+            if len(cluster_ids) != n:
+                raise ValueError("cluster_ids length does not match design rows")
+            groups, group_of_row = factorize(cluster_ids)
+            n_groups = len(groups)
+            if n_groups < 2:
+                raise ValueError("cluster covariance requires at least 2 clusters")
+            cluster_scores = np.zeros((n_groups, p))
+            np.add.at(cluster_scores, group_of_row, scores)
+            meat = cluster_scores.T @ cluster_scores
+            correction = (n_groups / (n_groups - 1)) * ((n - 1) / (n - p))
+        cov = r_inv @ meat @ r_inv.T * correction
 
     cov = (cov + cov.T) / 2.0
     if schema is None:
@@ -438,6 +474,15 @@ def fit_ols(design: np.ndarray, y: np.ndarray, covariance_kind: str = "hc1",
 def _anonymous_schema(p: int) -> ColumnSchema:
     """Placeholder schema for fits on raw matrices (mostly tests)."""
     return ColumnSchema(covariates=tuple((f"x{i}", None) for i in range(1, p)), all_arms=("0",))
+
+
+def _inverse_cholesky(a: np.ndarray) -> np.ndarray:
+    """U^-1 for the upper Cholesky factor U of the symmetric positive
+    definite ``a`` (its lower triangle is read), so that a^-1 = U^-1 U^-T.
+    U is triangular, so the LU inside ``np.linalg.solve`` is U itself and the
+    solve is back substitution. Raises ``LinAlgError`` if ``a`` is not
+    positive definite."""
+    return np.linalg.solve(np.linalg.cholesky(a).T, np.eye(a.shape[0]))
 
 
 def fit_bayes(design: np.ndarray, y: np.ndarray, prior_mean: np.ndarray,
@@ -468,18 +513,17 @@ def fit_bayes(design: np.ndarray, y: np.ndarray, prior_mean: np.ndarray,
     if not np.allclose(S0, S0.T, rtol=1e-10, atol=1e-12):
         raise ValueError("prior covariance is not symmetric positive definite")
     try:
-        c0 = cho_factor(S0, lower=True)
+        u0_inv = _inverse_cholesky(S0)
     except np.linalg.LinAlgError:
         raise ValueError("prior covariance is not symmetric positive definite") from None
-    prior_precision = cho_solve(c0, np.eye(p))
-    precision = prior_precision + X.T @ X / noise_variance
+    prior_precision = u0_inv @ u0_inv.T
     try:
-        cA = cho_factor(precision, lower=True)
+        u_inv = _inverse_cholesky(prior_precision + X.T @ X / noise_variance)
     except np.linalg.LinAlgError:
         raise ValueError("posterior precision is not positive definite") from None
-    cov = cho_solve(cA, np.eye(p))
+    cov = u_inv @ u_inv.T
     cov = (cov + cov.T) / 2.0
-    beta = cho_solve(cA, prior_precision @ m0 + X.T @ y / noise_variance)
+    beta = u_inv @ (u_inv.T @ (prior_precision @ m0 + X.T @ y / noise_variance))
     if schema is None:
         schema = _anonymous_schema(p)
     return FittedModel(schema=schema, beta=beta, cov_beta=cov, n=n,

@@ -16,14 +16,15 @@ seed=np.random.default_rng(child)).random_base2(k)`` (scipy 1.17).
 
 from __future__ import annotations
 
+import importlib.util
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
-import scipy
-from scipy.special import ndtr, ndtri
+
+from .normal import ndtr, ndtri
 
 __all__ = ["OrthantResult", "mvn_orthant"]
 
@@ -49,6 +50,11 @@ _MSB_WEIGHTS = _LSB_WEIGHTS[::-1].copy()
 BATCHES = 10
 MIN_LOG2_POINTS = 10
 MAX_LOG2_POINTS = 17
+
+# The integrand is evaluated on blocks of at most this many points: as many
+# scramblings stacked as fit, or a slice of one. Over fewer points numpy's
+# cost per call dominates; over many more, each pass falls out of cache.
+_BLOCK_POINTS = 2**14
 
 
 @dataclass(frozen=True)
@@ -86,7 +92,11 @@ def _sobol_directions(m: int) -> np.ndarray:
     shifted up to bit 29 - j. The first dimension is the van der Corput
     sequence.
     """
-    table = Path(scipy.__file__).parent / "stats" / "_sobol_direction_numbers.npz"
+    # Only the table's path is needed: importing scipy itself costs time.
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or spec.origin is None:
+        raise RuntimeError("the Sobol direction numbers come from scipy, which is not installed")
+    table = Path(spec.origin).parent / "stats" / "_sobol_direction_numbers.npz"
     with np.load(table) as rows:
         poly = rows["poly"][:m].tolist()
         vinit = rows["vinit"][:m].tolist()
@@ -107,8 +117,9 @@ def _sobol_directions(m: int) -> np.ndarray:
 
 
 def _scrambled_sobol(m: int, children: Sequence[np.random.SeedSequence],
-                     k: int) -> Iterator[np.ndarray]:
-    """The first ``2**k`` points of one scrambled Sobol sequence per child.
+                     k: int) -> np.ndarray:
+    """The first ``2**k`` points of one scrambled Sobol sequence per child,
+    stacked: a (len(children), 2**k, m) array.
 
     Each child gives the points of ``qmc.Sobol(m, scramble=True,
     seed=np.random.default_rng(child)).random_base2(k)``. That engine spawns
@@ -116,10 +127,9 @@ def _scrambled_sobol(m: int, children: Sequence[np.random.SeedSequence],
     2**i), then a 30 x 30 matrix L per dimension, kept lower triangular with
     a unit diagonal. A scrambled direction number is L times the bits of the
     plain one over GF(2), both read from bit 29 down: its bit 29 - p is the
-    parity of row p of L ANDed with the plain number. All children are
-    scrambled together; their points are made one child at a time, in Gray-
-    code order: the first is the shift, and point i is point i - 1 XOR the
-    direction number indexed by the trailing zeros of i.
+    parity of row p of L ANDed with the plain number. Points are made in
+    Gray-code order: the first is the shift, and point i is point i - 1 XOR
+    the direction number indexed by the trailing zeros of i.
     """
     shifts = np.empty((len(children), m), dtype=np.uint32)
     lms = np.empty((len(children), m, _SOBOL_BITS, _SOBOL_BITS), dtype=np.uint32)
@@ -135,31 +145,53 @@ def _scrambled_sobol(m: int, children: Sequence[np.random.SeedSequence],
 
     i = np.arange(1, 2**k)
     steps = np.bitwise_count((i & -i) - 1)
-    for dirs, shift in zip(directions, shifts):
-        words = np.empty((2**k, m), dtype=np.uint32)
-        words[0] = shift
-        words[1:] = dirs.T[steps]
-        yield np.bitwise_xor.accumulate(words, axis=0) * 2.0**-_SOBOL_BITS
+    words = np.empty((len(children), 2**k, m), dtype=np.uint32)
+    words[:, 0] = shifts
+    words[:, 1:] = directions.transpose(0, 2, 1)[:, steps]
+    return np.bitwise_xor.accumulate(words, axis=1) * 2.0**-_SOBOL_BITS
 
 
-def _sov_batch(b: np.ndarray, chol: np.ndarray, u: np.ndarray) -> float:
-    """Mean separation-of-variables integrand over one block of points.
+def _sov_batch(b: np.ndarray, chol: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The separation-of-variables integrand at each point (row) of ``u``.
 
-    Computes P(V <= b) for V ~ N(0, chol @ chol.T): each point follows the
-    conditional quantile path w_i = ndtri(u_i * e_i) and contributes the
-    product of the conditional probabilities e_i.
+    Its mean is P(V <= b) for V ~ N(0, chol @ chol.T): each point follows the
+    conditional quantile path w_i = ndtri(u_i * e_i) and its value is the
+    product of the conditional probabilities e_i = ndtr(t_i), where t_i is
+    b_i less the chol[i, :i] @ w[:i] that the path fixes, over chol[i, i].
+    Row i of ``rest`` holds b_i less the part fixed so far, so each w_j is
+    taken off every later row at once. The first e is the same at every
+    point, since nothing is fixed yet.
     """
     npts, m = u.shape
-    f = np.ones(npts)
-    w = np.zeros((npts, m))
-    for i in range(m):
-        partial = w[:, :i] @ chol[i, :i]
-        t = (b[i] - partial) / chol[i, i]
+    rest = np.empty((m, npts))
+    rest[:] = b[:, None]
+    e = ndtr(b[0] / chol[0, 0])
+    f = np.full(npts, e)
+    for i in range(1, m):
+        p = u[:, i - 1] * e
+        w = ndtri(np.clip(p, _Q_LO, _Q_HI, out=p))
+        rest[i:] -= chol[i:, i - 1, None] * w
+        t = rest[i]
+        t /= chol[i, i]
         e = ndtr(t)
         f *= e
-        if i < m - 1:
-            w[:, i] = ndtri(np.clip(u[:, i] * e, _Q_LO, _Q_HI))
-    return float(f.mean())
+    return f
+
+
+def _batch_means(b: np.ndarray, chol: np.ndarray,
+                 children: Sequence[np.random.SeedSequence], k: int) -> np.ndarray:
+    """Mean of the integrand over each child's ``2**k`` scrambled Sobol
+    points, evaluated in blocks of at most ``_BLOCK_POINTS`` points; no
+    more than one block's, or one scrambling's, points are held at once."""
+    m = b.shape[0]
+    per_stack = max(1, _BLOCK_POINTS >> k)
+    means = []
+    for s in range(0, len(children), per_stack):
+        u = _scrambled_sobol(m, children[s:s + per_stack], k).reshape(-1, m)
+        f = np.concatenate([_sov_batch(b, chol, u[r:r + _BLOCK_POINTS])
+                            for r in range(0, u.shape[0], _BLOCK_POINTS)])
+        means.append(f.reshape(-1, 2**k).mean(axis=1))
+    return np.concatenate(means)
 
 
 def mvn_orthant(mean, cov, tol: float = 5e-4, seed=None) -> OrthantResult:
@@ -213,8 +245,7 @@ def mvn_orthant(mean, cov, tol: float = 5e-4, seed=None) -> OrthantResult:
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     estimate, error, points = np.nan, np.inf, 0
     for k in range(MIN_LOG2_POINTS, MAX_LOG2_POINTS + 1):
-        means = np.array([_sov_batch(b, chol, u)
-                          for u in _scrambled_sobol(m, ss.spawn(BATCHES), k)])
+        means = _batch_means(b, chol, ss.spawn(BATCHES), k)
         estimate = float(means.mean())
         error = 3.0 * float(means.std(ddof=1)) / float(np.sqrt(BATCHES))
         points = BATCHES * 2**k

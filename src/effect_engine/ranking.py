@@ -16,11 +16,12 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .data import Dataset
-from .model import FittedModel
+from .model import ColumnSchema, FittedModel
 from .mvnorm import mvn_orthant
 from .vectors import Record, delta_vector, moments, profile_from_subset, query_echo
 
-__all__ = ["ProbEstimate", "ArmProbability", "RankingResult", "prob_positive", "prob_best"]
+__all__ = ["ProbEstimate", "ArmProbability", "RankingResult", "prob_positive", "prob_best",
+           "ranked_arms"]
 
 
 @dataclass(frozen=True)
@@ -98,6 +99,20 @@ def prob_positive(model: FittedModel, data: Dataset, arm_to: str, arm_from: str,
     )
 
 
+def ranked_arms(schema: ColumnSchema, arms: Sequence[str] | None) -> tuple[str, ...]:
+    """The arms ``prob_best`` ranks: ``arms`` as labels of the schema, or all
+    of the schema's. Raises for a label the schema lacks, a repeated label,
+    or fewer than 2 arms."""
+    if arms is None:
+        return schema.all_arms
+    candidates = tuple(schema.require_arm(a) for a in arms)
+    if len(set(candidates)) != len(candidates):
+        raise ValueError("duplicate arm labels in ranking request")
+    if len(candidates) < 2:
+        raise ValueError("ranking needs at least 2 arms")
+    return candidates
+
+
 def prob_best(model: FittedModel, data: Dataset, arms: Sequence[str] | None = None,
               predicate=None, tol: float = 5e-4, seed=None) -> RankingResult:
     """Posterior probability, for each arm, that it has the highest average
@@ -109,14 +124,7 @@ def prob_best(model: FittedModel, data: Dataset, arms: Sequence[str] | None = No
     ``prob_positive``.
     """
     _require_posterior(model)
-    if arms is None:
-        candidates = model.schema.all_arms
-    else:
-        candidates = tuple(model.schema.require_arm(a) for a in arms)
-        if len(set(candidates)) != len(candidates):
-            raise ValueError("duplicate arm labels in ranking request")
-    if len(candidates) < 2:
-        raise ValueError("ranking needs at least 2 arms")
+    candidates = ranked_arms(model.schema, arms)
     profile = profile_from_subset(data, model.schema, predicate)
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     # One child seed per schema position, so an arm's estimate does not

@@ -384,9 +384,22 @@ DTE_BAYES = ("dte queries are incompatible with a bayes prior; the per-period "
     (NO_UNIT, {"covariance": "cluster"}, {"type": "ate", "arm_to": "t", "arm_from": "c"},
      "model: cluster covariance requires a unit_id column",
      "cluster covariance requires a unit_id column"),
+    (SIX_ROW, {}, {"type": "ate", "arm_to": "1", "arm_from": "1"},
+     "queries[0].arm_from: delta vector needs two distinct arms, got '1' twice",
+     "delta vector needs two distinct arms, got '1' twice"),
+    (SIX_ROW, {"bayes": {"noise_variance": 1.0}}, {"type": "prob_best", "arms": ["0", "1", "0"]},
+     "queries[0].arms: duplicate arm labels in ranking request",
+     "duplicate arm labels in ranking request"),
+    # Without unit_id in the column map, the unit column is taken in as a
+    # covariate: 8 levels, their interactions, and 16 rows for 16 columns.
+    ((PANEL_CSV, {"outcome": "y", "arm": "arm", "period": "t"}, "c"), {},
+     {"type": "ate", "arm_to": "t", "arm_from": "c"},
+     "model: need more rows than design columns (n=16, p=16)",
+     "need more rows than design columns (n=16, p=16)"),
 ], ids=["prior-length", "unknown-arm", "unknown-ranked-arm", "unknown-column",
         "unknown-period", "empty-subset", "empty-complement", "dte-without-unit-id",
-        "dte-with-bayes", "cluster-without-unit-id"])
+        "dte-with-bayes", "cluster-without-unit-id", "same-arm-twice", "repeated-ranked-arm",
+        "rows-not-above-columns"])
 def test_validate_rejects_what_run_rejects(tmp_path, data, model, query, message, run_message):
     csv, columns, reference = data
     write_workspace(tmp_path, [query], csv=csv, columns=columns,

@@ -1,22 +1,26 @@
 """The least-squares path: one R-only QR of [X | y] and an in-place design.
 
 ``fit_ols`` is checked against an in-test reference that forms Q explicitly
-(the factorization it replaced), ``build_design`` against the block-and-
-``hstack`` construction it replaced, byte for byte, and both against a
-traced-memory bound: at most two n x p arrays are held at once.
+(the factorization it replaced), its sandwiches against a 60-digit one on a
+near-collinear design, ``build_design`` against the block-and-``hstack``
+construction it replaced, byte for byte, and both against a traced-memory
+bound: at most two n x p arrays are held at once. The in-place QR rests on
+numpy's private ``lapack_lite.dgeqrf``, whose contract is pinned here.
 """
 
 import itertools
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
+from numpy.linalg import lapack_lite
 from numpy.testing import assert_array_equal
 from scipy.linalg import solve_triangular
 
 from effect_engine.data import Dataset
-from effect_engine.model import (ModelSpec, build_design, build_schema, covariate_matrix,
-                                 fit_bayes, fit_ols)
+from effect_engine.model import (ModelSpec, _qr_r, build_design, build_schema,
+                                 covariate_matrix, fit_bayes, fit_ols)
 
 KINDS = ("classical", "hc1", "cluster")
 
@@ -70,6 +74,74 @@ def test_fit_matches_explicit_q_reference(kind, scales, cond):
     beta, cov = _explicit_q_fit(X, y, kind, ids)
     assert np.max(np.abs(model.beta - beta)) <= 1e-12 * np.max(np.abs(beta))
     assert np.max(np.abs(model.cov_beta - cov)) <= 1e-12 * np.max(np.abs(cov))
+
+
+def test_lapack_lite_dgeqrf_factors_in_place():
+    # numpy calls lapack_lite "private but present"; fit_ols relies on it
+    # taking a C-contiguous array, factoring it in place and returning info.
+    rng = np.random.default_rng(37)
+    n, k = 500, 7
+    xy = np.asfortranarray(rng.normal(size=(n, k)))
+    want = np.linalg.qr(xy, mode="r")
+    a = xy.T
+    assert a.flags.c_contiguous and np.shares_memory(a, xy)
+    tau, work = np.empty(k), np.empty(1)
+    assert lapack_lite.dgeqrf(n, k, a, n, tau, work, -1, 0)["info"] == 0
+    assert work[0] >= k
+    work = np.empty(int(work[0]))
+    assert lapack_lite.dgeqrf(n, k, a, n, tau, work, work.size, 0)["info"] == 0
+    assert np.triu(xy[:k]).tobytes() == want.tobytes()
+    # _qr_r makes the same calls.
+    again = np.asfortranarray(rng.normal(size=(n, k)))
+    assert _qr_r(again.copy(order="F")).tobytes() == np.linalg.qr(again, mode="r").tobytes()
+
+
+def _near_collinear(seed, n=600):
+    """Intercept, three normal columns, and a fourth equal to the third plus
+    1e-7 noise (condition number about 2e7), with heteroskedastic t errors."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, 3))
+    X = np.column_stack([np.ones(n), x, x[:, 2] + 1e-7 * rng.normal(size=n)])
+    y = X @ np.array([1.0, 0.5, -0.3, 0.2, 0.1]) + rng.standard_t(4, size=n) * (1 + np.abs(x[:, 0]))
+    return X, y
+
+
+def _mp_sandwich(X, y, cluster_ids=None):
+    """(X'X)^-1 meat (X'X)^-1 times the hc1 or cluster correction, in 60
+    digits from the exact double inputs."""
+    n, p = X.shape
+    with mpmath.workdps(60):
+        Xm, ym = mpmath.matrix(X.tolist()), mpmath.matrix(y.tolist())
+        bread = (Xm.T * Xm) ** -1
+        e = ym - Xm * (bread * (Xm.T * ym))
+        groups = list(range(n)) if cluster_ids is None else cluster_ids
+        scores = {}
+        for i, g in enumerate(groups):
+            row = [Xm[i, j] * e[i] for j in range(p)]
+            scores[g] = [a + b for a, b in zip(scores.get(g, [0] * p), row)]
+        meat = mpmath.zeros(p, p)
+        for s in scores.values():
+            meat += mpmath.matrix(s) * mpmath.matrix(s).T
+        if cluster_ids is None:
+            correction = mpmath.mpf(n) / (n - p)
+        else:
+            G = len(scores)
+            correction = mpmath.mpf(G) / (G - 1) * (mpmath.mpf(n - 1) / (n - p))
+        cov = bread * meat * bread * correction
+        return np.array(cov.tolist(), dtype=float)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("kind", ["hc1", "cluster"])
+def test_sandwich_keeps_accuracy_on_a_near_collinear_design(kind, seed):
+    # Scores in the Q basis carry eps * cond(X), about 1e-9 here; the
+    # (X'X)^-1 meat (X'X)^-1 form carried eps * cond(X)^2 and missed by 2-5%.
+    X, y = _near_collinear(seed)
+    assert 1e7 < np.linalg.cond(X) < 1e8
+    ids = [f"g{i % 30}" for i in range(X.shape[0])] if kind == "cluster" else None
+    want = _mp_sandwich(X, y, ids)
+    got = fit_ols(X, y, kind, cluster_ids=ids).cov_beta
+    assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want))
 
 
 def _hstack_design(data, spec):

@@ -5,8 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.linalg
+from numpy.linalg import lapack_lite
 from numpy.testing import assert_allclose, assert_array_equal
-from scipy.linalg import solve_triangular
 
 from effect_engine import model as model_module
 from effect_engine.data import Dataset
@@ -202,14 +202,21 @@ def test_full_rank_fit_factorizes_the_design_once(monkeypatch):
             return original(a, *args, **kwargs)
         return call
 
-    monkeypatch.setattr(model_module, "qr", spy("qr", model_module.qr))
+    def dgeqrf_spy(m, n, a, lda, tau, work, lwork, info):
+        calls.append(("dgeqrf", a.shape, "query" if lwork == -1 else "factor"))
+        return dgeqrf(m, n, a, lda, tau, work, lwork, info)
+
+    dgeqrf = lapack_lite.dgeqrf
+    monkeypatch.setattr(lapack_lite, "dgeqrf", dgeqrf_spy)
     monkeypatch.setattr(np.linalg, "svd", spy("svd", np.linalg.svd))
     monkeypatch.setattr(np.linalg, "qr", spy("np.linalg.qr", np.linalg.qr))
     rng = np.random.default_rng(2)
     X = np.column_stack([np.ones(40), rng.normal(size=(40, 2))])
     fit_ols(X, rng.normal(size=40), "hc1")
-    # One R-only QR of [X | y]; the rank check reads the p x p factor R.
-    assert calls == [("qr", (40, 4), "raw"), ("svd", (3, 3), None)]
+    # One R-only QR of [X | y], in place (LAPACK sees the transpose of the
+    # Fortran-ordered 40 x 4 buffer); the rank check reads the p x p factor R.
+    assert calls == [("dgeqrf", (4, 40), "query"), ("dgeqrf", (4, 40), "factor"),
+                     ("svd", (3, 3), None)]
 
 
 def test_more_columns_than_rows_rejected():
@@ -284,22 +291,23 @@ def test_cluster_covariance_matches_direct_formula():
 def _cluster_cov_by_label_loop(X, y, labels):
     """Reference cluster covariance: one ``ids == label`` mask per cluster,
     clusters in ``sorted(set(labels))`` order, same factorization and
-    operation order as ``fit_ols``."""
+    operation order as ``fit_ols`` (``np.linalg.qr``'s R equals the in-place
+    one bit for bit; see tests/test_least_squares.py)."""
     n, p = X.shape
-    _, Rxy = scipy.linalg.qr(np.asfortranarray(np.column_stack([X, y])), mode="raw")
+    Rxy = np.linalg.qr(np.column_stack([X, y]), mode="r")
     R = Rxy[:p, :p]
-    beta = solve_triangular(R, Rxy[:p, p])
+    beta = np.linalg.solve(R, Rxy[:p, p])
     resid = y - X @ beta
-    r_inv = solve_triangular(R, np.eye(p))
-    xtx_inv = r_inv @ r_inv.T
+    r_inv = np.linalg.solve(R, np.eye(p))
     ids = np.asarray([str(c) for c in labels], dtype=object)
     groups = sorted(set(ids.tolist()))
-    xe = X * resid[:, None]
+    xe = X @ r_inv
+    xe *= resid[:, None]
     scores = np.zeros((len(groups), p))
     for g, label in enumerate(groups):
         scores[g] = xe[ids == label].sum(axis=0)
     G = len(groups)
-    cov = xtx_inv @ (scores.T @ scores) @ xtx_inv * ((G / (G - 1)) * ((n - 1) / (n - p)))
+    cov = r_inv @ (scores.T @ scores) @ r_inv.T * ((G / (G - 1)) * ((n - 1) / (n - p)))
     return (cov + cov.T) / 2.0
 
 

@@ -11,12 +11,12 @@ into one product and may move in the last bits only.
 
 import numpy as np
 import pytest
-from scipy.special import ndtri
 
 from effect_engine.data import Dataset, add_period_covariate
 from effect_engine.effects import ate, cate, dte, hte
 from effect_engine.model import BayesPrior, ModelSpec, as_flat_prior_posterior, fit_model
 from effect_engine.mvnorm import mvn_orthant
+from effect_engine.normal import ndtri
 from effect_engine.predicates import parse_predicate, resolve_mask
 from effect_engine.ranking import prob_best, prob_positive
 from effect_engine.relative import ratio_moments, relative_effect

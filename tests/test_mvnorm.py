@@ -1,8 +1,10 @@
 """Randomized-QMC orthant probabilities."""
 
+import importlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from numpy.testing import assert_allclose
 from scipy.special import ndtr
 
 from conftest import cli_env
-from effect_engine import mvnorm
+from effect_engine import mvnorm, normal
 from effect_engine.mvnorm import (OrthantResult, _cholesky_with_jitter, _scrambled_sobol,
                                   _sov_batch, mvn_orthant)
 
@@ -130,23 +132,28 @@ def test_orthant_probability_monotone_in_mean():
         assert hi.probability - lo.probability > 3 * (hi.error + lo.error)
 
 
-def _loads_scipy_stats(code):
-    """Whether running ``code`` in a fresh interpreter imports scipy.stats."""
+def _scipy_modules(code):
+    """The scipy modules that running ``code`` in a fresh interpreter imports."""
     proc = subprocess.run(
-        [sys.executable, "-c", f"{code}\nimport sys\nprint('scipy.stats' in sys.modules)"],
+        [sys.executable, "-c", f"{code}\nimport sys\n"
+         "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"],
         env=cli_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.split()[-1] == "True"
+    lines = proc.stdout.splitlines()
+    return lines[-1].split() if lines else []
 
 
 def test_scipy_stats_is_never_imported(tmp_path):
     # scipy.stats costs most of a second to import; no run pays it, not even
-    # one that integrates an orthant.
-    assert not _loads_scipy_stats("import effect_engine.cli")
+    # one that integrates an orthant. Importing the CLI and --help load no
+    # scipy module at all.
+    assert _scipy_modules("import effect_engine.cli") == []
+    assert _scipy_modules("from effect_engine.cli import main\ntry:\n    main(['--help'])\n"
+                          "except SystemExit:\n    pass") == []
     orthant = "from effect_engine.mvnorm import mvn_orthant\nmvn_orthant"
-    assert not _loads_scipy_stats(f"{orthant}([0.5], [[1.0]])")
-    assert not _loads_scipy_stats(f"{orthant}([0.5, 0.5], [[1.0, 0.5], [0.5, 1.0]])")
+    assert "scipy.stats" not in _scipy_modules(f"{orthant}([0.5], [[1.0]])")
+    assert "scipy.stats" not in _scipy_modules(f"{orthant}([0.5, 0.5], [[1.0, 0.5], [0.5, 1.0]])")
 
     rows = [(y, arm) for arm in "abc" for y in (1.0, 2.5, 4.0, 3.5)]
     (tmp_path / "data.csv").write_text(
@@ -160,10 +167,30 @@ def test_scipy_stats_is_never_imported(tmp_path):
     run = ("import sys\nfrom effect_engine.cli import main\n"
            f"sys.argv[1:] = ['run', '--config', {str(tmp_path / 'config.json')!r}, "
            "'--flat-prior-ok']\nassert main() == 0")
-    assert not _loads_scipy_stats(run)
+    assert "scipy.stats" not in _scipy_modules(run)
     result, = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))["results"]
     assert result["kind"] == "prob_best"
     assert {arm["method"] for arm in result["arms"].values()} == {"qmc"}
+
+
+@pytest.mark.parametrize("workload, rows", [("xsec_hc1", 2000), ("panel_cluster", 1200),
+                                            ("segments_bayes", 4000)])
+def test_runs_import_neither_scipy_linalg_nor_special(workload, rows, tmp_path, monkeypatch):
+    # Each costs about 0.3 s to import, most of it shared, and a run needs
+    # neither: the QR is numpy's LAPACK and the normal functions are numpy.
+    # The benchmark's generator is imported without writing bytecode next to it.
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    monkeypatch.delitem(sys.modules, "workloads", raising=False)
+    workloads = importlib.import_module("workloads")
+    inputs = workloads.generate(workload, 0, rows)
+    paths = workloads.write_inputs(inputs, str(tmp_path))
+    run = ["run", "--config", paths["config"], "--out", str(tmp_path / "report.json")]
+    run += ["--flat-prior-ok"] if inputs.flat_prior_ok else []
+    for argv in (run, ["validate", "--config", paths["config"]]):
+        loaded = _scipy_modules(f"from effect_engine.cli import main\nassert main({argv!r}) == 0")
+        assert not {"scipy.linalg", "scipy.special"} & set(loaded), (argv[0], loaded)
+    assert json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))["errors"] == []
 
 
 def _scipy_sobol(d, children, k):
@@ -188,15 +215,15 @@ def test_scrambled_sobol_matches_scipy_bit_for_bit(d):
 def reference_mvn_orthant(mean, cov, tol=5e-4, seed=None, batches=10,
                           min_log2_points=10, max_log2_points=17):
     """The QMC branch of ``mvn_orthant`` as it was with one
-    ``scipy.stats.qmc.Sobol`` engine per scrambling, for inputs with m >= 2
-    and a nonzero diagonal."""
+    ``scipy.stats.qmc.Sobol`` engine per scrambling, each integrated on its
+    own, for inputs with m >= 2 and a nonzero diagonal."""
     from scipy.stats import qmc
 
     mu = np.asarray(mean, dtype=np.float64)
     sigma = np.asarray(cov, dtype=np.float64)
     sigma = (sigma + sigma.T) / 2.0
     diag = np.clip(np.diag(sigma), 0.0, None)
-    marginal = ndtr(mu / np.sqrt(np.where(diag > 0, diag, np.finfo(float).tiny)))
+    marginal = normal.ndtr(mu / np.sqrt(np.where(diag > 0, diag, np.finfo(float).tiny)))
     order = np.argsort(marginal, kind="stable")
     b = mu[order]
     chol = _cholesky_with_jitter(sigma[np.ix_(order, order)])
@@ -206,7 +233,7 @@ def reference_mvn_orthant(mean, cov, tol=5e-4, seed=None, batches=10,
         means = np.empty(batches)
         for j, child in enumerate(ss.spawn(batches)):
             engine = qmc.Sobol(d=len(mu), scramble=True, seed=np.random.default_rng(child))
-            means[j] = _sov_batch(b, chol, engine.random_base2(k))
+            means[j] = _sov_batch(b, chol, engine.random_base2(k)).mean()
         estimate = float(means.mean())
         error = 3.0 * float(means.std(ddof=1)) / np.sqrt(batches)
         points = batches * 2**k
@@ -244,6 +271,18 @@ def test_mvn_orthant_matches_reference_past_the_first_levels(monkeypatch):
     assert got.points == 10 * 2**13
     _assert_same_result(got, reference_mvn_orthant(np.zeros(3), cov, tol=1e-9, seed=21,
                                                    max_log2_points=13))
+
+
+def test_blocks_of_points_do_not_change_the_result(monkeypatch):
+    # Blocks smaller than one scrambling (here 2**9 of its 2**10 points, and
+    # 2**9 of 2**11 at the next level) give the same bits as stacked ones.
+    cov = equicorrelated(4, 0.4)
+    mu = np.array([0.1, -0.2, 0.05, 0.3])
+    want = mvn_orthant(mu, cov, tol=1e-6, seed=8)
+    monkeypatch.setattr(mvnorm, "_BLOCK_POINTS", 2**9)
+    got = mvn_orthant(mu, cov, tol=1e-6, seed=8)
+    assert got.points >= 10 * 2**11
+    _assert_same_result(got, want)
 
 
 def test_sobol_limits_fail_loudly():

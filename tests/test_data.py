@@ -7,6 +7,7 @@ import io
 import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
+from effect_engine import data as data_module
 from effect_engine.data import Dataset, add_period_covariate, load_csv
 
 
@@ -71,17 +73,28 @@ def test_label_columns_share_one_str_per_distinct_label(tmp_path):
     assert loaded.arm.tolist() == arm and loaded.covariates["site"].tolist() == site
 
 
-def test_loaded_dataset_keeps_little_more_than_its_arrays(tmp_path):
-    # One shared str per label: what a loaded dataset keeps alive is its
-    # arrays (and the codes of its categorical columns), not a str per cell.
+def _experiment_csv(tmp_path, n):
+    """An n-row experiment file: six arms, a ten-level region, two reals."""
     rng = np.random.default_rng(3)
-    n = 20000
     arm = rng.choice(["control", "v1", "v2", "v3", "v4", "v5"], size=n)
     region = rng.choice([f"r{k}" for k in range(10)], size=n)
     x1, x2 = rng.normal(size=n), rng.uniform(0.0, 4.0, size=n)
     lines = [f"{y:.4f},{a},{r},{u:.4f},{v:.4f}\n"
              for y, a, r, u, v in zip(rng.normal(size=n), arm, region, x1, x2)]
-    path = _write(tmp_path, "y,arm,region,x1,x2\n" + "".join(lines))
+    return _write(tmp_path, "y,arm,region,x1,x2\n" + "".join(lines))
+
+
+def _array_bytes(data):
+    """Bytes of a loaded experiment's arrays and its categorical codes."""
+    arrays = [data.outcome, data.arm, *data.covariates.values(),
+              data.categorical_codes("region")[1]]
+    return sum(a.nbytes for a in arrays)
+
+
+def test_loaded_dataset_keeps_little_more_than_its_arrays(tmp_path):
+    # One shared str per label: what a loaded dataset keeps alive is its
+    # arrays (and the codes of its categorical columns), not a str per cell.
+    path = _experiment_csv(tmp_path, 20000)
     gc.collect()
     tracemalloc.start()
     try:
@@ -91,9 +104,21 @@ def test_loaded_dataset_keeps_little_more_than_its_arrays(tmp_path):
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    arrays = [data.outcome, data.arm, *data.covariates.values(),
-              data.categorical_codes("region")[1]]
-    assert kept <= 1.1 * sum(a.nbytes for a in arrays)
+    assert kept <= 1.1 * _array_bytes(data)
+
+
+def test_load_csv_high_water_stays_near_its_arrays(tmp_path):
+    # Rows are read and dropped in chunks, so the ingest never holds every
+    # row's cells, which here would take about 9x the arrays it returns.
+    path = _experiment_csv(tmp_path, 100_000)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        data = load_csv(path, {"outcome": "y", "arm": "arm"})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * _array_bytes(data)
 
 
 def test_requires_two_distinct_arms():
@@ -265,6 +290,69 @@ def test_load_csv_no_data_rows(tmp_path):
         load_csv(path, {"outcome": "y", "arm": "arm"})
 
 
+@pytest.mark.parametrize("chunk_rows", [1, 4, data_module.CHUNK_ROWS])
+def test_load_csv_unterminated_quote_names_its_row(tmp_path, chunk_rows):
+    # Lenient quoting would fold every later line into one cell of row 5. A
+    # ragged row before it does not win: a malformed record is reported first.
+    lines = [f"{i},{'ab'[i % 2]},{i % 3}\n" for i in range(12)]
+    lines[1] = "1,b\n"
+    lines[5] = '5,b,"2\n'
+    path = _write(tmp_path, "y,arm,x\n" + "".join(lines))
+    with mock.patch.object(data_module, "CHUNK_ROWS", chunk_rows):
+        with pytest.raises(ValueError) as info:
+            load_csv(path, {"outcome": "y", "arm": "arm"})
+    assert str(info.value) == (
+        f"malformed CSV record at data row 5 of {path}: unexpected end of data")
+    with pytest.raises(csv.Error):
+        reference_load_csv(path, {"outcome": "y", "arm": "arm"})
+    path = _write(tmp_path, 'y,arm,x\n1,a,"2"3\n2,b,4\n')
+    with pytest.raises(ValueError, match=r"at data row 0 of .*: ',' expected after '\"'$"):
+        load_csv(path, {"outcome": "y", "arm": "arm"})
+    path = _write(tmp_path, '"y,arm\n1,a\n2,b\n')
+    with pytest.raises(ValueError, match=r"^malformed CSV record in the header of "):
+        load_csv(path, {"outcome": "y", "arm": "arm"})
+
+
+def test_load_csv_names_the_line_and_offset_of_a_byte_that_is_not_utf8(tmp_path):
+    # The decoder's own position counts from the start of its buffer, which
+    # here is far from the start of the file.
+    head = ("\ufeffy,arm,site\n" + "".join(
+        f"{i}.5,{'ab'[i % 2]},caf\u00e9{i % 3}\n" for i in range(2500))).encode("utf-8")
+    path = tmp_path / "data.csv"
+    path.write_bytes(head + b"1.5,a,x\xffz\n2.5,b,y\n")
+    with pytest.raises(ValueError) as info:
+        load_csv(path, {"outcome": "y", "arm": "arm"})
+    assert str(info.value) == (f"{path} is not UTF-8: byte 0xff at line 2502, byte offset "
+                               f"{len(head) + 7} (invalid start byte)")
+
+
+@pytest.fixture
+def two_row_chunks():
+    with mock.patch.object(data_module, "CHUNK_ROWS", 2):
+        yield
+
+
+def test_covariate_that_turns_to_text_in_a_later_chunk_is_categorical(tmp_path,
+                                                                       two_row_chunks):
+    # Numeric through the first two chunks, text in the third: the column is
+    # its raw cells ("1.0" and "1e0" stay apart), as if read whole.
+    path = _write(tmp_path, "y,arm,x,z\n1,a,1.0,0\n2,b,2,1\n3,a,1e0,0\n"
+                            "4,b,2.0,1\n5,a,n/a,0\n6,b,2,1\n")
+    data = load_csv(path, {"outcome": "y", "arm": "arm"})
+    assert data.covariates["x"].tolist() == ["1.0", "2", "1e0", "2.0", "n/a", "2"]
+    assert _shared(data.covariates["x"])
+    assert data.covariates["z"].tolist() == [0.0, 1.0] * 3
+    _assert_loads_like_reference(path, {"outcome": "y", "arm": "arm"})
+
+
+def test_ragged_row_in_a_later_chunk_wins_over_a_bad_outcome(tmp_path, two_row_chunks):
+    path = _write(tmp_path, "y,arm\n1,a\noops,b\n3,a\n4,b\n5\n6,b\n")
+    with pytest.raises(ValueError) as info:
+        load_csv(path, {"outcome": "y", "arm": "arm"})
+    assert str(info.value) == "row 4 has 1 cells, expected 2"
+    _assert_loads_like_reference(path, {"outcome": "y", "arm": "arm"})
+
+
 def test_add_period_covariate():
     data = Dataset(
         outcome=[1.0, 2.0, 3.0, 4.0],
@@ -371,9 +459,9 @@ def test_categorical_codes_sorted_and_cached():
 def reference_load_csv(path, column_map):
     """The row-wise loader that the column-wise ``load_csv`` replaced: every
     cell goes through ``float()`` or ``int()`` on its own, in row order.
-    Kept as the reference the column-wise loader must match exactly."""
+    Kept as the reference the streaming loader must match exactly."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(fh, strict=True)
         try:
             header = next(reader)
         except StopIteration:
@@ -536,15 +624,9 @@ def _assert_same_array(a, b):
         assert a.tobytes() == b.tobytes()
 
 
-@settings(max_examples=400, deadline=None)
-@given(csv_files())
-def test_load_csv_matches_row_wise_reference(case):
-    text, column_map = case
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "data.csv"
-        path.write_text(text, encoding="utf-8", newline="")
-        got = _load_or_error(load_csv, path, column_map)
-        want = _load_or_error(reference_load_csv, path, column_map)
+def _assert_loads_like_reference(path, column_map):
+    got = _load_or_error(load_csv, path, column_map)
+    want = _load_or_error(reference_load_csv, path, column_map)
     if isinstance(want, Exception):
         assert type(got) is type(want)
         assert str(got) == str(want)
@@ -558,6 +640,30 @@ def test_load_csv_matches_row_wise_reference(case):
     for col in (got.arm, got.unit_id, *got.covariates.values()):
         if col is not None and col.dtype == object:
             assert _shared(col)
+
+
+def _check_case(case):
+    text, column_map = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        _assert_loads_like_reference(path, column_map)
+
+
+@settings(max_examples=400, deadline=None)
+@given(csv_files())
+def test_load_csv_matches_row_wise_reference(case):
+    _check_case(case)
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 3])
+@settings(max_examples=400, deadline=None)
+@given(csv_files())
+def test_load_csv_matches_row_wise_reference_across_chunks(chunk_rows, case):
+    # The 2-8 data rows span up to eight chunks, so conversions, errors and
+    # columns that turn categorical late all cross chunk boundaries.
+    with mock.patch.object(data_module, "CHUNK_ROWS", chunk_rows):
+        _check_case(case)
 
 
 def test_load_csv_column_in_two_roles_rejected(tmp_path):

@@ -347,6 +347,33 @@ def test_every_traced_site_exists(monkeypatch):
         assert callable(getattr(importlib.import_module(f"effect_engine.{module}"), attr, None)), site
 
 
+def test_trace_attributes_every_workload_fit(tmp_path, monkeypatch):
+    # The benchmark's tracer and generator, imported without writing
+    # bytecode next to them: a traced run of each workload at a few thousand
+    # rows records its fit span and the design rows it writes.
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    for name in ("tracer", "workloads"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    tracer = importlib.import_module("tracer")
+    workloads = importlib.import_module("workloads")
+    for name in workloads.WORKLOADS:
+        inputs = workloads.generate(name, seed=0, rows=3000)
+        paths = workloads.write_inputs(inputs, str(tmp_path / name))
+        model = inputs.config["model"]
+        fit = ("model.fit_bayes" if "bayes" in model
+               else f"model.fit_ols.{model['covariance']}")
+        args = ["run", "--config", paths["config"], "--out", str(tmp_path / f"{name}.json")]
+        with tracer.Tracer() as tr:
+            assert cli.main(args + (["--flat-prior-ok"] if inputs.flat_prior_ok else [])) == 0
+        metrics = tracer.layer_metrics(tr)
+        assert metrics[f"{fit}.calls"] >= 1, name
+        assert metrics["model.covariate_matrix.calls"] >= 1, name
+        fit_spans = {s.id for s in tr.spans if s.name == fit}
+        assert any(s.name == "model.covariate_matrix" and s.parent in fit_spans
+                   for s in tr.spans), name
+
+
 SIX_ROW = ("y,arm,x\n1,0,0.5\n3,0,1.5\n2,0,1.0\n4,1,2.0\n6,1,3.0\n5,1,2.5\n",
            {"outcome": "y", "arm": "arm", "covariates": ["x"]}, "0")
 PANEL = (PANEL_CSV, {"outcome": "y", "arm": "arm", "unit_id": "uid", "period": "t"}, "c")

@@ -1,11 +1,15 @@
-"""The least-squares path: one R-only QR of [X | y] and an in-place design.
+"""The least-squares path: one blocked R-only QR of [X | y] per fit.
 
-``fit_ols`` is checked against an in-test reference that forms Q explicitly
-(the factorization it replaced), its sandwiches against a 60-digit one on a
-near-collinear design, ``build_design`` against the block-and-``hstack``
-construction it replaced, byte for byte, and both against a traced-memory
-bound: at most two n x p arrays are held at once. The in-place QR rests on
-numpy's private ``lapack_lite.dgeqrf``, whose contract is pinned here.
+``fit_ols`` is checked against an in-test reference that forms Q explicitly,
+also with blocks of a few rows so that every block boundary is crossed, its
+sandwiches against a 60-digit one on a near-collinear design, and
+``fit_bayes`` against a 60-digit posterior. ``build_design`` is checked
+against the block-and-``hstack`` construction it replaced, byte for byte.
+Traced-memory bounds show that a fit holds a few row blocks and vectors of
+length n, and never an n x p array. The rank-deficiency message pivots R
+instead of the design; a differential test shows that both name the same
+columns. The in-place QR rests on numpy's private ``lapack_lite.dgeqrf``,
+whose contract is pinned here.
 """
 
 import itertools
@@ -16,11 +20,14 @@ import numpy as np
 import pytest
 from numpy.linalg import lapack_lite
 from numpy.testing import assert_array_equal
+import scipy.linalg
 from scipy.linalg import solve_triangular
 
+from effect_engine import model as model_module
 from effect_engine.data import Dataset
-from effect_engine.model import (ModelSpec, _qr_r, build_design, build_schema,
-                                 covariate_matrix, fit_bayes, fit_ols)
+from effect_engine.model import (RANK_RTOL, BayesPrior, ModelSpec, _blocked_r, _pivot_order,
+                                 _qr_r, build_design, build_schema, covariate_matrix,
+                                 fit_bayes, fit_model, fit_ols)
 
 KINDS = ("classical", "hc1", "cluster")
 
@@ -207,15 +214,41 @@ def _traced_peak(fn, *args, **kwargs):
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_fit_holds_one_scratch_copy_of_the_design(kind):
-    # The in-place QR of the n x (p+1) copy, then the residual-scaled
-    # scores: never two n x p arrays besides the caller's design.
+def test_fit_holds_a_few_row_blocks(kind):
+    # The QR stack of one block under the triangle, then one block of
+    # residual-scaled scores, plus the cluster codes: a few blocks and one
+    # vector of length n, where a block is under a tenth of the design.
     rng = np.random.default_rng(33)
-    n, p = 20000, 30
+    n, p = 100_000, 30
     X, y = _regression(rng, n, np.ones(p - 1))
     ids = np.asarray([f"u{i % 400}" for i in range(n)], dtype=object)
     _, peak = _traced_peak(fit_ols, X, y, kind, cluster_ids=ids if kind == "cluster" else None)
-    assert peak <= 1.25 * X.nbytes
+    block = model_module.FIT_BLOCK_ROWS * (p + 1) * 8
+    assert 10 * block < X.nbytes
+    assert peak <= 3 * block + n * 8
+
+
+def _panel_dataset(n):
+    full = _mixed_dataset(np.random.default_rng(39), n)
+    return Dataset(outcome=full.outcome, arm=full.arm, covariates=full.covariates,
+                   unit_id=np.asarray([f"u{i % 300}" for i in range(n)], dtype=object))
+
+
+@pytest.mark.parametrize("kind", ["hc1", "cluster", "bayes"])
+def test_fit_model_peak_does_not_grow_with_the_design(kind):
+    # fit_model writes the design a block at a time: its peak is a few
+    # blocks plus vectors of length n (the cluster codes), so four times the
+    # rows add less than two floats a row, where the design adds p = 24.
+    bayes = BayesPrior(mean=0.0, covariance=100.0, noise_variance=1.0) if kind == "bayes" else None
+    spec = ModelSpec(reference_arm="t0", encodings={"dose": "categorical"},
+                     covariance_kind="hc1" if bayes else kind, bayes=bayes)
+    peaks = {}
+    for n in (30_000, 120_000):
+        data = _panel_dataset(n)
+        fit_model(data, spec)  # the dataset caches its level codes once
+        model, peaks[n] = _traced_peak(fit_model, data, spec)
+        assert peaks[n] <= 4 * model_module.FIT_BLOCK_ROWS * model.p * 8 + 2 * n * 8
+    assert peaks[120_000] - peaks[30_000] <= 2 * 8 * 90_000
 
 
 def test_build_design_allocates_the_design_once():
@@ -271,3 +304,154 @@ def test_fit_bayes_non_finite_names_row(where):
     p = schema.p
     with pytest.raises(ValueError, match=expected):
         fit_bayes(design, y, np.zeros(p), np.eye(p), 1.0, schema=schema)
+
+
+@pytest.fixture
+def seven_row_blocks(monkeypatch):
+    monkeypatch.setattr(model_module, "FIT_BLOCK_ROWS", 7)
+
+
+# (n, p) around blocks of 7 rows: one short block, one full block, one row
+# over, many blocks, and more columns than a block has rows.
+BOUNDARIES = [(6, 4), (7, 4), (8, 4), (94, 4), (60, 10)]
+BOUNDARY_IDS = ["n<B", "n=B", "n=B+1", "many-blocks", "p>B"]
+
+
+@pytest.mark.usefixtures("seven_row_blocks")
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n, p", BOUNDARIES, ids=BOUNDARY_IDS)
+def test_blocked_fit_matches_explicit_q_reference(kind, n, p):
+    X, y = _regression(np.random.default_rng(40 + n), n, np.geomspace(1e-2, 1e2, p - 1))
+    ids = [f"g{i % 3}" for i in range(n)]
+    model = fit_ols(X, y, kind, cluster_ids=ids if kind == "cluster" else None)
+    beta, cov = _explicit_q_fit(X, y, kind, ids)
+    assert np.max(np.abs(model.beta - beta)) <= 1e-12 * np.max(np.abs(beta))
+    assert np.max(np.abs(model.cov_beta - cov)) <= 1e-12 * np.max(np.abs(cov))
+
+
+def _explicit_q_posterior(X, y, m0, S0, s2):
+    """Reference posterior: the data rows under the prior rows U0^-T
+    (S0 = U0'U0), all over sqrt(s2), fitted by a reduced QR with Q formed."""
+    prior = np.linalg.inv(np.linalg.cholesky(S0))
+    A = np.vstack([prior, X / np.sqrt(s2)])
+    b = np.concatenate([prior @ m0, y / np.sqrt(s2)])
+    Q, R = np.linalg.qr(A, mode="reduced")
+    r_inv = solve_triangular(R, np.eye(X.shape[1]))
+    return solve_triangular(R, Q.T @ b), r_inv @ r_inv.T
+
+
+@pytest.mark.usefixtures("seven_row_blocks")
+@pytest.mark.parametrize("n, p", [(3, 4), *BOUNDARIES], ids=["n<p", *BOUNDARY_IDS])
+def test_blocked_posterior_matches_explicit_q_reference(n, p):
+    rng = np.random.default_rng(41 + n)
+    X, y = _regression(rng, n, np.geomspace(1e-2, 1e2, p - 1))
+    A = rng.normal(size=(p, p))
+    S0, m0 = A @ A.T + np.eye(p), rng.normal(size=p)
+    model = fit_bayes(X, y, m0, S0, 1.7)
+    beta, cov = _explicit_q_posterior(X, y, m0, S0, 1.7)
+    assert np.max(np.abs(model.beta - beta)) <= 1e-12 * np.max(np.abs(beta))
+    assert np.max(np.abs(model.cov_beta - cov)) <= 1e-12 * np.max(np.abs(cov))
+
+
+@pytest.mark.usefixtures("seven_row_blocks")
+@pytest.mark.parametrize("fit", ["ols", "bayes"])
+def test_blocked_non_finite_names_global_row(fit):
+    X, y = _regression(np.random.default_rng(42), 40, (1.0, 1.0))
+    X[17, 2] = np.inf  # the third block, rows 14 to 20
+    X[30, 1] = np.nan
+
+    def run():
+        if fit == "ols":
+            return fit_ols(X, y, "hc1")
+        return fit_bayes(X, y, np.zeros(3), np.eye(3), 1.0)
+
+    with pytest.raises(ValueError, match=r"^design has a non-finite value at row 17, "
+                                         r"column 2: inf$"):
+        run()
+    y[33] = np.nan  # in a block after the bad design rows: still reported first
+    with pytest.raises(ValueError, match=r"^outcome has a non-finite value at row 33: nan$"):
+        run()
+
+
+@pytest.mark.usefixtures("seven_row_blocks")
+def test_blocked_fit_model_reads_the_design_rows_of_build_design():
+    # The row-block writer and the full design give the same fits, bit for
+    # bit.
+    data = _panel_dataset(60)
+    design, y, schema = build_design(data, ModelSpec(reference_arm="t0"))
+    prior = BayesPrior(mean=0.5, covariance=4.0, noise_variance=1.5)
+    pairs = [(fit_model(data, ModelSpec(reference_arm="t0", bayes=prior)),
+              fit_bayes(design, y, *prior.expand(schema.p), 1.5, schema=schema))]
+    for kind in KINDS:
+        ids = data.unit_id if kind == "cluster" else None
+        pairs.append((fit_model(data, ModelSpec(reference_arm="t0", covariance_kind=kind)),
+                      fit_ols(design, y, kind, cluster_ids=ids, schema=schema)))
+    for model, want in pairs:
+        assert_array_equal(model.beta, want.beta)
+        assert_array_equal(model.cov_beta, want.cov_beta)
+
+
+def _rank_deficient(rng, kind):
+    """Normal columns of mixed scales under an intercept, then one or two
+    columns overwritten by a duplicate, a scaled copy or a sum of others."""
+    n, p = int(rng.integers(40, 400)), int(rng.integers(4, 24))
+    X = rng.normal(size=(n, p)) * rng.choice([1e-2, 1.0, 1e2], size=p)
+    X[:, 0] = 1.0
+    for _ in range(int(rng.integers(1, 3))):
+        j = int(rng.integers(1, p))
+        a, b = rng.choice(np.delete(np.arange(p), j), size=2, replace=False)
+        X[:, j] = {"duplicated": X[:, a], "scaled": rng.uniform(-5, 5) * X[:, a],
+                   "summed": X[:, a] + X[:, b]}[kind]
+    return X
+
+
+@pytest.mark.parametrize("kind", ["duplicated", "scaled", "summed"])
+def test_pivoted_qr_of_r_names_the_columns_of_the_design(kind, monkeypatch):
+    # X'X = R'R, so pivoting R compares the residual norms pivoting X does.
+    # Ties (duplicated and summed columns) go to the lowest index on both;
+    # with none, the columns equal those of scipy's pivoted QR of X. Blocks
+    # of 64 rows make R a TSQR one.
+    monkeypatch.setattr(model_module, "FIT_BLOCK_ROWS", 64)
+    rng = np.random.default_rng({"duplicated": 43, "scaled": 44, "summed": 45}[kind])
+    for _ in range(70):
+        X = _rank_deficient(rng, kind)
+        p = X.shape[1]
+        singular = np.linalg.svd(X, compute_uv=False)
+        rank = int(np.sum(singular > RANK_RTOL * singular[0]))
+        assert rank < p
+        R = _blocked_r(X, rng.normal(size=X.shape[0]), None)[:p, :p]
+        dependent = sorted(_pivot_order(R)[rank:])
+        assert dependent == sorted(_pivot_order(X)[rank:])
+        if kind == "scaled":
+            _, _, piv = scipy.linalg.qr(X, mode="economic", pivoting=True)
+            assert dependent == sorted(piv[rank:].tolist())
+
+
+def _mp_posterior(X, y, m0, S0, s2):
+    """(S0^-1 + X'X/s2)^-1 and its product with S0^-1 m0 + X'y/s2, in 60
+    digits from the exact double inputs."""
+    with mpmath.workdps(60):
+        Xm, ym = mpmath.matrix(X.tolist()), mpmath.matrix(y.tolist())
+        prior_precision = mpmath.matrix(S0.tolist()) ** -1
+        cov = (prior_precision + Xm.T * Xm / s2) ** -1
+        beta = cov * (prior_precision * mpmath.matrix(m0.tolist()) + Xm.T * ym / s2)
+        return (np.array(beta.tolist(), dtype=float).ravel(),
+                np.array(cov.tolist(), dtype=float))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_posterior_keeps_accuracy_on_a_near_collinear_design(seed):
+    # The posterior as least squares on prior-augmented rows carries
+    # eps * cond(X), about 1e-11 here; the X'X form of the precision
+    # carried its square and missed by 3e-8 at seed 0.
+    rng = np.random.default_rng(seed)
+    n = 300
+    x = rng.normal(size=(n, 4))
+    X = np.column_stack([np.ones(n), x, x[:, 3] + 1e-4 * rng.normal(size=n)])
+    assert 1e4 < np.linalg.cond(X) < 1e5
+    y = X @ np.array([1.0, 0.5, -0.3, 0.2, 0.1, 0.4]) + rng.normal(size=n)
+    m0, S0, s2 = np.full(6, 0.1), 1e6 * np.eye(6), 1.3
+    beta, cov = _mp_posterior(X, y, m0, S0, s2)
+    model = fit_bayes(X, y, m0, S0, s2)
+    assert np.max(np.abs(model.beta - beta)) <= 1e-9 * np.max(np.abs(beta))
+    assert np.max(np.abs(model.cov_beta - cov)) <= 1e-9 * np.max(np.abs(cov))

@@ -88,8 +88,11 @@ class Dataset:
     covariates : mapping of name -> (n,) array; float64 columns are numeric,
         object columns hold categorical string levels
     unit_id : optional (n,) object array of string unit identifiers
-    period : optional (n,) int array of ordinal time indices
+    period : optional (n,) int array of ordinal time indices; float input
+        must hold whole numbers
     arms : distinct arm labels in sorted order (derived, not an argument)
+    arm_codes : (n,) unsigned int array, each row's index into ``arms``
+        (derived; an attribute, not a dataclass field)
 
     Every label column (``arm``, ``unit_id`` and the object covariates) is
     factorized once, here, and holds one shared ``str`` object per distinct
@@ -110,13 +113,17 @@ class Dataset:
 
     def __post_init__(self):
         outcome = _freeze(np.asarray(self.outcome, dtype=np.float64))
-        arm, arm_levels = _labels(self.arm, "arm")[:2]
+        if outcome.ndim != 1:
+            raise ValueError("outcome must be one-dimensional")
+        arm, arm_levels, arm_codes = _labels(self.arm, "arm")
+        # The narrowest dtype, kept for the dataset's lifetime; the intp codes
+        # are dropped here, before the covariates are factorized.
+        arm_codes = _freeze(arm_codes.astype(np.min_scalar_type(len(arm_levels))))
         object.__setattr__(self, "outcome", outcome)
         object.__setattr__(self, "arm", arm)
         object.__setattr__(self, "arms", arm_levels)
+        object.__setattr__(self, "arm_codes", arm_codes)
         n = outcome.shape[0]
-        if outcome.ndim != 1:
-            raise ValueError("outcome must be one-dimensional")
         if arm.shape != (n,):
             raise ValueError("arm column length does not match outcome")
         if not np.all(np.isfinite(outcome)):
@@ -149,7 +156,16 @@ class Dataset:
                 raise ValueError("unit_id length does not match outcome")
             object.__setattr__(self, "unit_id", uid)
         if self.period is not None:
-            per = _freeze(np.asarray(self.period, dtype=np.int64))
+            per = np.asarray(self.period)
+            if per.dtype.kind == "f":
+                # A cast to int64 truncates 1.5, and wraps NaN, inf and 1e30 in a
+                # float array.
+                whole = (per == np.trunc(per)) & (np.abs(per) < 2.0**63)
+                if not whole.all():
+                    bad = int(np.flatnonzero(~whole)[0])
+                    raise ValueError(f"period must hold whole numbers; row {bad} has "
+                                     f"{float(per[bad])!r}")
+            per = _freeze(np.asarray(per, dtype=np.int64))
             if per.shape != (n,):
                 raise ValueError("period length does not match outcome")
             object.__setattr__(self, "period", per)

@@ -311,7 +311,8 @@ class DesignRows:
 
     def __getitem__(self, rows: slice) -> np.ndarray:
         z = covariate_matrix(self.data, self.schema, rows)
-        arms = self.data.arm[rows, None] == np.array(self.schema.arm_labels, dtype=object)
+        codes = [self.data.arms.index(a) for a in self.schema.arm_labels]
+        arms = self.data.arm_codes[rows, None] == np.array(codes)
         return self.schema.fill(np.empty((z.shape[0], self.schema.p)), z, arms)
 
 

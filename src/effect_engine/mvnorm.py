@@ -6,17 +6,16 @@ Carlo: scrambled Sobol points, a batch of independent scramblings, and the
 spread of the batch means as the error estimate. Points double until the
 error target is met or the point budget runs out.
 
-The Sobol points are made here, without importing ``scipy.stats`` (whose
-import alone costs most of a second): Joe & Kuo (2008) direction numbers,
-read from the table that scipy installs, with Matoušek's (1998) random linear
-matrix scramble and a digital shift. For a ``SeedSequence`` child they are
-bit for bit the points of ``scipy.stats.qmc.Sobol(d, scramble=True,
+The Sobol points are made here, with numpy alone: Joe & Kuo (2008) direction
+numbers, read from ``sobol_directions.npz`` next to this module (the table
+scipy distributes, stored as ``uint32``), with Matoušek's (1998) random
+linear matrix scramble and a digital shift. For a ``SeedSequence`` child they
+are bit for bit the points of ``scipy.stats.qmc.Sobol(d, scramble=True,
 seed=np.random.default_rng(child)).random_base2(k)`` (scipy 1.17).
 """
 
 from __future__ import annotations
 
-import importlib.util
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -92,12 +91,7 @@ def _sobol_directions(m: int) -> np.ndarray:
     shifted up to bit 29 - j. The first dimension is the van der Corput
     sequence.
     """
-    # Only the table's path is needed: importing scipy itself costs time.
-    spec = importlib.util.find_spec("scipy")
-    if spec is None or spec.origin is None:
-        raise RuntimeError("the Sobol direction numbers come from scipy, which is not installed")
-    table = Path(spec.origin).parent / "stats" / "_sobol_direction_numbers.npz"
-    with np.load(table) as rows:
+    with np.load(Path(__file__).with_name("sobol_directions.npz")) as rows:
         poly = rows["poly"][:m].tolist()
         vinit = rows["vinit"][:m].tolist()
     v = [[1] * _SOBOL_BITS]

@@ -121,6 +121,31 @@ def test_load_csv_high_water_stays_near_its_arrays(tmp_path):
     assert peak <= 3 * _array_bytes(data)
 
 
+def test_arm_codes_index_the_arms_and_are_frozen():
+    data = Dataset(outcome=[1.0, 2.0, 3.0, 4.0], arm=["t", "c", "t", "u"], period=[0, 1, 0, 1])
+    assert data.arm_codes.tolist() == [1, 0, 1, 2]
+    assert [data.arms[c] for c in data.arm_codes] == data.arm.tolist()
+    assert not data.arm_codes.flags.writeable
+    assert add_period_covariate(data).arm_codes is data.arm_codes
+
+
+def test_zero_dimensional_outcome_rejected():
+    with pytest.raises(ValueError, match="outcome must be one-dimensional"):
+        Dataset(outcome=1.0, arm=["a"])
+
+
+@pytest.mark.parametrize("bad", [1.5, np.nan, np.inf, -np.inf, 1e30])
+def test_period_that_is_not_a_whole_number_names_its_row(bad):
+    with pytest.raises(ValueError, match=r"period must hold whole numbers; row 2 has"):
+        Dataset(outcome=[1.0, 2.0, 3.0], arm=["a", "b", "a"], period=[0.0, 2.0, bad])
+
+
+def test_whole_float_periods_are_kept():
+    data = Dataset(outcome=[1.0, 2.0, 3.0], arm=["a", "b", "a"], period=[0.0, 2.0, -3.0])
+    assert data.period.dtype == np.int64
+    assert data.period.tolist() == [0, 2, -3]
+
+
 def test_requires_two_distinct_arms():
     with pytest.raises(ValueError, match="at least 2 distinct arm"):
         Dataset(outcome=[1.0, 2.0], arm=["a", "a"])

@@ -2,8 +2,10 @@
 
 import importlib
 import json
+import shutil
 import subprocess
 import sys
+import tarfile
 from pathlib import Path
 
 import numpy as np
@@ -173,12 +175,13 @@ def test_scipy_stats_is_never_imported(tmp_path):
     assert {arm["method"] for arm in result["arms"].values()} == {"qmc"}
 
 
-@pytest.mark.parametrize("workload, rows", [("xsec_hc1", 2000), ("panel_cluster", 1200),
-                                            ("segments_bayes", 4000)])
-def test_runs_import_neither_scipy_linalg_nor_special(workload, rows, tmp_path, monkeypatch):
-    # Each costs about 0.3 s to import, most of it shared, and a run needs
-    # neither: the QR is numpy's LAPACK and the normal functions are numpy.
-    # The benchmark's generator is imported without writing bytecode next to it.
+SMALL_WORKLOADS = [("xsec_hc1", 2000), ("panel_cluster", 1200), ("segments_bayes", 4000)]
+
+
+def _workload_argvs(workload, rows, tmp_path, monkeypatch):
+    """The ``run`` and ``validate`` arguments for the benchmark workload
+    ``workload`` at seed 0, generated with ``rows`` rows under ``tmp_path``.
+    The benchmark's generator is imported without writing bytecode next to it."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     monkeypatch.delitem(sys.modules, "workloads", raising=False)
@@ -187,16 +190,121 @@ def test_runs_import_neither_scipy_linalg_nor_special(workload, rows, tmp_path, 
     paths = workloads.write_inputs(inputs, str(tmp_path))
     run = ["run", "--config", paths["config"], "--out", str(tmp_path / "report.json")]
     run += ["--flat-prior-ok"] if inputs.flat_prior_ok else []
-    for argv in (run, ["validate", "--config", paths["config"]]):
+    return run, ["validate", "--config", paths["config"]]
+
+
+@pytest.mark.parametrize("workload, rows", SMALL_WORKLOADS)
+def test_runs_import_neither_scipy_linalg_nor_special(workload, rows, tmp_path, monkeypatch):
+    # Each costs about 0.3 s to import, most of it shared, and a run needs
+    # neither: the QR is numpy's LAPACK and the normal functions are numpy.
+    for argv in _workload_argvs(workload, rows, tmp_path, monkeypatch):
         loaded = _scipy_modules(f"from effect_engine.cli import main\nassert main({argv!r}) == 0")
         assert not {"scipy.linalg", "scipy.special"} & set(loaded), (argv[0], loaded)
     assert json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))["errors"] == []
+
+
+# Run in a child before the engine loads: from then on, importing or finding
+# scipy or any of its submodules fails as it does where scipy is not installed.
+HIDE_SCIPY = """\
+import sys
+
+class HideScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+        return None
+
+sys.meta_path.insert(0, HideScipy())
+"""
+
+
+def _cli_outcome(argv, hide_scipy):
+    """Exit code, stderr and report text (``created_at`` line removed, if
+    ``argv`` writes a report) of ``main(argv)`` in a fresh interpreter."""
+    out = Path(argv[argv.index("--out") + 1]) if "--out" in argv else None
+    if out is not None:
+        out.unlink(missing_ok=True)
+    code = (HIDE_SCIPY if hide_scipy else "") + (
+        f"from effect_engine.cli import main\nraise SystemExit(main({argv!r}))")
+    proc = subprocess.run([sys.executable, "-c", code], env=cli_env(), capture_output=True,
+                          text=True, timeout=120)
+    report = None
+    if out is not None and out.exists():
+        report = [line for line in out.read_text(encoding="utf-8").splitlines()
+                  if '"created_at"' not in line]
+    return proc.returncode, proc.stderr, report
+
+
+def _rank_deficient_argvs(tmp_path):
+    """``run`` and ``validate`` on a design whose column z is twice x."""
+    (tmp_path / "data.csv").write_text("y,arm,x,z\n" + "".join(
+        f"{(i * 7) % 5 + 0.5 * i},{'abc'[i % 3]},{i * 0.5},{i * 1.0}\n" for i in range(30)),
+        encoding="utf-8")
+    (tmp_path / "config.json").write_text(json.dumps({
+        "data": {"path": "data.csv", "columns": {"outcome": "y", "arm": "arm"}},
+        "model": {"reference_arm": "a"},
+        "queries": [{"type": "prob_best", "arms": ["a", "b", "c"]}],
+        "output": "report.json",
+    }), encoding="utf-8")
+    config = str(tmp_path / "config.json")
+    return (["run", "--config", config, "--out", str(tmp_path / "report.json"),
+             "--flat-prior-ok"], ["validate", "--config", config])
+
+
+@pytest.mark.parametrize("workload, rows", SMALL_WORKLOADS + [("rank_deficient", None)])
+def test_runs_need_no_scipy_installed(workload, rows, tmp_path, monkeypatch):
+    # The Sobol direction numbers ship with the package, so a run gives the
+    # same exit code, errors and report bytes where scipy cannot be found.
+    if rows is None:
+        run, validate = _rank_deficient_argvs(tmp_path)
+    else:
+        run, validate = _workload_argvs(workload, rows, tmp_path, monkeypatch)
+    hidden = _cli_outcome(validate, hide_scipy=True)
+    assert hidden == _cli_outcome(validate, hide_scipy=False)
+    assert hidden[0] == 0, hidden[1]
+    hidden = _cli_outcome(run, hide_scipy=True)
+    assert hidden == _cli_outcome(run, hide_scipy=False)
+    if rows is None:
+        assert hidden[0] == 2
+        assert "rank deficient; dependent columns: x, x:arm=b, x:arm=c" in hidden[1]
+    else:
+        assert hidden[0] == 0 and hidden[2] is not None, hidden[1]
 
 
 def _scipy_sobol(d, children, k):
     from scipy.stats import qmc
     return [qmc.Sobol(d=d, scramble=True, seed=np.random.default_rng(child)).random_base2(k)
             for child in children]
+
+
+def test_shipped_sobol_table_equals_scipys():
+    import scipy
+
+    theirs = Path(scipy.__file__).parent / "stats" / "_sobol_direction_numbers.npz"
+    with np.load(Path(mvnorm.__file__).with_name("sobol_directions.npz")) as got, \
+            np.load(theirs) as want:
+        assert sorted(got.files) == sorted(want.files) == ["poly", "vinit"]
+        for name in got.files:
+            assert got[name].dtype == np.uint32, name
+            assert got[name].shape == want[name].shape, name
+            assert np.array_equal(got[name].astype(np.int64), want[name]), name
+        assert got["poly"].shape == (mvnorm._SOBOL_MAX_DIM,)
+
+
+def test_sdist_ships_the_sobol_table(tmp_path, monkeypatch):
+    # The table is package data: without its declaration in pyproject.toml
+    # the source distribution leaves it out. A copy is built, so no build
+    # files land in the source tree.
+    build_meta = pytest.importorskip("setuptools.build_meta")
+    root = Path(__file__).resolve().parents[1]
+    shutil.copy(root / "pyproject.toml", tmp_path)
+    shutil.copytree(root / "src" / "effect_engine", tmp_path / "src" / "effect_engine",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    monkeypatch.chdir(tmp_path)
+    name = build_meta.build_sdist(str(tmp_path / "dist"))
+    with tarfile.open(tmp_path / "dist" / name) as sdist:
+        assert any(member.endswith("/src/effect_engine/sobol_directions.npz")
+                   for member in sdist.getnames())
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 9, 40])

@@ -43,6 +43,8 @@ _SOBOL_MAX_DIM = 21201
 _BIT = np.arange(_SOBOL_BITS)
 _LSB_WEIGHTS = np.uint32(1) << _BIT.astype(np.uint32)
 _MSB_WEIGHTS = _LSB_WEIGHTS[::-1].copy()
+# Row p of a lower-triangular L packed from bit 29 down keeps bits 29 - p to 29.
+_LOWER_ROWS = np.uint32(2**_SOBOL_BITS) - _MSB_WEIGHTS
 
 # Each level integrates BATCHES independent scramblings of 2**k points, for
 # k from MIN_LOG2_POINTS up to MAX_LOG2_POINTS (the per-batch budget).
@@ -110,43 +112,59 @@ def _sobol_directions(m: int) -> np.ndarray:
     return out
 
 
-def _scrambled_sobol(m: int, children: Sequence[np.random.SeedSequence],
-                     k: int) -> np.ndarray:
-    """The first ``2**k`` points of one scrambled Sobol sequence per child,
-    stacked: a (len(children), 2**k, m) array.
+def _scrambles(d: int, children: Sequence[np.random.SeedSequence]
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """The digital shifts, (d, S), and scrambled direction numbers,
+    (d, S, 30), of one scrambled Sobol sequence per child (S children).
 
-    Each child gives the points of ``qmc.Sobol(m, scramble=True,
-    seed=np.random.default_rng(child)).random_base2(k)``. That engine spawns
-    its own generator and draws 30 shift bits per dimension (bit i weighs
-    2**i), then a 30 x 30 matrix L per dimension, kept lower triangular with
-    a unit diagonal. A scrambled direction number is L times the bits of the
-    plain one over GF(2), both read from bit 29 down: its bit 29 - p is the
-    parity of row p of L ANDed with the plain number. Points are made in
-    Gray-code order: the first is the shift, and point i is point i - 1 XOR
-    the direction number indexed by the trailing zeros of i.
+    Each child scrambles as ``qmc.Sobol(d, scramble=True,
+    seed=np.random.default_rng(child))`` does. That engine spawns its own
+    generator and draws 30 shift bits per dimension (bit i weighs 2**i),
+    then a 30 x 30 matrix L per dimension, kept lower triangular with a
+    unit diagonal. Each bit is the top bit of one 32-bit draw, and PCG64
+    hands out the low half of each 64-bit output before its high half, so
+    the bits are read from ``random_raw`` directly. A scrambled direction
+    number is L times the bits of the plain one over GF(2), both read from
+    bit 29 down: its bit 29 - p is the parity of row p of L ANDed with the
+    plain number.
     """
-    shifts = np.empty((len(children), m), dtype=np.uint32)
-    lms = np.empty((len(children), m, _SOBOL_BITS, _SOBOL_BITS), dtype=np.uint32)
+    per_child = d * _SOBOL_BITS * (1 + _SOBOL_BITS)
+    bits = np.empty((len(children), per_child), dtype=np.uint32)
     for s, child in enumerate(children):
-        rng = np.random.Generator(np.random.PCG64(child.spawn(1)[0]))
-        shifts[s] = rng.integers(2, size=(m, _SOBOL_BITS), dtype=np.uint32) @ _LSB_WEIGHTS
-        lms[s] = rng.integers(2, size=(m, _SOBOL_BITS, _SOBOL_BITS), dtype=np.uint32)
-    lms = np.tril(lms)
-    lms[..., _BIT, _BIT] = 1
-    rows = lms @ _MSB_WEIGHTS
-    parity = np.bitwise_count(rows[:, :, None, :] & _sobol_directions(m)[None, :, :, None]) & 1
-    directions = parity @ _MSB_WEIGHTS
+        raw = np.random.PCG64(child.spawn(1)[0]).random_raw(per_child // 2)
+        bits[s, 0::2] = (raw >> 31) & 1
+        bits[s, 1::2] = raw >> 63
+    shifts = bits[:, :d * _SOBOL_BITS].reshape(-1, d, _SOBOL_BITS) @ _LSB_WEIGHTS
+    rows = bits[:, d * _SOBOL_BITS:].reshape(-1, d, _SOBOL_BITS, _SOBOL_BITS) @ _MSB_WEIGHTS
+    rows = (rows & _LOWER_ROWS) | _MSB_WEIGHTS
+    rows = rows.transpose(1, 0, 2)
+    plain = _sobol_directions(d)[:, None, :, None]
+    parity = np.bitwise_count(rows[:, :, None, :] & plain) & 1
+    return shifts.T, parity @ _MSB_WEIGHTS
 
-    i = np.arange(1, 2**k)
+
+def _sobol_points(shifts: np.ndarray, directions: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Points ``lo`` to ``hi - 1`` of each scrambled sequence of
+    :func:`_scrambles`, a (d, S, hi - lo) array.
+
+    Points follow the Gray code: point i is the shift XOR the direction
+    numbers at the set bits of i ^ (i >> 1), so point i is point i - 1 XOR
+    the direction number indexed by the trailing zeros of i. Point ``lo`` is
+    made directly and the rest by that recurrence, so any run of points
+    costs only its own length.
+    """
+    gray = lo ^ (lo >> 1)
+    used = [j for j in range(_SOBOL_BITS) if gray >> j & 1]
+    i = np.arange(lo + 1, hi)
     steps = np.bitwise_count((i & -i) - 1)
-    words = np.empty((len(children), 2**k, m), dtype=np.uint32)
-    words[:, 0] = shifts
-    words[:, 1:] = directions.transpose(0, 2, 1)[:, steps]
-    return np.bitwise_xor.accumulate(words, axis=1) * 2.0**-_SOBOL_BITS
+    words = np.empty(shifts.shape + (hi - lo,), dtype=np.uint32)
+    words[..., 0] = shifts ^ np.bitwise_xor.reduce(directions[..., used], axis=-1)
+    words[..., 1:] = directions[..., steps]
+    return np.bitwise_xor.accumulate(words, axis=-1) * 2.0**-_SOBOL_BITS
 
 
 def _sov_batch(b: np.ndarray, chol: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The separation-of-variables integrand at each point (row) of ``u``.
+    """The separation-of-variables integrand at each point (column) of ``u``.
 
     Its mean is P(V <= b) for V ~ N(0, chol @ chol.T): each point follows the
     conditional quantile path w_i = ndtri(u_i * e_i) and its value is the
@@ -156,13 +174,13 @@ def _sov_batch(b: np.ndarray, chol: np.ndarray, u: np.ndarray) -> np.ndarray:
     taken off every later row at once. The first e is the same at every
     point, since nothing is fixed yet.
     """
-    npts, m = u.shape
+    m, npts = b.shape[0], u.shape[1]
     rest = np.empty((m, npts))
     rest[:] = b[:, None]
     e = ndtr(b[0] / chol[0, 0])
     f = np.full(npts, e)
     for i in range(1, m):
-        p = u[:, i - 1] * e
+        p = u[i - 1] * e
         w = ndtri(np.clip(p, _Q_LO, _Q_HI, out=p))
         rest[i:] -= chol[i:, i - 1, None] * w
         t = rest[i]
@@ -176,15 +194,19 @@ def _batch_means(b: np.ndarray, chol: np.ndarray,
                  children: Sequence[np.random.SeedSequence], k: int) -> np.ndarray:
     """Mean of the integrand over each child's ``2**k`` scrambled Sobol
     points, evaluated in blocks of at most ``_BLOCK_POINTS`` points; no
-    more than one block's, or one scrambling's, points are held at once."""
+    more than one block's points are held at once."""
     m = b.shape[0]
+    shifts, directions = _scrambles(m, children)
     per_stack = max(1, _BLOCK_POINTS >> k)
+    step = min(2**k, _BLOCK_POINTS)
     means = []
     for s in range(0, len(children), per_stack):
-        u = _scrambled_sobol(m, children[s:s + per_stack], k).reshape(-1, m)
-        f = np.concatenate([_sov_batch(b, chol, u[r:r + _BLOCK_POINTS])
-                            for r in range(0, u.shape[0], _BLOCK_POINTS)])
-        means.append(f.reshape(-1, 2**k).mean(axis=1))
+        stack = slice(s, s + per_stack)
+        f = np.concatenate([
+            _sov_batch(b, chol, _sobol_points(shifts[:, stack], directions[:, stack], r, r + step)
+                       .reshape(m, -1)).reshape(-1, step)
+            for r in range(0, 2**k, step)], axis=1)
+        means.append(f.mean(axis=1))
     return np.concatenate(means)
 
 

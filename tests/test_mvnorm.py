@@ -15,8 +15,8 @@ from scipy.special import ndtr
 
 from conftest import cli_env
 from effect_engine import mvnorm, normal
-from effect_engine.mvnorm import (OrthantResult, _cholesky_with_jitter, _scrambled_sobol,
-                                  _sov_batch, mvn_orthant)
+from effect_engine.mvnorm import (OrthantResult, _cholesky_with_jitter, _scrambles,
+                                  _sobol_points, _sov_batch, mvn_orthant)
 
 
 def equicorrelated(m, rho):
@@ -313,9 +313,11 @@ def test_scrambled_sobol_matches_scipy_bit_for_bit(d):
         for entropy in (0, 17, 2**70 + 5):
             # spawn() advances the parent, so each side gets its own.
             want = _scipy_sobol(d, np.random.SeedSequence(entropy).spawn(3), k)
-            got = list(_scrambled_sobol(d, np.random.SeedSequence(entropy).spawn(3), k))
-            assert len(got) == 3
-            for g, w in zip(got, want):
+            points = _sobol_points(*_scrambles(d, np.random.SeedSequence(entropy).spawn(3)),
+                                   0, 2**k)
+            assert points.shape == (d, 3, 2**k)
+            for s, w in enumerate(want):
+                g = np.ascontiguousarray(points[:, s].T)
                 assert g.dtype == w.dtype and g.shape == w.shape == (2**k, d)
                 assert g.tobytes() == w.tobytes(), (d, k, entropy)
 
@@ -341,7 +343,7 @@ def reference_mvn_orthant(mean, cov, tol=5e-4, seed=None, batches=10,
         means = np.empty(batches)
         for j, child in enumerate(ss.spawn(batches)):
             engine = qmc.Sobol(d=len(mu), scramble=True, seed=np.random.default_rng(child))
-            means[j] = _sov_batch(b, chol, engine.random_base2(k)).mean()
+            means[j] = _sov_batch(b, chol, engine.random_base2(k).T).mean()
         estimate = float(means.mean())
         error = 3.0 * float(means.std(ddof=1)) / np.sqrt(batches)
         points = batches * 2**k

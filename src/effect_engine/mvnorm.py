@@ -4,14 +4,20 @@ The estimator is the separation-of-variables form of the integral (sequential
 conditioning through the Cholesky factor) driven by randomized quasi-Monte
 Carlo: scrambled Sobol points, a batch of independent scramblings, and the
 spread of the batch means as the error estimate. Points double until the
-error target is met or the point budget runs out.
+error target is met or the point budget runs out. Each orthant draws its
+scramblings once, and a doubling integrates only each sequence's next 2**k
+points: points 0 to 2**k - 1 of a scrambled Sobol sequence are a prefix of
+points 0 to 2**(k+1) - 1 under the same scramble (Genz & Bretz 2009). So no
+point is made or integrated twice. The sequences have m - 1 dimensions,
+since the last conditional probability draws no quantile.
 
 The Sobol points are made here, with numpy alone: Joe & Kuo (2008) direction
 numbers, read from ``sobol_directions.npz`` next to this module (the table
 scipy distributes, stored as ``uint32``), with Matoušek's (1998) random
 linear matrix scramble and a digital shift. For a ``SeedSequence`` child they
 are bit for bit the points of ``scipy.stats.qmc.Sobol(d, scramble=True,
-seed=np.random.default_rng(child)).random_base2(k)`` (scipy 1.17).
+seed=np.random.default_rng(child))``: ``random_base2(k)`` and then each
+``random(n)`` that continues it (scipy 1.17).
 """
 
 from __future__ import annotations
@@ -47,9 +53,12 @@ _MSB_WEIGHTS = _LSB_WEIGHTS[::-1].copy()
 _LOWER_ROWS = np.uint32(2**_SOBOL_BITS) - _MSB_WEIGHTS
 
 # Each level integrates BATCHES independent scramblings of 2**k points, for
-# k from MIN_LOG2_POINTS up to MAX_LOG2_POINTS (the per-batch budget).
+# k from MIN_LOG2_POINTS up to MAX_LOG2_POINTS (the per-batch budget). A
+# floor of 2**8 was slower than 2**9 on the segments_bayes benchmark's
+# orthants: more of them climb a level, and an integrand call costs about
+# 0.4 ms however few its points (m = 5, 10 stacked scramblings).
 BATCHES = 10
-MIN_LOG2_POINTS = 10
+MIN_LOG2_POINTS = 9
 MAX_LOG2_POINTS = 17
 
 # The integrand is evaluated on blocks of at most this many points: as many
@@ -64,7 +73,8 @@ class OrthantResult:
 
     ``error`` is three standard errors of the batch means (zero for the
     closed-form and degenerate paths). ``points`` counts the quadrature
-    points behind the final estimate.
+    points behind the final estimate, which are also the points integrated:
+    no level integrates a point an earlier level did.
     """
 
     probability: float
@@ -129,11 +139,11 @@ def _scrambles(d: int, children: Sequence[np.random.SeedSequence]
     plain number.
     """
     per_child = d * _SOBOL_BITS * (1 + _SOBOL_BITS)
+    raw = np.stack([np.random.PCG64(child.spawn(1)[0]).random_raw(per_child // 2)
+                    for child in children])
     bits = np.empty((len(children), per_child), dtype=np.uint32)
-    for s, child in enumerate(children):
-        raw = np.random.PCG64(child.spawn(1)[0]).random_raw(per_child // 2)
-        bits[s, 0::2] = (raw >> 31) & 1
-        bits[s, 1::2] = raw >> 63
+    bits[:, 0::2] = (raw >> 31) & 1
+    bits[:, 1::2] = raw >> 63
     shifts = bits[:, :d * _SOBOL_BITS].reshape(-1, d, _SOBOL_BITS) @ _LSB_WEIGHTS
     rows = bits[:, d * _SOBOL_BITS:].reshape(-1, d, _SOBOL_BITS, _SOBOL_BITS) @ _MSB_WEIGHTS
     rows = (rows & _LOWER_ROWS) | _MSB_WEIGHTS
@@ -163,7 +173,7 @@ def _sobol_points(shifts: np.ndarray, directions: np.ndarray, lo: int, hi: int) 
     return np.bitwise_xor.accumulate(words, axis=-1) * 2.0**-_SOBOL_BITS
 
 
-def _sov_batch(b: np.ndarray, chol: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _sov_batch(b: np.ndarray, chol: np.ndarray, first: float, u: np.ndarray) -> np.ndarray:
     """The separation-of-variables integrand at each point (column) of ``u``.
 
     Its mean is P(V <= b) for V ~ N(0, chol @ chol.T): each point follows the
@@ -171,13 +181,14 @@ def _sov_batch(b: np.ndarray, chol: np.ndarray, u: np.ndarray) -> np.ndarray:
     product of the conditional probabilities e_i = ndtr(t_i), where t_i is
     b_i less the chol[i, :i] @ w[:i] that the path fixes, over chol[i, i].
     Row i of ``rest`` holds b_i less the part fixed so far, so each w_j is
-    taken off every later row at once. The first e is the same at every
-    point, since nothing is fixed yet.
+    taken off every later row at once. The first e, ``first``, is
+    ndtr(b_0 / chol[0, 0]) at every point, since nothing is fixed yet; so
+    ``u`` has m - 1 rows.
     """
     m, npts = b.shape[0], u.shape[1]
     rest = np.empty((m, npts))
     rest[:] = b[:, None]
-    e = ndtr(b[0] / chol[0, 0])
+    e = first
     f = np.full(npts, e)
     for i in range(1, m):
         p = u[i - 1] * e
@@ -190,24 +201,29 @@ def _sov_batch(b: np.ndarray, chol: np.ndarray, u: np.ndarray) -> np.ndarray:
     return f
 
 
-def _batch_means(b: np.ndarray, chol: np.ndarray,
-                 children: Sequence[np.random.SeedSequence], k: int) -> np.ndarray:
-    """Mean of the integrand over each child's ``2**k`` scrambled Sobol
-    points, evaluated in blocks of at most ``_BLOCK_POINTS`` points; no
-    more than one block's points are held at once."""
-    m = b.shape[0]
-    shifts, directions = _scrambles(m, children)
-    per_stack = max(1, _BLOCK_POINTS >> k)
-    step = min(2**k, _BLOCK_POINTS)
-    means = []
-    for s in range(0, len(children), per_stack):
+def _point_sums(b: np.ndarray, chol: np.ndarray, first: float, shifts: np.ndarray,
+                directions: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Sum of the integrand over points ``lo`` to ``hi - 1`` of each
+    scrambled sequence (:func:`_scrambles`), one per scrambling.
+
+    The integrand is evaluated in blocks of at most ``_BLOCK_POINTS``
+    points: as many scramblings stacked as fit, or a slice of one. Each
+    scrambling's values are summed together, so the block size does not
+    change the bits; no more than one block's points are held at once.
+    """
+    d, n = shifts.shape[0], hi - lo
+    per_stack = max(1, _BLOCK_POINTS // n)
+    step = min(n, _BLOCK_POINTS)
+    sums = []
+    for s in range(0, shifts.shape[1], per_stack):
         stack = slice(s, s + per_stack)
         f = np.concatenate([
-            _sov_batch(b, chol, _sobol_points(shifts[:, stack], directions[:, stack], r, r + step)
-                       .reshape(m, -1)).reshape(-1, step)
-            for r in range(0, 2**k, step)], axis=1)
-        means.append(f.mean(axis=1))
-    return np.concatenate(means)
+            _sov_batch(b, chol, first,
+                       _sobol_points(shifts[:, stack], directions[:, stack], r, r + step)
+                       .reshape(d, -1)).reshape(-1, step)
+            for r in range(lo, hi, step)], axis=1)
+        sums.append(f.sum(axis=1))
+    return np.concatenate(sums)
 
 
 def mvn_orthant(mean, cov, tol: float = 5e-4, seed=None) -> OrthantResult:
@@ -215,9 +231,10 @@ def mvn_orthant(mean, cov, tol: float = 5e-4, seed=None) -> OrthantResult:
 
     One dimension short-circuits to the exact normal CDF. Otherwise the
     variables are reordered by ascending marginal probability (hardest
-    constraint integrated first), and randomized-QMC batches grow until
-    three standard errors of the batch means drop below ``tol`` or the
-    per-batch budget of ``2**MAX_LOG2_POINTS`` points is reached; the
+    constraint integrated first), and randomized-QMC batches double,
+    each sequence continued where the last level stopped, until three
+    standard errors of the batch means drop below ``tol`` or the per-batch
+    budget of ``2**MAX_LOG2_POINTS`` points is reached; the
     result always reports its own error, so a cap hit is visible rather
     than silent.
 
@@ -259,12 +276,15 @@ def mvn_orthant(mean, cov, tol: float = 5e-4, seed=None) -> OrthantResult:
     chol = _cholesky_with_jitter(sigma[np.ix_(order, order)])
 
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    estimate, error, points = np.nan, np.inf, 0
+    shifts, directions = _scrambles(m - 1, ss.spawn(BATCHES))
+    first = ndtr(b[0] / chol[0, 0])
+    sums, done = np.zeros(BATCHES), 0
     for k in range(MIN_LOG2_POINTS, MAX_LOG2_POINTS + 1):
-        means = _batch_means(b, chol, ss.spawn(BATCHES), k)
+        sums += _point_sums(b, chol, first, shifts, directions, done, 2**k)
+        done = 2**k
+        means = sums / done
         estimate = float(means.mean())
         error = 3.0 * float(means.std(ddof=1)) / float(np.sqrt(BATCHES))
-        points = BATCHES * 2**k
         if error <= tol:
             break
-    return OrthantResult(float(np.clip(estimate, 0.0, 1.0)), error, "qmc", points)
+    return OrthantResult(float(np.clip(estimate, 0.0, 1.0)), error, "qmc", BATCHES * done)

@@ -272,9 +272,7 @@ def test_runs_need_no_scipy_installed(workload, rows, tmp_path, monkeypatch):
 
 
 def _scipy_sobol(d, children, k):
-    from scipy.stats import qmc
-    return [qmc.Sobol(d=d, scramble=True, seed=np.random.default_rng(child)).random_base2(k)
-            for child in children]
+    return [qmc_sobol(d, child).random_base2(k) for child in children]
 
 
 def test_shipped_sobol_table_equals_scipys():
@@ -322,13 +320,35 @@ def test_scrambled_sobol_matches_scipy_bit_for_bit(d):
                 assert g.tobytes() == w.tobytes(), (d, k, entropy)
 
 
-def reference_mvn_orthant(mean, cov, tol=5e-4, seed=None, batches=10,
-                          min_log2_points=10, max_log2_points=17):
-    """The QMC branch of ``mvn_orthant`` as it was with one
-    ``scipy.stats.qmc.Sobol`` engine per scrambling, each integrated on its
-    own, for inputs with m >= 2 and a nonzero diagonal."""
-    from scipy.stats import qmc
+@pytest.mark.parametrize("d", [1, 2, 4, 8, 39])
+def test_continued_sobol_matches_scipys_continued_engine(d):
+    # Each level's points, made from the level's first index alone, follow
+    # on from the last level's as a scipy engine continues its sequence.
+    bounds = [0, 2**3, 2**4, 2**5, 2**5 + 3, 2**8]
+    for entropy in (0, 2**70 + 5):
+        engines = [qmc_sobol(d, child) for child in np.random.SeedSequence(entropy).spawn(3)]
+        want = [np.concatenate([engine.random(hi - lo) for lo, hi in zip(bounds, bounds[1:])])
+                for engine in engines]
+        scrambles = _scrambles(d, np.random.SeedSequence(entropy).spawn(3))
+        got = np.concatenate([_sobol_points(*scrambles, lo, hi)
+                              for lo, hi in zip(bounds, bounds[1:])], axis=2)
+        for s, w in enumerate(want):
+            g = np.ascontiguousarray(got[:, s].T)
+            assert g.shape == w.shape == (bounds[-1], d)
+            assert g.tobytes() == w.tobytes(), (d, entropy, s)
 
+
+def qmc_sobol(d, child):
+    from scipy.stats import qmc
+    return qmc.Sobol(d=d, scramble=True, seed=np.random.default_rng(child))
+
+
+def reference_mvn_orthant(mean, cov, tol=5e-4, seed=None, batches=10,
+                          min_log2_points=9, max_log2_points=17):
+    """The QMC branch of ``mvn_orthant`` with one ``scipy.stats.qmc.Sobol``
+    engine of m - 1 dimensions per scrambling, each integrated on its own
+    and continued from level to level, for inputs with m >= 2 and a
+    nonzero diagonal."""
     mu = np.asarray(mean, dtype=np.float64)
     sigma = np.asarray(cov, dtype=np.float64)
     sigma = (sigma + sigma.T) / 2.0
@@ -337,13 +357,15 @@ def reference_mvn_orthant(mean, cov, tol=5e-4, seed=None, batches=10,
     order = np.argsort(marginal, kind="stable")
     b = mu[order]
     chol = _cholesky_with_jitter(sigma[np.ix_(order, order)])
+    first = normal.ndtr(b[0] / chol[0, 0])
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    estimate, error, points = np.nan, np.inf, 0
+    engines = [qmc_sobol(len(mu) - 1, child) for child in ss.spawn(batches)]
+    sums = np.zeros(batches)
     for k in range(min_log2_points, max_log2_points + 1):
-        means = np.empty(batches)
-        for j, child in enumerate(ss.spawn(batches)):
-            engine = qmc.Sobol(d=len(mu), scramble=True, seed=np.random.default_rng(child))
-            means[j] = _sov_batch(b, chol, engine.random_base2(k).T).mean()
+        for j, engine in enumerate(engines):
+            u = engine.random_base2(k) if k == min_log2_points else engine.random(2**(k - 1))
+            sums[j] += _sov_batch(b, chol, first, u.T).sum()
+        means = sums / 2**k
         estimate = float(means.mean())
         error = 3.0 * float(means.std(ddof=1)) / np.sqrt(batches)
         points = batches * 2**k
@@ -384,15 +406,34 @@ def test_mvn_orthant_matches_reference_past_the_first_levels(monkeypatch):
 
 
 def test_blocks_of_points_do_not_change_the_result(monkeypatch):
-    # Blocks smaller than one scrambling (here 2**9 of its 2**10 points, and
-    # 2**9 of 2**11 at the next level) give the same bits as stacked ones.
+    # Blocks smaller than one scrambling's points at a level (here 2**8 of
+    # its first 2**9, and of the 2**9, 2**10, ... that each doubling adds)
+    # give the same bits as stacked ones.
     cov = equicorrelated(4, 0.4)
     mu = np.array([0.1, -0.2, 0.05, 0.3])
     want = mvn_orthant(mu, cov, tol=1e-6, seed=8)
-    monkeypatch.setattr(mvnorm, "_BLOCK_POINTS", 2**9)
+    monkeypatch.setattr(mvnorm, "_BLOCK_POINTS", 2**8)
     got = mvn_orthant(mu, cov, tol=1e-6, seed=8)
     assert got.points >= 10 * 2**11
     _assert_same_result(got, want)
+
+
+@pytest.mark.parametrize("tol, log2_points", [(1e-1, 9), (1e-12, 17)])
+def test_no_point_is_integrated_twice(tol, log2_points, monkeypatch):
+    # One call that stops at the floor and one that climbs to the budget:
+    # the integrand sees exactly the points the result counts.
+    seen = []
+
+    def counting(b, chol, first, u):
+        seen.append(u.shape[1])
+        return _sov_batch(b, chol, first, u)
+
+    monkeypatch.setattr(mvnorm, "_sov_batch", counting)
+    cov = equicorrelated(3, 0.3)
+    res = mvn_orthant([0.2, -0.1, 0.4], cov, tol=tol, seed=5)
+    assert res.points == mvnorm.BATCHES * 2**log2_points
+    assert sum(seen) == res.points
+    assert (res.error <= tol) == (log2_points == mvnorm.MIN_LOG2_POINTS)
 
 
 def test_sobol_limits_fail_loudly():

@@ -34,6 +34,7 @@ from .model import (  # noqa: F401
     build_schema,
     fit_bayes,
     fit_model,
+    require_full_rank,
     require_more_rows,
 )
 from .predicates import parse_predicate, resolve_mask
@@ -236,6 +237,7 @@ def _cmd_validate(args) -> int:
             cfg.model.bayes.expand(schema.p)
         else:
             _at("model", require_more_rows, data.n, schema.p)
+            _at("model", require_full_rank, data, schema)
         _check_queries(cfg, data, schema)
     except (ValueError, OSError) as exc:  # ConfigError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)

@@ -34,6 +34,7 @@ __all__ = [
     "ci_coverage_check",
     "ratio_mc_battery_check",
     "orthant_mc_battery_check",
+    "orthant_tol_check",
     "prob_best_sum_check",
     "exchangeable_ranking_check",
     "run_default",
@@ -309,6 +310,15 @@ def ratio_mc_battery_check(n_models: int = 20, seed: int = 906,
     )
 
 
+def _random_correlation(rng: np.random.Generator, m: int) -> np.ndarray:
+    """An m x m correlation matrix: a @ a.T + I / 2 for a standard normal
+    a, scaled to a unit diagonal."""
+    a = rng.normal(size=(m, m))
+    cov = a @ a.T + 0.5 * np.eye(m)
+    d = np.sqrt(np.diag(cov))
+    return cov / np.outer(d, d)
+
+
 def orthant_mc_battery_check(n_matrices: int = 20, seed: int = 907,
                              draws: int = 10**6) -> VerifyResult:
     """QMC orthant probabilities against plain Monte Carlo for random means
@@ -324,10 +334,7 @@ def orthant_mc_battery_check(n_matrices: int = 20, seed: int = 907,
     worst = 0.0
     for k in range(n_matrices):
         m = int(rng.integers(2, 6))
-        a = rng.normal(size=(m, m))
-        cov = a @ a.T + 0.5 * np.eye(m)
-        d = np.sqrt(np.diag(cov))
-        cov = cov / np.outer(d, d)
+        cov = _random_correlation(rng, m)
         mu = rng.normal(0.0, 1.0, size=m)
         est = mvn_orthant(mu, cov, tol=tol, seed=seed + k)
         mc, mc_se = oracles.mc_orthant(mu, cov, n_samples=draws, seed=seed * 1000 + k)
@@ -340,6 +347,31 @@ def orthant_mc_battery_check(n_matrices: int = 20, seed: int = 907,
         name="orthant-vs-mc",
         passed=failures == 0,
         detail=f"{n_matrices} matrices (m<=5), worst |qmc - mc| at {worst:.2f}x its allowance",
+    )
+
+
+def orthant_tol_check(n_matrices: int = 40, seed: int = 910, tol: float = 1e-5) -> VerifyResult:
+    """QMC orthant probabilities at a tight ``tol`` against a reference
+    that runs the full budget, 10 x 2**17 points, on its own seed, for
+    random correlation matrices of dimension 2 to 6 and N(0, 0.5**2) means.
+
+    Each estimate must lie within ``tol`` plus the reference's reported
+    error of the reference, so the error bar an estimate stops on holds.
+    """
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for k in range(n_matrices):
+        m = int(rng.integers(2, 7))
+        cov = _random_correlation(rng, m)
+        mu = rng.normal(0.0, 0.5, size=m)
+        est = mvn_orthant(mu, cov, tol=tol, seed=seed + k)
+        ref = mvn_orthant(mu, cov, tol=np.finfo(float).tiny, seed=seed * 1000 + k)
+        worst = max(worst, abs(est.probability - ref.probability) / (tol + ref.error))
+    return VerifyResult(
+        name="orthant-tol",
+        passed=worst <= 1.0,
+        detail=f"{n_matrices} matrices (2<=m<=6) at tol {tol:g}, worst |qmc - reference| "
+               f"at {worst:.2f}x tol + reference error",
     )
 
 
@@ -408,6 +440,7 @@ def run_mc(seed: int = 0) -> list[VerifyResult]:
         ci_coverage_check(seed=905 + seed),
         ratio_mc_battery_check(seed=906 + seed),
         orthant_mc_battery_check(seed=907 + seed),
+        orthant_tol_check(seed=910 + seed),
         prob_best_sum_check(seed=908 + seed),
         exchangeable_ranking_check(seed=909 + seed),
     ]

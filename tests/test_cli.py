@@ -297,7 +297,7 @@ def test_verify_full_suite(tmp_path):
     proc = run_cli("verify", "--suite", "full", cwd=tmp_path)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = [l for l in proc.stdout.splitlines() if l.strip()]
-    assert len(lines) == 10
+    assert len(lines) == 11
     assert all(l.startswith("ok") for l in lines)
 
 
@@ -381,6 +381,10 @@ NO_UNIT = (PANEL_CSV, {"outcome": "y", "arm": "arm", "period": "t", "covariates"
 DTE = {"type": "dte", "arm_to": "t", "arm_from": "c", "period": 0}
 NO_DTE_UNIT = ("dte queries need data.columns.unit_id in the config "
                "(cluster-robust covariance clusters on it)")
+RANK_DEFICIENT = ("y,arm,x,z\n" + "".join(
+    f"{(i * 7) % 5 + 0.5 * i},{'abc'[i % 3]},{i * 0.5},{i * 1.0}\n" for i in range(30)),
+    {"outcome": "y", "arm": "arm"}, "a")
+DEPENDENT_X = "design matrix is rank deficient; dependent columns: x, x:arm=b, x:arm=c"
 DTE_BAYES = ("dte queries are incompatible with a bayes prior; the per-period "
              "contract requires cluster-robust covariance")
 
@@ -423,10 +427,13 @@ DTE_BAYES = ("dte queries are incompatible with a bayes prior; the per-period "
      {"type": "ate", "arm_to": "t", "arm_from": "c"},
      "model: need more rows than design columns (n=16, p=16)",
      "need more rows than design columns (n=16, p=16)"),
+    # z is exactly twice x, so only the fit's QR shows the design is singular.
+    (RANK_DEFICIENT, {}, {"type": "ate", "arm_to": "b", "arm_from": "a"},
+     f"model: {DEPENDENT_X}", DEPENDENT_X),
 ], ids=["prior-length", "unknown-arm", "unknown-ranked-arm", "unknown-column",
         "unknown-period", "empty-subset", "empty-complement", "dte-without-unit-id",
         "dte-with-bayes", "cluster-without-unit-id", "same-arm-twice", "repeated-ranked-arm",
-        "rows-not-above-columns"])
+        "rows-not-above-columns", "rank-deficient"])
 def test_validate_rejects_what_run_rejects(tmp_path, data, model, query, message, run_message):
     csv, columns, reference = data
     write_workspace(tmp_path, [query], csv=csv, columns=columns,
@@ -447,6 +454,19 @@ def test_validate_rejects_what_run_rejects(tmp_path, data, model, query, message
         # a model block that cannot fit is fatal regardless of --partial
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr == f"error: {run_message}\n"
+
+
+def test_validate_accepts_a_singular_design_under_a_prior(tmp_path):
+    # The prior rows make the posterior proper, so run fits it, and
+    # validate factors no design for a Bayes model.
+    csv, columns, reference = RANK_DEFICIENT
+    write_workspace(tmp_path, [{"type": "ate", "arm_to": "b", "arm_from": "a"}], csv=csv,
+                    columns=columns, model={"reference_arm": reference,
+                                            "bayes": {"noise_variance": 1.0}})
+    proc = run_cli("validate", "--config", "config.json", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "config OK: 30 rows, 9 design columns" in proc.stdout
+    assert run_cli("run", "--config", "config.json", cwd=tmp_path).returncode == 0
 
 
 @pytest.mark.parametrize("qtype", sorted(_QUERY_KEYS))

@@ -1,11 +1,12 @@
 """Command-line entry point.
 
 ``run`` executes the queries in a JSON config against a CSV dataset and
-writes a deterministic report; ``validate`` checks a config (and its data)
-without running anything; ``verify`` runs the built-in self-checks.
+writes a deterministic report; ``validate`` loads the data and fits the
+model(s) as ``run`` does, then makes ``run``'s checks of each query without
+answering it; ``verify`` runs the built-in self-checks.
 
 Exit codes: 0 success, 1 config/input validation failure, 2 numeric or
-query failure.
+query failure. A malformed flag exits 2 with argparse's usage message.
 """
 
 from __future__ import annotations
@@ -26,16 +27,12 @@ from .data import Dataset, add_period_covariate, load_csv
 # fit_model. They stay module attributes because the benchmark's tracer
 # (perfbench/tracer.py) patches them at these names.
 from .model import (  # noqa: F401
-    ColumnSchema,
     FittedModel,
     ModelSpec,
     as_flat_prior_posterior,
     build_design,
-    build_schema,
     fit_bayes,
     fit_model,
-    require_full_rank,
-    require_more_rows,
 )
 from .predicates import parse_predicate, resolve_mask
 from .report import build_report, render_report, sha256_file, write_report
@@ -45,27 +42,9 @@ from .verify import SUITES, run_suite
 __all__ = ["main", "execute"]
 
 
-def _period_inputs(data: Dataset, spec: ModelSpec) -> tuple[Dataset, ModelSpec]:
-    """The data and model block of the per-period fit: the period encoded as
-    a covariate, and cluster-robust covariance. Raises for a Bayes prior or
-    for data without a period or unit_id column."""
-    if spec.bayes is not None:
-        raise ValueError(
-            "dte queries are incompatible with a bayes prior; the "
-            "per-period contract requires cluster-robust covariance"
-        )
-    if data.period is None:
-        raise ValueError("dte queries need data.columns.period in the config")
-    if data.unit_id is None:
-        raise ValueError(
-            "dte queries need data.columns.unit_id in the config "
-            "(cluster-robust covariance clusters on it)"
-        )
-    return add_period_covariate(data), dataclasses.replace(spec, covariance_kind="cluster")
-
-
 class _FitCache:
-    """The fits queries read, each fitted at most once.
+    """The fits ``run`` answers queries from and ``validate`` checks them
+    on, each fitted at most once per command.
 
     ``base`` is the fit of the config's model block, made on construction;
     ``posterior`` reads it as a posterior for probability queries (a
@@ -82,8 +61,24 @@ class _FitCache:
 
     @cached_property
     def period_cluster(self) -> tuple[Dataset, FittedModel]:
-        pdata, spec = _period_inputs(self._data, self._spec)
-        return pdata, fit_model(pdata, spec)
+        """The data with its period encoded as a covariate, and that data's
+        cluster-robust fit. Raises for a Bayes prior or for data without a
+        period or unit_id column."""
+        data = self._data
+        if self._spec.bayes is not None:
+            raise ValueError(
+                "dte queries are incompatible with a bayes prior; the "
+                "per-period contract requires cluster-robust covariance"
+            )
+        if data.period is None:
+            raise ValueError("dte queries need data.columns.period in the config")
+        if data.unit_id is None:
+            raise ValueError(
+                "dte queries need data.columns.unit_id in the config "
+                "(cluster-robust covariance clusters on it)"
+            )
+        pdata = add_period_covariate(data)
+        return pdata, fit_model(pdata, dataclasses.replace(self._spec, covariance_kind="cluster"))
 
 
 # The module whose function of the same name answers each query type. The
@@ -125,6 +120,14 @@ def _model_info(model: FittedModel) -> dict:
     }
 
 
+def _load_data(cfg: RunConfig) -> Dataset:
+    """The config's dataset; a CSV that cannot be read raises ``ConfigError``."""
+    try:
+        return load_csv(cfg.data_path, cfg.column_map)
+    except (ValueError, OSError) as exc:
+        raise ConfigError(f"failed to load data: {exc}") from None
+
+
 def execute(cfg: RunConfig, *, flat_prior_ok: bool = False, partial: bool = False) -> dict:
     """Run every query in the config and assemble the report document.
 
@@ -139,10 +142,7 @@ def execute(cfg: RunConfig, *, flat_prior_ok: bool = False, partial: bool = Fals
             "posterior; add a model.bayes block or pass --flat-prior-ok to use "
             "the least-squares fit as a flat-prior posterior"
         )
-    try:
-        data = load_csv(cfg.data_path, cfg.column_map)
-    except (ValueError, OSError) as exc:
-        raise ConfigError(f"failed to load data: {exc}") from None
+    data = _load_data(cfg)
 
     results: list[dict] = []
     errors: list[dict] = []
@@ -171,6 +171,14 @@ def execute(cfg: RunConfig, *, flat_prior_ok: bool = False, partial: bool = Fals
     )
 
 
+def _require_report_dir(path: str, where: str) -> None:
+    """Raise ``ConfigError`` behind ``where`` unless the directory the report
+    at ``path`` is written into exists."""
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(directory):
+        raise ConfigError(f"{where} {path!r}: directory {directory!r} does not exist")
+
+
 def _cmd_run(args) -> int:
     try:
         cfg = load_config(args.config)
@@ -178,6 +186,9 @@ def _cmd_run(args) -> int:
             cfg = dataclasses.replace(cfg, data_path=os.path.abspath(args.data))
         if args.seed is not None:
             cfg = dataclasses.replace(cfg, seed=args.seed)
+        out_path, where = (args.out, "--out") if args.out else (cfg.output, "output")
+        if out_path:
+            _require_report_dir(out_path, where)
         report = execute(cfg, flat_prior_ok=args.flat_prior_ok, partial=args.partial)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -185,9 +196,13 @@ def _cmd_run(args) -> int:
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    out_path = args.out or cfg.output
     if out_path:
-        write_report(report, out_path)
+        try:
+            write_report(report, out_path)
+        except OSError as exc:
+            print(f"error: cannot write the report to {out_path!r}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return 1
         print(f"report written to {out_path}", file=sys.stderr)
     else:
         sys.stdout.write(render_report(report))
@@ -196,55 +211,56 @@ def _cmd_run(args) -> int:
 
 def _at(where: str, check, *args):
     """``check(*args)``, one of ``run``'s checks, with a failure raised as
-    ``ConfigError`` behind ``where``."""
+    ``ConfigError`` behind ``where``, unless its message already names a
+    field inside ``where``."""
     try:
         return check(*args)
     except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
+        inside = str(exc).startswith(f"{where}.")
+        raise ConfigError(str(exc) if inside else f"{where}: {exc}") from None
 
 
-def _check_queries(cfg: RunConfig, data: Dataset, schema: ColumnSchema) -> None:
-    """Run, on the data and without a fit, the checks ``run`` makes of each
-    query's arm labels, subsets and period; raise ``ConfigError`` naming
-    ``queries[i]`` and the field at fault."""
+def _check_queries(cfg: RunConfig, data: Dataset, fits: _FitCache) -> None:
+    """Make ``run``'s checks of each query's arm labels, subsets and period
+    on the fit ``run`` would answer it from, without answering it; raise
+    ``ConfigError`` naming ``queries[i]`` and the field at fault."""
     for query in cfg.queries:
         where, params = f"queries[{query.index}]", query.params
+        qdata, schema = data, fits.base.schema
+        if query.type == "dte":
+            qdata, model = _at(where, lambda: fits.period_cluster)
+            schema = model.schema
         arms = [(key, params[key]) for key in ("arm_to", "arm_from") if key in params]
         arms += [(f"arms[{j}]", arm) for j, arm in enumerate(params.get("arms", ()))]
         for field, arm in arms:
-            if arm not in schema.all_arms:
-                raise ConfigError(f"{where}.{field} {arm!r} is not an arm of the data; "
-                                  f"arms are {list(schema.all_arms)}")
+            _at(f"{where}.{field}", schema.require_arm, arm)
         if "arm_to" in params:
             _at(f"{where}.arm_from", distinct_arms, schema, params["arm_to"], params["arm_from"])
         if query.type == "prob_best":
             _at(f"{where}.arms", ranking.ranked_arms, schema, params.get("arms"))
         if "predicate" in params:
-            mask = _at(f"{where}.predicate", resolve_mask, data, params["predicate"])
+            mask = _at(f"{where}.predicate", resolve_mask, qdata, params["predicate"])
             for rows in (mask, ~mask) if query.type == "hte" else (mask,):
-                _at(f"{where}.predicate", profile_from_subset, data, schema, rows)
+                _at(f"{where}.predicate", profile_from_subset, qdata, schema, rows)
         if query.type == "dte":
-            _at(where, _period_inputs, data, cfg.model)
-            _at(where, effects.period_mask, data, params["period"])
+            _at(where, effects.period_mask, qdata, params["period"])
 
 
 def _cmd_validate(args) -> int:
     try:
         cfg = load_config(args.config)
-        data = load_csv(cfg.data_path, cfg.column_map)
-        schema = _at("model", build_schema, data, cfg.model)
-        if cfg.model.bayes is not None:
-            cfg.model.bayes.expand(schema.p)
-        else:
-            _at("model", require_more_rows, data.n, schema.p)
-            _at("model", require_full_rank, data, schema)
-        _check_queries(cfg, data, schema)
+        if cfg.output:
+            _require_report_dir(cfg.output, "output")
+        data = _load_data(cfg)
+        fits = _at("model", _FitCache, data, cfg.model)
+        _check_queries(cfg, data, fits)
     except (ValueError, OSError) as exc:  # ConfigError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return 1
+    base = fits.base
     print(
-        f"config OK: {data.n} rows, {schema.p} design columns, "
-        f"arms {list(schema.all_arms)}, {len(cfg.queries)} queries"
+        f"config OK: {base.n} rows, {base.p} design columns, "
+        f"arms {list(base.schema.all_arms)}, {len(cfg.queries)} queries"
     )
     return 0
 
@@ -261,6 +277,13 @@ def _cmd_verify(args) -> int:
     return 0
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value, held to the config seed's rule."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="effect-engine",
@@ -273,7 +296,7 @@ def main(argv=None) -> int:
     run_p.add_argument("--config", required=True, help="path to the JSON run config")
     run_p.add_argument("--data", help="CSV path; overrides the config's data.path")
     run_p.add_argument("--out", help="report path (default: config 'output' or stdout)")
-    run_p.add_argument("--seed", type=int, help="override the config seed")
+    run_p.add_argument("--seed", type=_seed, help="override the config seed")
     run_p.add_argument(
         "--flat-prior-ok", action="store_true",
         help="let probability queries treat a least-squares fit as a flat-prior posterior",
@@ -291,7 +314,7 @@ def main(argv=None) -> int:
     ver_p = sub.add_parser("verify", help="run the built-in self-checks")
     ver_p.add_argument("--suite", choices=SUITES, default="default",
                        help="which checks to run (default: the fast ones)")
-    ver_p.add_argument("--seed", type=int, default=0)
+    ver_p.add_argument("--seed", type=_seed, default=0)
     ver_p.set_defaults(func=_cmd_verify)
 
     args = parser.parse_args(argv)

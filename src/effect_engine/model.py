@@ -34,8 +34,6 @@ __all__ = [
     "build_design",
     "build_schema",
     "DesignRows",
-    "require_more_rows",
-    "require_full_rank",
     "covariate_matrix",
     "fit_ols",
     "fit_bayes",
@@ -251,13 +249,6 @@ def build_schema(data: Dataset, spec: ModelSpec) -> ColumnSchema:
                         interactions=spec.interactions)
 
 
-def require_more_rows(n: int, p: int) -> None:
-    """Raise unless a least-squares fit of n rows and p columns has more
-    rows than columns."""
-    if n <= p:
-        raise ValueError(f"need more rows than design columns (n={n}, p={p})")
-
-
 def covariate_matrix(data: Dataset, schema: ColumnSchema, rows=None) -> np.ndarray:
     """Expanded covariate block (n x q) for ``data`` under ``schema``:
     numeric columns pass through, categorical columns become 0/1 indicators
@@ -412,28 +403,6 @@ def _dependent_column_labels(r: np.ndarray, schema: ColumnSchema | None, rank: i
     return ", ".join(names)
 
 
-def _require_independent_columns(r: np.ndarray, schema: ColumnSchema | None) -> None:
-    """Raise ``ValueError`` naming the dependent columns unless the p x p
-    factor R of the design has full numerical rank: every singular value of
-    R, which are the design's, above ``RANK_RTOL`` times the largest."""
-    singular = np.linalg.svd(r, compute_uv=False)
-    rank = int(np.sum(singular > RANK_RTOL * singular[0]))
-    if rank < r.shape[0]:
-        names = _dependent_column_labels(r, schema, rank)
-        raise ValueError(f"design matrix is rank deficient; dependent columns: {names}")
-
-
-def require_full_rank(data: Dataset, schema: ColumnSchema) -> None:
-    """Raise the ``ValueError`` that :func:`fit_ols` raises for the design of
-    ``data`` under ``schema`` before it solves: a NaN or infinity in the
-    outcome or the design, or dependent columns. It costs one blocked R
-    pass (:func:`_blocked_r`) over the rows and no fit."""
-    y = np.asarray(data.outcome, dtype=np.float64)
-    _require_finite(y)
-    rxy = _blocked_r(DesignRows(data, schema), y, schema)
-    _require_independent_columns(rxy[:schema.p, :schema.p], schema)
-
-
 def _qr_r(xy: np.ndarray, rows: int | None = None) -> np.ndarray:
     """R of the Householder QR of the first ``rows`` rows (all by default)
     of the Fortran-ordered n x k ``xy``, a new min(rows, k) x k array; those
@@ -568,12 +537,17 @@ def fit_ols(design, y: np.ndarray, covariance_kind: str = "hc1",
         )
     if covariance_kind == "cluster" and cluster_ids is None:
         raise ValueError("cluster covariance requires cluster_ids")
-    require_more_rows(n, p)
+    if n <= p:
+        raise ValueError(f"need more rows than design columns (n={n}, p={p})")
     _require_finite(y)
 
     Rxy = _blocked_r(X, y, schema)
     R = Rxy[:p, :p]
-    _require_independent_columns(R, schema)
+    singular = np.linalg.svd(R, compute_uv=False)
+    rank = int(np.sum(singular > RANK_RTOL * singular[0]))
+    if rank < p:
+        names = _dependent_column_labels(R, schema, rank)
+        raise ValueError(f"design matrix is rank deficient; dependent columns: {names}")
 
     beta = np.linalg.solve(R, Rxy[:p, p])
     r_inv = np.linalg.solve(R, np.eye(p))

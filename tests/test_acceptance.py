@@ -84,10 +84,11 @@ def test_criterion_5_ratio_against_oracles(capsys):
 def test_criterion_6_orthant_and_ranking(capsys):
     run_check(
         capsys, 6,
-        "orthant vs closed form/MC, rankings sum to 1, exchangeable arms "
-        "uniform (tol 2e-3)",
+        "orthant vs closed form/MC and at tol 1e-5 vs a full-budget reference "
+        "(40 matrices), rankings sum to 1, exchangeable arms uniform (tol 2e-3)",
         [(verify.bivariate_orthant_check, {}),
          (verify.orthant_mc_battery_check, {"n_matrices": 20}),
+         (verify.orthant_tol_check, {"n_matrices": 40}),
          (verify.prob_best_sum_check, {"arm_counts": (3, 4, 5)}),
          (verify.exchangeable_ranking_check, {})],
         budget=300.0,

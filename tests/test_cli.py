@@ -3,6 +3,7 @@
 import importlib
 import inspect
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import cli_env
-from effect_engine import cli
+from effect_engine import cli, verify
 from effect_engine.cli import execute
 from effect_engine.config import _QUERY_KEYS, parse_config
 from effect_engine.data import add_period_covariate, load_csv
@@ -293,12 +294,70 @@ def test_verify_subcommand(tmp_path):
     assert "FAIL" not in proc.stdout
 
 
-def test_verify_full_suite(tmp_path):
-    proc = run_cli("verify", "--suite", "full", cwd=tmp_path)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    lines = [l for l in proc.stdout.splitlines() if l.strip()]
-    assert len(lines) == 11
-    assert all(l.startswith("ok") for l in lines)
+def test_verify_full_suite(capsys, monkeypatch):
+    # The checks are stubbed: each one runs, with the seed verify gives it,
+    # in tests/test_acceptance.py.
+    calls = []
+
+    def stub(name):
+        def check(**kwargs):
+            calls.append(name)
+            return verify.VerifyResult(name=name, passed=True, detail="stubbed")
+        return check
+
+    checks = [name for name in dir(verify) if name.endswith("_check")]
+    for name in checks:
+        monkeypatch.setattr(verify, name, stub(name))
+    assert cli.main(["verify", "--suite", "full"]) == 0
+    assert capsys.readouterr().out.splitlines() == [f"ok   - {name}: stubbed" for name in calls]
+    assert sorted(calls) == sorted(checks) and len(calls) == 11
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--config", "config.json", "--seed", "-1"],
+    ["verify", "--seed", "-1000"],
+], ids=["run", "verify"])
+def test_negative_seed_flag_is_refused_before_any_work(tmp_path, monkeypatch, capsys, argv):
+    write_workspace(tmp_path, [{"type": "ate", "arm_to": "1", "arm_from": "0"}])
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "load_config", None)
+    monkeypatch.setattr(cli, "run_suite", None)
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --seed: must be a non-negative integer, got '{argv[-1]}'" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, flags, config_output", [
+    ("run", ["--out", "missing/r.json"], None),
+    ("run", [], "missing/r.json"),
+    ("validate", [], "missing/r.json"),
+], ids=["run-out-flag", "run-config-output", "validate-config-output"])
+def test_report_path_in_a_missing_directory_exits_1_before_the_data_is_read(
+        tmp_path, command, flags, config_output):
+    extra = {} if config_output is None else {"output": config_output}
+    write_workspace(tmp_path, [{"type": "ate", "arm_to": "1", "arm_from": "0"}], **extra)
+    (tmp_path / "data.csv").unlink()
+    proc = run_cli(command, "--config", "config.json", *flags, cwd=tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    where = "--out 'missing/r.json'" if flags else f"output '{tmp_path / 'missing' / 'r.json'}'"
+    assert proc.stderr == (f"config error: {where}: directory "
+                           f"'{tmp_path / 'missing'}' does not exist\n")
+
+
+def test_report_write_failure_exits_1_naming_the_path(tmp_path):
+    # The directory exists, so the run goes ahead; the report path is a
+    # directory itself, so the final rename fails.
+    write_workspace(tmp_path, [{"type": "ate", "arm_to": "1", "arm_from": "0"}])
+    (tmp_path / "taken").mkdir()
+    proc = run_cli("run", "--config", "config.json", "--out", "taken", cwd=tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == "error: cannot write the report to 'taken': Is a directory\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["config.json", "data.csv",
+                                                                 "taken"]
+    assert list((tmp_path / "taken").iterdir()) == []
 
 
 def test_bad_bayes_prior_exits_1(tmp_path):
@@ -385,6 +444,10 @@ RANK_DEFICIENT = ("y,arm,x,z\n" + "".join(
     f"{(i * 7) % 5 + 0.5 * i},{'abc'[i % 3]},{i * 0.5},{i * 1.0}\n" for i in range(30)),
     {"outcome": "y", "arm": "arm"}, "a")
 DEPENDENT_X = "design matrix is rank deficient; dependent columns: x, x:arm=b, x:arm=c"
+# Every row in unit u0.
+ONE_UNIT = (re.sub(r",u\d,", ",u0,", PANEL_CSV), PANEL[1], "c")
+NOT_PD = "prior covariance is not symmetric positive definite"
+ONE_CLUSTER = "cluster covariance requires at least 2 clusters"
 DTE_BAYES = ("dte queries are incompatible with a bayes prior; the per-period "
              "contract requires cluster-robust covariance")
 
@@ -395,10 +458,10 @@ DTE_BAYES = ("dte queries are incompatible with a bayes prior; the per-period "
      "model.bayes.prior_mean has shape (3,) but the design has p = 4 columns",
      "model.bayes.prior_mean has shape (3,) but the design has p = 4 columns"),
     (SIX_ROW, {}, {"type": "ate", "arm_to": "2", "arm_from": "0"},
-     "queries[0].arm_to '2' is not an arm of the data; arms are ['0', '1']",
+     "queries[0].arm_to: unknown arm label '2'; model has arms ('0', '1')",
      "unknown arm label '2'; model has arms ('0', '1')"),
     (SIX_ROW, {"bayes": {"noise_variance": 1.0}}, {"type": "prob_best", "arms": ["0", "7"]},
-     "queries[0].arms[1] '7' is not an arm of the data; arms are ['0', '1']",
+     "queries[0].arms[1]: unknown arm label '7'; model has arms ('0', '1')",
      "unknown arm label '7'; model has arms ('0', '1')"),
     (SIX_ROW, {}, {"type": "cate", "arm_to": "1", "arm_from": "0", "predicate": "z > 1"},
      "queries[0].predicate: unknown predicate column 'z'",
@@ -430,10 +493,21 @@ DTE_BAYES = ("dte queries are incompatible with a bayes prior; the per-period "
     # z is exactly twice x, so only the fit's QR shows the design is singular.
     (RANK_DEFICIENT, {}, {"type": "ate", "arm_to": "b", "arm_from": "a"},
      f"model: {DEPENDENT_X}", DEPENDENT_X),
+    # Symmetric with eigenvalues 3 and -1 in its first block: only the
+    # posterior's Cholesky factor finds it.
+    (SIX_ROW, {"bayes": {"noise_variance": 1.0, "prior_covariance": [
+        [1, 2, 0, 0], [2, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}},
+     {"type": "ate", "arm_to": "1", "arm_from": "0"},
+     f"model: {NOT_PD}", NOT_PD),
+    (ONE_UNIT, {"covariance": "cluster"}, {"type": "ate", "arm_to": "t", "arm_from": "c"},
+     f"model: {ONE_CLUSTER}", ONE_CLUSTER),
+    # The base fit is classical, so only the period fit clusters on unit_id.
+    (ONE_UNIT, {}, DTE, f"queries[0]: {ONE_CLUSTER}", ONE_CLUSTER),
 ], ids=["prior-length", "unknown-arm", "unknown-ranked-arm", "unknown-column",
         "unknown-period", "empty-subset", "empty-complement", "dte-without-unit-id",
         "dte-with-bayes", "cluster-without-unit-id", "same-arm-twice", "repeated-ranked-arm",
-        "rows-not-above-columns", "rank-deficient"])
+        "rows-not-above-columns", "rank-deficient", "prior-not-positive-definite",
+        "one-cluster", "dte-one-cluster"])
 def test_validate_rejects_what_run_rejects(tmp_path, data, model, query, message, run_message):
     csv, columns, reference = data
     write_workspace(tmp_path, [query], csv=csv, columns=columns,
@@ -457,8 +531,7 @@ def test_validate_rejects_what_run_rejects(tmp_path, data, model, query, message
 
 
 def test_validate_accepts_a_singular_design_under_a_prior(tmp_path):
-    # The prior rows make the posterior proper, so run fits it, and
-    # validate factors no design for a Bayes model.
+    # The prior rows make the posterior proper, so run and validate fit it.
     csv, columns, reference = RANK_DEFICIENT
     write_workspace(tmp_path, [{"type": "ate", "arm_to": "b", "arm_from": "a"}], csv=csv,
                     columns=columns, model={"reference_arm": reference,

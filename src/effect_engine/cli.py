@@ -20,8 +20,8 @@ from functools import cached_property
 
 import numpy as np
 
-from . import effects, ranking, relative
-from .config import ConfigError, QuerySpec, RunConfig, load_config
+from . import effects, ranking
+from .config import QUERY_TYPES, ConfigError, QuerySpec, RunConfig, load_config
 from .data import Dataset, add_period_covariate, load_csv
 # build_design and fit_bayes are not called here: every fit goes through
 # fit_model. They stay module attributes because the benchmark's tracer
@@ -34,7 +34,7 @@ from .model import (  # noqa: F401
     fit_bayes,
     fit_model,
 )
-from .predicates import parse_predicate, resolve_mask
+from .predicates import resolve_mask
 from .report import build_report, render_report, sha256_file, write_report
 from .vectors import distinct_arms, profile_from_subset
 from .verify import SUITES, run_suite
@@ -50,7 +50,7 @@ class _FitCache:
     ``posterior`` reads it as a posterior for probability queries (a
     flat-prior reading unless the model is Bayes). The cluster-robust fit on
     period-augmented data for per-period queries is made on first use, so
-    its errors stay per-query.
+    its errors stay per-query. :meth:`read` gives each query its fit.
     """
 
     def __init__(self, data: Dataset, spec: ModelSpec):
@@ -80,28 +80,22 @@ class _FitCache:
         pdata = add_period_covariate(data)
         return pdata, fit_model(pdata, dataclasses.replace(self._spec, covariance_kind="cluster"))
 
+    def read(self, query: QuerySpec) -> tuple[Dataset, FittedModel]:
+        """The data and the fit ``query`` is answered from, as its type's
+        ``fit`` in ``QUERY_TYPES`` names it."""
+        fit = QUERY_TYPES[query.type].fit
+        return self.period_cluster if fit == "period_cluster" else (self._data, getattr(self, fit))
 
-# The module whose function of the same name answers each query type. The
-# function is looked up at each call, so a patched module attribute sees it.
-_ANSWERED_BY = {"ate": effects, "cate": effects, "hte": effects, "dte": effects,
-                "relative_effect": relative, "prob_positive": ranking, "prob_best": ranking}
-_POSTERIOR_TYPES = ("prob_positive", "prob_best")
 
-
-def _run_query(query: QuerySpec, fits: _FitCache, data: Dataset, cfg: RunConfig) -> dict:
-    kwargs = dict(query.params)
-    if "predicate" in kwargs:
-        kwargs["predicate"] = parse_predicate(kwargs["predicate"])
-    model = fits.base
-    if query.type in _POSTERIOR_TYPES:
-        model = fits.posterior
+def _run_query(query: QuerySpec, fits: _FitCache, cfg: RunConfig) -> dict:
+    kind, kwargs = QUERY_TYPES[query.type], dict(query.params)
+    if kind.fit == "posterior":
         kwargs.update(tol=cfg.mvn_tol, seed=np.random.SeedSequence([cfg.seed, query.index]))
-    elif query.type == "dte":
-        data, model = fits.period_cluster
-    result = getattr(_ANSWERED_BY[query.type], query.type)(model, data, **kwargs)
+    data, model = fits.read(query)
+    result = getattr(kind.module, query.type)(model, data, **kwargs)
     out = {**result.to_dict(), "index": query.index, "name": query.name}
-    if query.type == "dte":
-        out["model_variant"] = "period_cluster"
+    if kind.fit == "period_cluster":
+        out["model_variant"] = kind.fit
     return out
 
 
@@ -131,10 +125,11 @@ def _load_data(cfg: RunConfig) -> Dataset:
 def execute(cfg: RunConfig, *, flat_prior_ok: bool = False, partial: bool = False) -> dict:
     """Run every query in the config and assemble the report document.
 
-    Without ``partial`` the first query failure propagates; with it, each
+    Without ``partial`` the first query failure is raised again as a
+    ``RuntimeError`` whose message starts ``queries[i]: ``; with it, each
     failure becomes an ``errors`` entry and the remaining queries still run.
     """
-    needs_posterior = [q for q in cfg.queries if q.type in _POSTERIOR_TYPES]
+    needs_posterior = [q for q in cfg.queries if QUERY_TYPES[q.type].fit == "posterior"]
     if needs_posterior and cfg.model.bayes is None and not flat_prior_ok:
         q = needs_posterior[0]
         raise ConfigError(
@@ -152,10 +147,10 @@ def execute(cfg: RunConfig, *, flat_prior_ok: bool = False, partial: bool = Fals
         fits = _FitCache(data, cfg.model)
         for query in cfg.queries:
             try:
-                results.append(_run_query(query, fits, data, cfg))
+                results.append(_run_query(query, fits, cfg))
             except Exception as exc:
                 if not partial:
-                    raise
+                    raise RuntimeError(f"queries[{query.index}]: {exc}") from exc
                 errors.append({"index": query.index, "name": query.name, "error": str(exc)})
         model_info = _model_info(fits.base)
         captured = [str(w.message) for w in caught]
@@ -220,16 +215,14 @@ def _at(where: str, check, *args):
         raise ConfigError(str(exc) if inside else f"{where}: {exc}") from None
 
 
-def _check_queries(cfg: RunConfig, data: Dataset, fits: _FitCache) -> None:
+def _check_queries(cfg: RunConfig, fits: _FitCache) -> None:
     """Make ``run``'s checks of each query's arm labels, subsets and period
     on the fit ``run`` would answer it from, without answering it; raise
     ``ConfigError`` naming ``queries[i]`` and the field at fault."""
     for query in cfg.queries:
         where, params = f"queries[{query.index}]", query.params
-        qdata, schema = data, fits.base.schema
-        if query.type == "dte":
-            qdata, model = _at(where, lambda: fits.period_cluster)
-            schema = model.schema
+        qdata, model = _at(where, fits.read, query)
+        schema = model.schema
         arms = [(key, params[key]) for key in ("arm_to", "arm_from") if key in params]
         arms += [(f"arms[{j}]", arm) for j, arm in enumerate(params.get("arms", ()))]
         for field, arm in arms:
@@ -242,7 +235,7 @@ def _check_queries(cfg: RunConfig, data: Dataset, fits: _FitCache) -> None:
             mask = _at(f"{where}.predicate", resolve_mask, qdata, params["predicate"])
             for rows in (mask, ~mask) if query.type == "hte" else (mask,):
                 _at(f"{where}.predicate", profile_from_subset, qdata, schema, rows)
-        if query.type == "dte":
+        if "period" in params:
             _at(where, effects.period_mask, qdata, params["period"])
 
 
@@ -251,9 +244,8 @@ def _cmd_validate(args) -> int:
         cfg = load_config(args.config)
         if cfg.output:
             _require_report_dir(cfg.output, "output")
-        data = _load_data(cfg)
-        fits = _at("model", _FitCache, data, cfg.model)
-        _check_queries(cfg, data, fits)
+        fits = _at("model", _FitCache, _load_data(cfg), cfg.model)
+        _check_queries(cfg, fits)
     except (ValueError, OSError) as exc:  # ConfigError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -11,27 +11,32 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
+from . import effects, ranking, relative
 from .data import check_column_roles
 from .model import COVARIANCE_KINDS, BayesPrior, ModelSpec
 from .predicates import parse_predicate
 from .report import sha256_config
 
-__all__ = ["ConfigError", "QuerySpec", "RunConfig", "parse_config", "load_config"]
+__all__ = ["ConfigError", "QUERY_TYPES", "QuerySpec", "RunConfig", "parse_config", "load_config"]
 
-# The query types, each with (required keys, optional keys): the keyword
-# arguments of the function that answers it. "type" and "name" are handled
-# generically.
-_QUERY_KEYS: dict[str, tuple[set, set]] = {
-    "ate": ({"arm_to", "arm_from"}, {"ci_level"}),
-    "cate": ({"arm_to", "arm_from", "predicate"}, {"ci_level"}),
-    "hte": ({"arm_to", "arm_from", "predicate"}, {"ci_level"}),
-    "dte": ({"arm_to", "arm_from", "period"}, {"ci_level"}),
-    "relative_effect": ({"arm_to", "arm_from"}, {"ci_level", "guard", "predicate"}),
-    "prob_positive": ({"arm_to", "arm_from"}, {"predicate"}),
-    "prob_best": (set(), {"arms", "predicate"}),
+# The query types. Each gives its required and optional keys besides "type"
+# and "name" (keyword arguments of the function that answers it); the module
+# whose function of the type's name that is, looked up at each call so that
+# a patched module attribute sees every call; and the fit the query reads.
+QueryType = namedtuple("QueryType", "required optional module fit")
+QUERY_TYPES = {
+    "ate": QueryType({"arm_to", "arm_from"}, {"ci_level"}, effects, "base"),
+    "cate": QueryType({"arm_to", "arm_from", "predicate"}, {"ci_level"}, effects, "base"),
+    "hte": QueryType({"arm_to", "arm_from", "predicate"}, {"ci_level"}, effects, "base"),
+    "dte": QueryType({"arm_to", "arm_from", "period"}, {"ci_level"}, effects, "period_cluster"),
+    "relative_effect": QueryType({"arm_to", "arm_from"}, {"ci_level", "guard", "predicate"},
+                                 relative, "base"),
+    "prob_positive": QueryType({"arm_to", "arm_from"}, {"predicate"}, ranking, "posterior"),
+    "prob_best": QueryType(set(), {"arms", "predicate"}, ranking, "posterior"),
 }
 
 
@@ -41,7 +46,7 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class QuerySpec:
-    """One validated query: its type plus the type-specific parameters."""
+    """One validated query: its type and its parameters, a predicate parsed."""
 
     index: int
     type: str
@@ -176,11 +181,11 @@ def _parse_query(obj, index: int) -> QuerySpec:
     where = f"queries[{index}]"
     obj = _as_mapping(obj, where)
     qtype = _as_str(_require(obj, "type", where), f"{where}.type")
-    if qtype not in _QUERY_KEYS:
-        raise ConfigError(f"{where}.type {qtype!r} is not one of {list(_QUERY_KEYS)}")
-    required, optional = _QUERY_KEYS[qtype]
-    _check_keys(obj, required | optional | {"type", "name"}, where)
-    for key in required:
+    if qtype not in QUERY_TYPES:
+        raise ConfigError(f"{where}.type {qtype!r} is not one of {list(QUERY_TYPES)}")
+    kind = QUERY_TYPES[qtype]
+    _check_keys(obj, kind.required | kind.optional | {"type", "name"}, where)
+    for key in kind.required:
         _require(obj, key, where)
 
     params: dict = {}
@@ -190,10 +195,9 @@ def _parse_query(obj, index: int) -> QuerySpec:
     if "predicate" in obj:
         text = _as_str(obj["predicate"], f"{where}.predicate")
         try:
-            parse_predicate(text)
+            params["predicate"] = parse_predicate(text)
         except ValueError as exc:
             raise ConfigError(f"{where}.predicate: {exc}") from None
-        params["predicate"] = text
     if "period" in obj:
         period = obj["period"]
         if isinstance(period, bool) or not isinstance(period, int):
@@ -303,8 +307,8 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}") from None
-    except (ValueError, RecursionError) as exc:
-        # not UTF-8, an integer literal past the digit limit, or nesting
-        # deeper than the interpreter's recursion limit
+    except (OSError, ValueError, RecursionError) as exc:
+        # a directory or an unreadable file, not UTF-8, an integer literal
+        # past the digit limit, or nesting deeper than the recursion limit
         raise ConfigError(f"config file cannot be read: {exc}") from None
     return parse_config(obj, base_dir=os.path.dirname(os.path.abspath(path)))

@@ -451,7 +451,7 @@ def add_period_covariate(data: Dataset) -> Dataset:
         raise ValueError("dataset has no period column")
     if PERIOD_COVARIATE in data.covariates:
         raise ValueError(f"covariate {PERIOD_COVARIATE!r} already exists")
-    if len(np.unique(data.period)) < 2:
+    if (data.period == data.period[0]).all():
         return data
     col, levels, codes = _labels(data.period.tolist(), f"covariate {PERIOD_COVARIATE!r}")
     out = copy.copy(data)

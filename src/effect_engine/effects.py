@@ -122,8 +122,8 @@ def period_mask(data: Dataset, period: int) -> np.ndarray:
     column or a period the data lacks."""
     if data.period is None:
         raise ValueError("dataset has no period column")
-    periods = np.unique(data.period).tolist()
-    period = int(period)
-    if period not in periods:
-        raise ValueError(f"unknown period {period}; data has periods {periods}")
-    return np.asarray(data.period, dtype=np.int64) == period
+    mask = data.period == int(period)
+    if mask.any():
+        return mask
+    raise ValueError(f"unknown period {int(period)}; data has periods "
+                     f"{np.unique(data.period).tolist()}")

@@ -4,7 +4,9 @@ A predicate is a conjunction of ``column OP literal`` clauses with OP in
 {==, !=, <, <=, >, >=}. Clauses may reference any covariate or the period
 column. The string form used in configs looks like ``"x >= 3 and grade == 4"``;
 literals compare numerically against numeric columns and as strings against
-categorical ones (ordering operators require a numeric column).
+categorical ones (ordering operators require a numeric column). A literal in
+single or double quotes may hold anything but its own quote, ``and`` and
+the operators included; an unquoted one may hold no operator.
 """
 
 from __future__ import annotations
@@ -35,6 +37,10 @@ _ORDERING_OPS = ("<", "<=", ">", ">=")
 _CLAUSE_RE = re.compile(
     r"^\s*([A-Za-z_][A-Za-z0-9_.-]*)\s*(==|!=|<=|>=|<|>)\s*([^\s<>=!].*?)\s*$"
 )
+# An " and " that joins two clauses (group 1), or an operator and the quoted
+# literal after it, taken whole so that an " and " inside the quotes joins
+# nothing.
+_JOIN_RE = re.compile(r"""(\s+and\s+)|[=!<>]=?\s*(?:'[^']*'|"[^"]*")""")
 
 
 @dataclass(frozen=True)
@@ -48,7 +54,17 @@ class Clause:
             raise ValueError(f"unknown operator {self.op!r}")
 
     def describe(self) -> str:
-        return f"{self.column} {self.op} {self.literal}"
+        """``column op literal``, with the literal quoted where its bare form
+        would not parse back to it, alone or with a clause after it."""
+        bare = f"{self.column} {self.op} {self.literal}"
+        try:
+            again = parse_predicate(f"{bare} and {bare}").clauses
+        except ValueError:
+            again = ()
+        if again == (Clause(self.column, self.op, str(self.literal)),) * 2:
+            return bare
+        quote = '"' if "'" in str(self.literal) else "'"
+        return f"{self.column} {self.op} {quote}{self.literal}{quote}"
 
     def mask(self, data: Dataset) -> np.ndarray:
         col = _column_values(data, self.column)
@@ -103,8 +119,13 @@ def parse_predicate(text: str) -> Predicate:
     """Parse the config predicate grammar: clauses joined by ``and``."""
     if not text or not text.strip():
         raise ValueError("empty predicate string")
+    text, parts, start = text.strip(), [], 0
+    for join in _JOIN_RE.finditer(text):
+        if join.group(1):
+            parts.append(text[start:join.start()])
+            start = join.end()
     clauses = []
-    for part in re.split(r"\s+and\s+", text.strip()):
+    for part in [*parts, text[start:]]:
         m = _CLAUSE_RE.match(part)
         if m is None:
             raise ValueError(f"cannot parse predicate clause {part!r}")
@@ -119,6 +140,10 @@ def parse_predicate(text: str) -> Predicate:
             # the column's type at evaluation time, so "grade == 4" matches
             # the categorical level "4" rather than the rendering of 4.0.
             literal = raw
+            if re.search(r"[=!]=|[<>]", raw):
+                raise ValueError(
+                    f"cannot parse predicate clause {part!r}: the unquoted literal {raw!r} "
+                    "holds a comparison operator; quote it, or join clauses with 'and'")
         clauses.append(Clause(column=column, op=op, literal=literal))
     return Predicate(clauses=tuple(clauses))
 

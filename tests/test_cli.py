@@ -1,6 +1,7 @@
 """End-to-end command-line behavior, exercised through subprocesses."""
 
 import importlib
+import importlib.util
 import inspect
 import json
 import re
@@ -15,7 +16,7 @@ from numpy.testing import assert_allclose
 from conftest import cli_env
 from effect_engine import cli, verify
 from effect_engine.cli import execute
-from effect_engine.config import _QUERY_KEYS, parse_config
+from effect_engine.config import QUERY_TYPES, parse_config
 from effect_engine.data import add_period_covariate, load_csv
 from effect_engine.effects import ate, cate, dte, hte
 from effect_engine.model import as_flat_prior_posterior, fit_model
@@ -142,6 +143,26 @@ def test_bad_config_exits_1(tmp_path):
     assert proc.returncode == 1
     assert "config error" in proc.stderr
     assert "typo" in proc.stderr
+
+
+def test_config_path_that_is_a_directory_exits_1(tmp_path):
+    (tmp_path / "cfgdir").mkdir()
+    for command in ("run", "validate"):
+        proc = run_cli(command, "--config", "cfgdir", cwd=tmp_path)
+        assert proc.returncode == 1, (command, proc.stderr)
+        assert proc.stderr == ("config error: config file cannot be read: "
+                               "[Errno 21] Is a directory: 'cfgdir'\n"), command
+
+
+def test_run_names_the_query_that_failed(tmp_path):
+    csv, columns, reference = PANEL
+    write_workspace(tmp_path, [
+        {"type": "ate", "arm_to": "t", "arm_from": "c"},
+        {"type": "cate", "arm_to": "t", "arm_from": "c", "predicate": "period > 5"},
+    ], csv=csv, columns=columns, reference_arm=reference)
+    proc = run_cli("run", "--config", "config.json", cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == "error: queries[1]: empty conditioning subset\n"
 
 
 def test_missing_data_file_exits_1(tmp_path):
@@ -517,7 +538,9 @@ def test_validate_rejects_what_run_rejects(tmp_path, data, model, query, message
     assert proc.stderr == f"config error: {message}\n"
     proc = run_cli("run", "--config", "config.json", cwd=tmp_path)
     assert proc.returncode == 2, proc.stderr
-    assert proc.stderr == f"error: {run_message}\n"
+    # run names a failing query, as validate does, but not a failing base fit
+    where = "queries[0]: " if message.startswith("queries") else ""
+    assert proc.stderr == f"error: {where}{run_message}\n"
     proc = run_cli("run", "--config", "config.json", "--partial", cwd=tmp_path)
     if message.startswith("queries"):
         # --partial still records a query's failure and runs on.
@@ -542,11 +565,12 @@ def test_validate_accepts_a_singular_design_under_a_prior(tmp_path):
     assert run_cli("run", "--config", "config.json", cwd=tmp_path).returncode == 0
 
 
-@pytest.mark.parametrize("qtype", sorted(_QUERY_KEYS))
+@pytest.mark.parametrize("qtype", sorted(QUERY_TYPES))
 def test_query_fields_are_parameters_of_the_answering_function(qtype):
-    required, optional = _QUERY_KEYS[qtype]
-    function = getattr(cli._ANSWERED_BY[qtype], qtype)
-    assert required | optional <= set(inspect.signature(function).parameters)
+    kind = QUERY_TYPES[qtype]
+    function = getattr(kind.module, qtype)
+    assert kind.required | kind.optional <= set(inspect.signature(function).parameters)
+    assert kind.fit in ("base", "posterior", "period_cluster")
 
 
 DISPATCH_QUERIES = [
@@ -618,3 +642,19 @@ def test_validate_accepts_every_benchmark_workload(tmp_path, monkeypatch):
         proc = run_cli("validate", "--config", paths["config"], cwd=tmp_path)
         assert proc.returncode == 0, (name, proc.stderr)
         assert proc.stdout.startswith("config OK: 3000 rows"), (name, proc.stdout)
+
+
+def test_every_site_the_benchmark_tracer_patches_exists(monkeypatch):
+    # perfbench/tracer.py times a run by replacing these "module.attribute"
+    # sites; it is loaded by path, without writing bytecode next to it.
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracer)
+    spec.loader.exec_module(tracer)
+    sites = [site for sites in tracer.SPANS.values() for site in sites]
+    assert sites
+    for site in sites:
+        module, attr = site.split(".")
+        assert callable(getattr(importlib.import_module(f"effect_engine.{module}"), attr, None)), site

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 from effect_engine.config import ConfigError, load_config, parse_config
+from effect_engine.predicates import parse_predicate
 
 
 def full_config():
@@ -50,7 +51,7 @@ def test_full_config_parses():
     assert cfg.queries[0].name == "q0"
     assert cfg.queries[6].name == "ranking"
     assert cfg.queries[1].params == {"arm_to": "1", "arm_from": "0",
-                                     "predicate": "x >= 2", "ci_level": 0.9}
+                                     "predicate": parse_predicate("x >= 2"), "ci_level": 0.9}
     assert cfg.queries[3].params["period"] == 1
     assert cfg.queries[6].params["arms"] == ["0", "1"]
     assert cfg.config_digest.startswith("sha256:")
@@ -255,15 +256,24 @@ def test_bad_predicate_fails_at_parse_time():
     reject(cfg, r"queries\[1\].predicate: cannot parse")
 
 
+def test_unquoted_literal_cannot_swallow_the_next_clause():
+    # Read as one literal, "a AND x > 1" would be a level no row has, so
+    # the clause would select every row.
+    cfg = full_config()
+    cfg["queries"][1]["predicate"] = "seg != a AND x > 1"
+    reject(cfg, r"queries\[1\].predicate: cannot parse predicate clause 'seg != a AND x > 1': "
+                r"the unquoted literal 'a AND x > 1' holds a comparison operator")
+
+
 def test_optional_predicates_on_ratio_and_probability_queries():
     cfg = full_config()
     cfg["queries"][4]["predicate"] = "x >= 2"
     cfg["queries"][5]["predicate"] = "x < 2"
     cfg["queries"][6]["predicate"] = "x < 2"
     parsed = parse_config(cfg, base_dir="/tmp/runs")
-    assert parsed.queries[4].params["predicate"] == "x >= 2"
-    assert parsed.queries[5].params["predicate"] == "x < 2"
-    assert parsed.queries[6].params["predicate"] == "x < 2"
+    assert parsed.queries[4].params["predicate"] == parse_predicate("x >= 2")
+    assert parsed.queries[5].params["predicate"] == parse_predicate("x < 2")
+    assert parsed.queries[6].params["predicate"] == parse_predicate("x < 2")
 
     cfg = full_config()
     cfg["queries"][6]["predicate"] = "x >>> 2"

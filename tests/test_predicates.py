@@ -44,6 +44,29 @@ def test_quoted_literal_stays_string():
     assert_array_equal(double.mask(sample_data()), [False, True, False, True])
 
 
+def test_quotes_keep_and_inside_a_literal():
+    data = Dataset(outcome=[1.0, 2.0, 3.0], arm=["a", "b", "a"],
+                   covariates={"seg": ["a and b", "a", "b"], "x": [0.0, 1.0, 2.0]})
+    pred = parse_predicate("seg == 'a and b' and x < 1")
+    assert pred.clauses == (Clause("seg", "==", "a and b"), Clause("x", "<", "1"))
+    assert_array_equal(pred.mask(data), [True, False, False])
+    # The echo quotes the literal, so it parses back to the same predicate.
+    assert pred.describe() == "seg == 'a and b' and x < 1"
+    assert parse_predicate(pred.describe()) == pred
+
+
+@pytest.mark.parametrize("literal, echo", [
+    ("4", "x == 4"), (4.0, "x == 4.0"), ("O'Brien", "x == O'Brien"), ("", "x == ''"),
+    (" a", "x == ' a'"), ("a>b", "x == 'a>b'"), ("1 and", "x == '1 and'"),
+    ("'a'", "x == \"'a'\""),
+])
+def test_describe_quotes_only_what_needs_it(literal, echo):
+    clause = Clause("x", "==", literal)
+    assert clause.describe() == echo
+    assert parse_predicate(f"{echo} and y > 1").clauses == (
+        Clause("x", "==", str(literal)), Clause("y", ">", "1"))
+
+
 @pytest.mark.parametrize("op", ["==", "!="])
 @pytest.mark.parametrize("literal", ["4", "10", "north", 4, "4.0", ""])
 def test_categorical_mask_equals_object_comparison(op, literal):

@@ -1,12 +1,13 @@
 """Command-line entry point.
 
 ``run`` executes the queries in a JSON config against a CSV dataset and
-writes a deterministic report; ``validate`` loads the data and fits the
-model(s) as ``run`` does, then makes ``run``'s checks of each query without
-answering it; ``verify`` runs the built-in self-checks.
+writes a deterministic report; ``validate`` is ``run`` without the report:
+it answers every query and reports the first failure as a config error;
+``verify`` runs the built-in self-checks.
 
-Exit codes: 0 success, 1 config/input validation failure, 2 numeric or
-query failure. A malformed flag exits 2 with argparse's usage message.
+Exit codes: 0 success, 1 config/input validation failure (under
+``validate``, every failure), 2 numeric or query failure under ``run``. A
+malformed flag exits 2 with argparse's usage message.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from functools import cached_property
 
 import numpy as np
 
-from . import effects, ranking
 from .config import QUERY_TYPES, ConfigError, QuerySpec, RunConfig, load_config
 from .data import Dataset, add_period_covariate, load_csv
 # build_design and fit_bayes are not called here: every fit goes through
@@ -34,17 +34,14 @@ from .model import (  # noqa: F401
     fit_bayes,
     fit_model,
 )
-from .predicates import resolve_mask
 from .report import build_report, render_report, sha256_file, write_report
-from .vectors import distinct_arms, profile_from_subset
 from .verify import SUITES, run_suite
 
 __all__ = ["main", "execute"]
 
 
 class _FitCache:
-    """The fits ``run`` answers queries from and ``validate`` checks them
-    on, each fitted at most once per command.
+    """The fits a run answers queries from, each fitted at most once.
 
     ``base`` is the fit of the config's model block, made on construction;
     ``posterior`` reads it as a posterior for probability queries (a
@@ -204,57 +201,22 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _at(where: str, check, *args):
-    """``check(*args)``, one of ``run``'s checks, with a failure raised as
-    ``ConfigError`` behind ``where``, unless its message already names a
-    field inside ``where``."""
-    try:
-        return check(*args)
-    except ValueError as exc:
-        inside = str(exc).startswith(f"{where}.")
-        raise ConfigError(str(exc) if inside else f"{where}: {exc}") from None
-
-
-def _check_queries(cfg: RunConfig, fits: _FitCache) -> None:
-    """Make ``run``'s checks of each query's arm labels, subsets and period
-    on the fit ``run`` would answer it from, without answering it; raise
-    ``ConfigError`` naming ``queries[i]`` and the field at fault."""
-    for query in cfg.queries:
-        where, params = f"queries[{query.index}]", query.params
-        qdata, model = _at(where, fits.read, query)
-        schema = model.schema
-        arms = [(key, params[key]) for key in ("arm_to", "arm_from") if key in params]
-        arms += [(f"arms[{j}]", arm) for j, arm in enumerate(params.get("arms", ()))]
-        for field, arm in arms:
-            _at(f"{where}.{field}", schema.require_arm, arm)
-        if "arm_to" in params:
-            _at(f"{where}.arm_from", distinct_arms, schema, params["arm_to"], params["arm_from"])
-        if query.type == "prob_best":
-            _at(f"{where}.arms", ranking.ranked_arms, schema, params.get("arms"))
-        if "predicate" in params:
-            mask = _at(f"{where}.predicate", resolve_mask, qdata, params["predicate"])
-            for rows in (mask, ~mask) if query.type == "hte" else (mask,):
-                _at(f"{where}.predicate", profile_from_subset, qdata, schema, rows)
-        if "period" in params:
-            _at(where, effects.period_mask, qdata, params["period"])
-
-
 def _cmd_validate(args) -> int:
     try:
         cfg = load_config(args.config)
         if cfg.output:
             _require_report_dir(cfg.output, "output")
-        fits = _at("model", _FitCache, _load_data(cfg), cfg.model)
-        _check_queries(cfg, fits)
-    except (ValueError, OSError) as exc:  # ConfigError is a ValueError
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    base = fits.base
-    print(
-        f"config OK: {base.n} rows, {base.p} design columns, "
-        f"arms {list(base.schema.all_arms)}, {len(cfg.queries)} queries"
-    )
-    return 0
+        model = execute(cfg, flat_prior_ok=True)["model"]
+    except (ConfigError, RuntimeError) as exc:  # RuntimeError: a query, located by execute
+        message = str(exc)
+    except ValueError as exc:  # the base fit
+        message = str(exc) if str(exc).startswith("model.") else f"model: {exc}"
+    else:
+        print(f"config OK: {model['n']} rows, {model['p']} design columns, "
+              f"arms {model['arms']}, {len(cfg.queries)} queries")
+        return 0
+    print(f"config error: {message}", file=sys.stderr)
+    return 1
 
 
 def _cmd_verify(args) -> int:
@@ -299,7 +261,7 @@ def main(argv=None) -> int:
     )
     run_p.set_defaults(func=_cmd_run)
 
-    val_p = sub.add_parser("validate", help="validate a config and its data without running")
+    val_p = sub.add_parser("validate", help="run a config's queries without writing a report")
     val_p.add_argument("--config", required=True, help="path to the JSON run config")
     val_p.set_defaults(func=_cmd_validate)
 

@@ -268,6 +268,10 @@ def parse_config(obj, base_dir: str = ".") -> RunConfig:
     if not isinstance(raw_queries, Sequence) or isinstance(raw_queries, str) or not raw_queries:
         raise ConfigError("queries must be a non-empty list")
     queries = tuple(_parse_query(q, i) for i, q in enumerate(raw_queries))
+    first: dict = {}
+    for q in queries:
+        if first.setdefault(q.name, q.index) != q.index:
+            raise ConfigError(f"queries[{q.index}].name: duplicate of queries[{first[q.name]}]")
 
     seed = obj.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:

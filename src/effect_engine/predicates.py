@@ -6,7 +6,8 @@ column. The string form used in configs looks like ``"x >= 3 and grade == 4"``;
 literals compare numerically against numeric columns and as strings against
 categorical ones (ordering operators require a numeric column). A literal in
 single or double quotes may hold anything but its own quote, ``and`` and
-the operators included; an unquoted one may hold no operator.
+the operators included; an unquoted one may hold no operator and may not
+end in a bare ``and``.
 """
 
 from __future__ import annotations
@@ -144,6 +145,10 @@ def parse_predicate(text: str) -> Predicate:
                 raise ValueError(
                     f"cannot parse predicate clause {part!r}: the unquoted literal {raw!r} "
                     "holds a comparison operator; quote it, or join clauses with 'and'")
+            if raw.split()[-1] == "and":
+                raise ValueError(
+                    f"cannot parse predicate clause {part!r}: the unquoted literal {raw!r} "
+                    "ends in 'and' with no clause after it; quote it, or finish the clause")
         clauses.append(Clause(column=column, op=op, literal=literal))
     return Predicate(clauses=tuple(clauses))
 

@@ -1,7 +1,6 @@
 """End-to-end command-line behavior, exercised through subprocesses."""
 
 import importlib
-import importlib.util
 import inspect
 import json
 import re
@@ -473,84 +472,113 @@ DTE_BAYES = ("dte queries are incompatible with a bayes prior; the per-period "
              "contract requires cluster-robust covariance")
 
 
-@pytest.mark.parametrize("data, model, query, message, run_message", [
+FOUR_ROW = (FOUR_ROW_CSV, {"outcome": "y", "arm": "arm"}, "0")
+
+
+# Each row gives run's message and, for a base fit that fails, validate's
+# exact line; a failing query's validate line is run's located line.
+@pytest.mark.parametrize("data, model, query, run_message, model_line", [
     (SIX_ROW, {"bayes": {"prior_mean": [0, 0, 0], "noise_variance": 1.0}},
      {"type": "ate", "arm_to": "1", "arm_from": "0"},
      "model.bayes.prior_mean has shape (3,) but the design has p = 4 columns",
      "model.bayes.prior_mean has shape (3,) but the design has p = 4 columns"),
     (SIX_ROW, {}, {"type": "ate", "arm_to": "2", "arm_from": "0"},
-     "queries[0].arm_to: unknown arm label '2'; model has arms ('0', '1')",
-     "unknown arm label '2'; model has arms ('0', '1')"),
+     "unknown arm label '2'; model has arms ('0', '1')", None),
     (SIX_ROW, {"bayes": {"noise_variance": 1.0}}, {"type": "prob_best", "arms": ["0", "7"]},
-     "queries[0].arms[1]: unknown arm label '7'; model has arms ('0', '1')",
-     "unknown arm label '7'; model has arms ('0', '1')"),
+     "unknown arm label '7'; model has arms ('0', '1')", None),
     (SIX_ROW, {}, {"type": "cate", "arm_to": "1", "arm_from": "0", "predicate": "z > 1"},
-     "queries[0].predicate: unknown predicate column 'z'",
-     "unknown predicate column 'z'"),
+     "unknown predicate column 'z'", None),
     (PANEL, {"covariance": "cluster"}, {**DTE, "period": 7},
-     "queries[0]: unknown period 7; data has periods [0, 1]",
-     "unknown period 7; data has periods [0, 1]"),
+     "unknown period 7; data has periods [0, 1]", None),
     (PANEL, {}, {"type": "cate", "arm_to": "t", "arm_from": "c", "predicate": "period > 5"},
-     "queries[0].predicate: empty conditioning subset", "empty conditioning subset"),
+     "empty conditioning subset", None),
     (PANEL, {}, {"type": "hte", "arm_to": "t", "arm_from": "c", "predicate": "period >= 0"},
-     "queries[0].predicate: empty conditioning subset", "empty conditioning subset"),
-    (NO_UNIT, {}, DTE, f"queries[0]: {NO_DTE_UNIT}", NO_DTE_UNIT),
-    (PANEL, {"bayes": {"noise_variance": 1.0}}, DTE, f"queries[0]: {DTE_BAYES}", DTE_BAYES),
+     "empty conditioning subset", None),
+    (NO_UNIT, {}, DTE, NO_DTE_UNIT, None),
+    (PANEL, {"bayes": {"noise_variance": 1.0}}, DTE, DTE_BAYES, None),
     (NO_UNIT, {"covariance": "cluster"}, {"type": "ate", "arm_to": "t", "arm_from": "c"},
-     "model: cluster covariance requires a unit_id column",
-     "cluster covariance requires a unit_id column"),
+     "cluster covariance requires a unit_id column",
+     "model: cluster covariance requires a unit_id column"),
     (SIX_ROW, {}, {"type": "ate", "arm_to": "1", "arm_from": "1"},
-     "queries[0].arm_from: delta vector needs two distinct arms, got '1' twice",
-     "delta vector needs two distinct arms, got '1' twice"),
+     "delta vector needs two distinct arms, got '1' twice", None),
     (SIX_ROW, {"bayes": {"noise_variance": 1.0}}, {"type": "prob_best", "arms": ["0", "1", "0"]},
-     "queries[0].arms: duplicate arm labels in ranking request",
-     "duplicate arm labels in ranking request"),
+     "duplicate arm labels in ranking request", None),
     # Without unit_id in the column map, the unit column is taken in as a
     # covariate: 8 levels, their interactions, and 16 rows for 16 columns.
     ((PANEL_CSV, {"outcome": "y", "arm": "arm", "period": "t"}, "c"), {},
      {"type": "ate", "arm_to": "t", "arm_from": "c"},
-     "model: need more rows than design columns (n=16, p=16)",
-     "need more rows than design columns (n=16, p=16)"),
+     "need more rows than design columns (n=16, p=16)",
+     "model: need more rows than design columns (n=16, p=16)"),
     # z is exactly twice x, so only the fit's QR shows the design is singular.
     (RANK_DEFICIENT, {}, {"type": "ate", "arm_to": "b", "arm_from": "a"},
-     f"model: {DEPENDENT_X}", DEPENDENT_X),
+     DEPENDENT_X, f"model: {DEPENDENT_X}"),
     # Symmetric with eigenvalues 3 and -1 in its first block: only the
     # posterior's Cholesky factor finds it.
     (SIX_ROW, {"bayes": {"noise_variance": 1.0, "prior_covariance": [
         [1, 2, 0, 0], [2, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}},
      {"type": "ate", "arm_to": "1", "arm_from": "0"},
-     f"model: {NOT_PD}", NOT_PD),
+     NOT_PD, f"model: {NOT_PD}"),
     (ONE_UNIT, {"covariance": "cluster"}, {"type": "ate", "arm_to": "t", "arm_from": "c"},
-     f"model: {ONE_CLUSTER}", ONE_CLUSTER),
+     ONE_CLUSTER, f"model: {ONE_CLUSTER}"),
     # The base fit is classical, so only the period fit clusters on unit_id.
-    (ONE_UNIT, {}, DTE, f"queries[0]: {ONE_CLUSTER}", ONE_CLUSTER),
+    (ONE_UNIT, {}, DTE, ONE_CLUSTER, None),
+    # The fitted baseline mean, 2, is within the default guard of 5
+    # standard errors (1) of zero: only the answer shows it.
+    (FOUR_ROW, {}, {"type": "relative_effect", "arm_to": "1", "arm_from": "0"},
+     "baseline too close to zero for delta-method ratio", None),
 ], ids=["prior-length", "unknown-arm", "unknown-ranked-arm", "unknown-column",
         "unknown-period", "empty-subset", "empty-complement", "dte-without-unit-id",
         "dte-with-bayes", "cluster-without-unit-id", "same-arm-twice", "repeated-ranked-arm",
         "rows-not-above-columns", "rank-deficient", "prior-not-positive-definite",
-        "one-cluster", "dte-one-cluster"])
-def test_validate_rejects_what_run_rejects(tmp_path, data, model, query, message, run_message):
+        "one-cluster", "dte-one-cluster", "relative-guard"])
+def test_validate_rejects_what_run_rejects(tmp_path, data, model, query, run_message,
+                                           model_line):
     csv, columns, reference = data
     write_workspace(tmp_path, [query], csv=csv, columns=columns,
                     model={"reference_arm": reference, **model})
-    proc = run_cli("validate", "--config", "config.json", cwd=tmp_path)
-    assert proc.returncode == 1, proc.stdout
-    assert proc.stderr == f"config error: {message}\n"
+    # run names a failing query, but not a failing base fit
+    run_line = f"error: {run_message}\n" if model_line else f"error: queries[0]: {run_message}\n"
     proc = run_cli("run", "--config", "config.json", cwd=tmp_path)
     assert proc.returncode == 2, proc.stderr
-    # run names a failing query, as validate does, but not a failing base fit
-    where = "queries[0]: " if message.startswith("queries") else ""
-    assert proc.stderr == f"error: {where}{run_message}\n"
+    assert proc.stderr == run_line
+    proc = run_cli("validate", "--config", "config.json", cwd=tmp_path)
+    assert proc.returncode == 1, proc.stdout
+    if model_line:
+        assert proc.stderr == f"config error: {model_line}\n"
+    else:
+        assert proc.stderr == "config error: " + run_line.removeprefix("error: ")
     proc = run_cli("run", "--config", "config.json", "--partial", cwd=tmp_path)
-    if message.startswith("queries"):
+    if model_line:
+        # a model block that cannot fit is fatal regardless of --partial
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == run_line
+    else:
         # --partial still records a query's failure and runs on.
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["errors"] == [
             {"index": 0, "name": "q0", "error": run_message}]
-    else:
-        # a model block that cannot fit is fatal regardless of --partial
-        assert proc.returncode == 2, proc.stderr
-        assert proc.stderr == f"error: {run_message}\n"
+
+
+ATE = {"type": "ate", "arm_to": "1", "arm_from": "0"}
+DANGLING_AND = ("queries[0].predicate: cannot parse predicate clause {!r}: the unquoted "
+                "literal {!r} ends in 'and' with no clause after it")
+
+
+@pytest.mark.parametrize("queries, message", [
+    ([{**ATE, "type": "cate", "predicate": "x > 1 and"}], DANGLING_AND.format("x > 1 and", "1 and")),
+    ([{**ATE, "type": "cate", "predicate": "seg != a and"}],
+     DANGLING_AND.format("seg != a and", "a and")),
+    ([{**ATE, "name": "a"}, {**ATE, "name": "a"}], "queries[1].name: duplicate of queries[0]"),
+    ([{**ATE, "name": "q1"}, ATE], "queries[1].name: duplicate of queries[0]"),
+], ids=["numeric-trailing-and", "categorical-trailing-and", "duplicate-name",
+        "name-of-a-default"])
+def test_query_refused_before_the_data_is_read(tmp_path, queries, message):
+    write_workspace(tmp_path, queries)
+    (tmp_path / "data.csv").unlink()
+    for command in ("run", "validate"):
+        proc = run_cli(command, "--config", "config.json", cwd=tmp_path)
+        assert proc.returncode == 1, (command, proc.stderr)
+        assert proc.stderr.startswith(f"config error: {message}"), (command, proc.stderr)
 
 
 def test_validate_accepts_a_singular_design_under_a_prior(tmp_path):
@@ -643,18 +671,3 @@ def test_validate_accepts_every_benchmark_workload(tmp_path, monkeypatch):
         assert proc.returncode == 0, (name, proc.stderr)
         assert proc.stdout.startswith("config OK: 3000 rows"), (name, proc.stdout)
 
-
-def test_every_site_the_benchmark_tracer_patches_exists(monkeypatch):
-    # perfbench/tracer.py times a run by replacing these "module.attribute"
-    # sites; it is loaded by path, without writing bytecode next to it.
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, tracer)
-    spec.loader.exec_module(tracer)
-    sites = [site for sites in tracer.SPANS.values() for site in sites]
-    assert sites
-    for site in sites:
-        module, attr = site.split(".")
-        assert callable(getattr(importlib.import_module(f"effect_engine.{module}"), attr, None)), site

@@ -265,6 +265,18 @@ def test_unquoted_literal_cannot_swallow_the_next_clause():
                 r"the unquoted literal 'a AND x > 1' holds a comparison operator")
 
 
+@pytest.mark.parametrize("names, message", [
+    ({2: "ranking"}, r"queries\[6\].name: duplicate of queries\[2\]$"),
+    # q1 is the name an unnamed query at index 1 gets.
+    ({0: "q1"}, r"queries\[1\].name: duplicate of queries\[0\]$"),
+], ids=["explicit", "default"])
+def test_query_names_are_unique(names, message):
+    cfg = full_config()
+    for index, name in names.items():
+        cfg["queries"][index]["name"] = name
+    reject(cfg, message)
+
+
 def test_optional_predicates_on_ratio_and_probability_queries():
     cfg = full_config()
     cfg["queries"][4]["predicate"] = "x >= 2"

@@ -1,5 +1,7 @@
 """Predicate parsing and row-mask resolution."""
 
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
@@ -115,6 +117,18 @@ def test_parse_errors():
         parse_predicate("x ~ 3")
     with pytest.raises(ValueError, match="cannot parse predicate clause"):
         parse_predicate("x >=")
+
+
+@pytest.mark.parametrize("text, literal", [("x > 1 and", "1 and"), ("seg != a and", "a and")])
+def test_trailing_and_is_refused_naming_the_clause(text, literal):
+    # Read as a literal, "a and" would be a level no row has, so "!=" would
+    # select every row.
+    with pytest.raises(ValueError, match=re.escape(
+            f"cannot parse predicate clause {text!r}: the unquoted literal {literal!r} ends in "
+            "'and' with no clause after it")):
+        parse_predicate(text)
+    quoted = parse_predicate(f"{text[:-len(literal)]}'{literal}'")
+    assert quoted.clauses[0].literal == literal
 
 
 def test_unknown_operator_rejected():

@@ -57,31 +57,39 @@ class _FitCache:
         self.posterior = as_flat_prior_posterior(self.base)
 
     @cached_property
-    def period_cluster(self) -> tuple[Dataset, FittedModel]:
+    def period_cluster(self) -> tuple[Dataset, FittedModel] | Exception:
         """The data with its period encoded as a covariate, and that data's
-        cluster-robust fit. Raises for a Bayes prior or for data without a
-        period or unit_id column."""
+        cluster-robust fit; or the error that refused them (a Bayes prior,
+        data without a period or unit_id column, a fit that fails), kept so
+        that each per-period query raises it again without a refit."""
         data = self._data
-        if self._spec.bayes is not None:
-            raise ValueError(
-                "dte queries are incompatible with a bayes prior; the "
-                "per-period contract requires cluster-robust covariance"
-            )
-        if data.period is None:
-            raise ValueError("dte queries need data.columns.period in the config")
-        if data.unit_id is None:
-            raise ValueError(
-                "dte queries need data.columns.unit_id in the config "
-                "(cluster-robust covariance clusters on it)"
-            )
-        pdata = add_period_covariate(data)
-        return pdata, fit_model(pdata, dataclasses.replace(self._spec, covariance_kind="cluster"))
+        try:
+            if self._spec.bayes is not None:
+                raise ValueError(
+                    "dte queries are incompatible with a bayes prior; the "
+                    "per-period contract requires cluster-robust covariance"
+                )
+            if data.period is None:
+                raise ValueError("dte queries need data.columns.period in the config")
+            if data.unit_id is None:
+                raise ValueError(
+                    "dte queries need data.columns.unit_id in the config "
+                    "(cluster-robust covariance clusters on it)"
+                )
+            pdata = add_period_covariate(data)
+            spec = dataclasses.replace(self._spec, covariance_kind="cluster")
+            return pdata, fit_model(pdata, spec)
+        except Exception as exc:
+            return exc
 
     def read(self, query: QuerySpec) -> tuple[Dataset, FittedModel]:
         """The data and the fit ``query`` is answered from, as its type's
         ``fit`` in ``QUERY_TYPES`` names it."""
         fit = QUERY_TYPES[query.type].fit
-        return self.period_cluster if fit == "period_cluster" else (self._data, getattr(self, fit))
+        found = self.period_cluster if fit == "period_cluster" else (self._data, getattr(self, fit))
+        if isinstance(found, Exception):
+            raise found
+        return found
 
 
 def _run_query(query: QuerySpec, fits: _FitCache, cfg: RunConfig) -> dict:

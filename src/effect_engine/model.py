@@ -364,45 +364,6 @@ class FittedModel:
         return np.sqrt(np.clip(np.diag(self.cov_beta), 0.0, None))
 
 
-def _pivot_order(a: np.ndarray) -> list[int]:
-    """Column order of a column-pivoted Householder QR of ``a`` (Businger &
-    Golub 1965): each step takes the column of largest residual norm.
-
-    The norms are recomputed at each step, not downdated, and norms within
-    1e-8 of the largest are a tie, settled for the lowest column index. A
-    column equal to the sum of two others leaves those two with equal
-    residuals, and so does a duplicated column; rounding then decides
-    LAPACK's dgeqp3 differently on X and on R, but not this rule. Only the
-    error path of a rank-deficient fit runs it.
-    """
-    a = np.array(a, dtype=np.float64)
-    order = list(range(a.shape[1]))
-    for i in range(min(a.shape)):
-        norms = np.linalg.norm(a[i:, i:], axis=0)
-        tied = np.flatnonzero(norms >= (1.0 - 1e-8) * norms.max())
-        j = i + min(tied, key=lambda t: order[i + t])
-        a[:, [i, j]] = a[:, [j, i]]
-        order[i], order[j] = order[j], order[i]
-        v = a[i:, i].copy()
-        v[0] += np.copysign(np.linalg.norm(v), v[0])
-        if v.any():
-            v /= np.linalg.norm(v)
-            a[i:, i:] -= 2.0 * np.outer(v, v @ a[i:, i:])
-    return order
-
-
-def _dependent_column_labels(r: np.ndarray, schema: ColumnSchema | None, rank: int) -> str:
-    """Name the columns a pivoted QR (:func:`_pivot_order`) leaves beyond
-    the numerical rank. It pivots the fit's p x p factor R, not the design:
-    X'X = R'R, so every residual norm the pivoting compares is the same."""
-    dependent = sorted(_pivot_order(r)[rank:])
-    if schema is not None:
-        names = [schema.labels[i] for i in dependent]
-    else:
-        names = [f"column {i}" for i in dependent]
-    return ", ".join(names)
-
-
 def _qr_r(xy: np.ndarray, rows: int | None = None) -> np.ndarray:
     """R of the Householder QR of the first ``rows`` rows (all by default)
     of the Fortran-ordered n x k ``xy``, a new min(rows, k) x k array; those
@@ -504,6 +465,25 @@ def _design_and_outcome(design, y) -> tuple:
     return design, y
 
 
+def _solve(Rxy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """β and R^-1 from the triangle of :func:`_blocked_r`, whose top p x p
+    block is R and whose last column above the diagonal is Q'y."""
+    p = Rxy.shape[1] - 1
+    R = Rxy[:p, :p]
+    return np.linalg.solve(R, Rxy[:p, p]), np.linalg.solve(R, np.eye(p))
+
+
+def _fitted(schema: ColumnSchema | None, beta: np.ndarray, cov: np.ndarray, n: int,
+            covariance_kind: str, posterior: bool) -> FittedModel:
+    """The fit as a :class:`FittedModel`, its covariance symmetrised; a fit
+    on a raw matrix (``schema`` None, mostly tests) gets a placeholder schema."""
+    if schema is None:
+        schema = ColumnSchema(covariates=tuple((f"x{i}", None) for i in range(1, len(beta))),
+                              all_arms=("0",))
+    return FittedModel(schema=schema, beta=beta, cov_beta=(cov + cov.T) / 2.0, n=n,
+                       covariance_kind=covariance_kind, posterior=posterior)
+
+
 def fit_ols(design, y: np.ndarray, covariance_kind: str = "hc1",
             cluster_ids: Sequence | None = None,
             schema: ColumnSchema | None = None) -> FittedModel:
@@ -514,7 +494,7 @@ def fit_ols(design, y: np.ndarray, covariance_kind: str = "hc1",
     sandwich over ``cluster_ids`` with the usual small-sample correction.
     Cluster scores are accumulated in one pass over the rows (each cluster
     sums its rows in row order), so the cost is linear in rows, not rows
-    times clusters.
+    times clusters. The cluster ids are checked before the design is read.
 
     ``design`` is an n x p array or a :class:`DesignRows`, read
     ``FIT_BLOCK_ROWS`` rows at a time (``design[lo:hi]``, a view of an
@@ -525,9 +505,13 @@ def fit_ols(design, y: np.ndarray, covariance_kind: str = "hc1",
     from R, so no inverse of X'X is formed. The classical variance is the
     triangle's corner entry squared over n - p. The sandwiches are R^-1 meat
     R^-T, from a second pass over the blocks for the residuals and the
-    scores in the Q basis, X R^-1. Only a rank-deficient design is pivoted,
-    through R, to name the dependent columns. A NaN or infinity in the
-    outcome, then in the design, is rejected with its row.
+    scores in the Q basis, X R^-1. A NaN or infinity in the outcome, then in
+    the design, is rejected with its row.
+
+    A rank-deficient design is refused, naming its p - rank columns of
+    smallest |R[j, j]|, column j's distance from the span of the columns
+    before it (Golub & Van Loan, *Matrix Computations*, section 5.2): so a
+    constant covariate is named, not the intercept, and the later of two copies.
     """
     X, y = _design_and_outcome(design, y)
     n, p = X.shape
@@ -540,17 +524,23 @@ def fit_ols(design, y: np.ndarray, covariance_kind: str = "hc1",
     if n <= p:
         raise ValueError(f"need more rows than design columns (n={n}, p={p})")
     _require_finite(y)
+    if covariance_kind == "cluster":
+        if len(cluster_ids) != n:
+            raise ValueError("cluster_ids length does not match design rows")
+        groups, group_of_row = factorize(cluster_ids)
+        n_groups = len(groups)
+        if n_groups < 2:
+            raise ValueError("cluster covariance requires at least 2 clusters")
 
     Rxy = _blocked_r(X, y, schema)
-    R = Rxy[:p, :p]
-    singular = np.linalg.svd(R, compute_uv=False)
+    singular = np.linalg.svd(Rxy[:p, :p], compute_uv=False)
     rank = int(np.sum(singular > RANK_RTOL * singular[0]))
     if rank < p:
-        names = _dependent_column_labels(R, schema, rank)
+        smallest = np.argsort(np.abs(np.diag(Rxy)[:p]), kind="stable")[:p - rank]
+        names = ", ".join(f"column {j}" if schema is None else schema.labels[j]
+                          for j in sorted(smallest))
         raise ValueError(f"design matrix is rank deficient; dependent columns: {names}")
-
-    beta = np.linalg.solve(R, Rxy[:p, p])
-    r_inv = np.linalg.solve(R, np.eye(p))
+    beta, r_inv = _solve(Rxy)
 
     if covariance_kind == "classical":
         sigma2 = float(Rxy[p, p]) ** 2 / (n - p)
@@ -560,12 +550,6 @@ def fit_ols(design, y: np.ndarray, covariance_kind: str = "hc1",
             meat = np.zeros((p, p))
             correction = n / (n - p)
         else:
-            if len(cluster_ids) != n:
-                raise ValueError("cluster_ids length does not match design rows")
-            groups, group_of_row = factorize(cluster_ids)
-            n_groups = len(groups)
-            if n_groups < 2:
-                raise ValueError("cluster covariance requires at least 2 clusters")
             cluster_scores = np.zeros((n_groups, p))
             correction = (n_groups / (n_groups - 1)) * ((n - 1) / (n - p))
         for lo, hi in _row_blocks(n):
@@ -582,17 +566,7 @@ def fit_ols(design, y: np.ndarray, covariance_kind: str = "hc1",
         if covariance_kind == "cluster":
             meat = cluster_scores.T @ cluster_scores
         cov = r_inv @ meat @ r_inv.T * correction
-
-    cov = (cov + cov.T) / 2.0
-    if schema is None:
-        schema = _anonymous_schema(p)
-    return FittedModel(schema=schema, beta=beta, cov_beta=cov, n=n,
-                       covariance_kind=covariance_kind, posterior=False)
-
-
-def _anonymous_schema(p: int) -> ColumnSchema:
-    """Placeholder schema for fits on raw matrices (mostly tests)."""
-    return ColumnSchema(covariates=tuple((f"x{i}", None) for i in range(1, p)), all_arms=("0",))
+    return _fitted(schema, beta, cov, n, covariance_kind, posterior=False)
 
 
 def fit_bayes(design, y: np.ndarray, prior_mean: np.ndarray,
@@ -608,9 +582,10 @@ def fit_bayes(design, y: np.ndarray, prior_mean: np.ndarray,
     rows, sqrt(s2) ``[U0^-T | U0^-T m0]`` with S0 = U0'U0 (Theil &
     Goldberger 1961, mixed estimation): R'R of the stack is s2 times the
     posterior precision. So it is :func:`fit_ols`'s blocked QR with those
-    rows on top, reading ``design`` the same way, and the posterior
-    covariance is s2 R^-1 R^-T; no X'X is formed. A NaN or infinity in the
-    outcome, then in the design, is rejected with its row.
+    rows on top, reading ``design`` the same way, and its solve; the
+    posterior covariance is s2 R^-1 R^-T, and no X'X is formed. The prior
+    rows keep R full rank, so a singular design is not refused. A NaN or
+    infinity in the outcome, then in the design, is rejected with its row.
     """
     X, y = _design_and_outcome(design, y)
     n, p = X.shape
@@ -632,16 +607,8 @@ def fit_bayes(design, y: np.ndarray, prior_mean: np.ndarray,
     except np.linalg.LinAlgError:
         raise ValueError("prior covariance is not symmetric positive definite") from None
     prior_rows = np.column_stack([u0_inv.T, u0_inv.T @ m0]) * np.sqrt(noise_variance)
-    Rxy = _blocked_r(X, y, schema, head=prior_rows)
-    R = Rxy[:p, :p]
-    beta = np.linalg.solve(R, Rxy[:p, p])
-    r_inv = np.linalg.solve(R, np.eye(p))
-    cov = noise_variance * (r_inv @ r_inv.T)
-    cov = (cov + cov.T) / 2.0
-    if schema is None:
-        schema = _anonymous_schema(p)
-    return FittedModel(schema=schema, beta=beta, cov_beta=cov, n=n,
-                       covariance_kind="bayes", posterior=True)
+    beta, r_inv = _solve(_blocked_r(X, y, schema, head=prior_rows))
+    return _fitted(schema, beta, noise_variance * (r_inv @ r_inv.T), n, "bayes", posterior=True)
 
 
 def fit_model(data: Dataset, spec: ModelSpec) -> FittedModel:

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, exercised through subprocesses."""
 
+import hashlib
 import importlib
 import inspect
 import json
@@ -12,16 +13,18 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import cli_env
+from conftest import DEPENDENT_Z, RANK_DEFICIENT_CSV, cli_env
 from effect_engine import cli, verify
+from effect_engine import model as model_module
 from effect_engine.cli import execute
-from effect_engine.config import QUERY_TYPES, parse_config
+from effect_engine.config import QUERY_TYPES, load_config, parse_config
 from effect_engine.data import add_period_covariate, load_csv
 from effect_engine.effects import ate, cate, dte, hte
 from effect_engine.model import as_flat_prior_posterior, fit_model
 from effect_engine.predicates import parse_predicate
 from effect_engine.ranking import prob_best, prob_positive
 from effect_engine.relative import relative_effect
+from effect_engine.report import render_report
 
 FOUR_ROW_CSV = "y,arm\n1,0\n3,0\n4,1\n6,1\n"
 
@@ -460,10 +463,11 @@ NO_UNIT = (PANEL_CSV, {"outcome": "y", "arm": "arm", "period": "t", "covariates"
 DTE = {"type": "dte", "arm_to": "t", "arm_from": "c", "period": 0}
 NO_DTE_UNIT = ("dte queries need data.columns.unit_id in the config "
                "(cluster-robust covariance clusters on it)")
-RANK_DEFICIENT = ("y,arm,x,z\n" + "".join(
-    f"{(i * 7) % 5 + 0.5 * i},{'abc'[i % 3]},{i * 0.5},{i * 1.0}\n" for i in range(30)),
-    {"outcome": "y", "arm": "arm"}, "a")
-DEPENDENT_X = "design matrix is rank deficient; dependent columns: x, x:arm=b, x:arm=c"
+RANK_DEFICIENT = (RANK_DEFICIENT_CSV, {"outcome": "y", "arm": "arm"}, "a")
+# Every value of the covariate c is 2.
+CONSTANT_C = ("y,arm,c\n1,0,2\n3,0,2\n2,0,2\n4,1,2\n6,1,2\n5,1,2\n",
+              {"outcome": "y", "arm": "arm", "covariates": ["c"]}, "0")
+DEPENDENT_C = "design matrix is rank deficient; dependent columns: c, c:arm=1"
 # Every row in unit u0.
 ONE_UNIT = (re.sub(r",u\d,", ",u0,", PANEL_CSV), PANEL[1], "c")
 NOT_PD = "prior covariance is not symmetric positive definite"
@@ -511,7 +515,10 @@ FOUR_ROW = (FOUR_ROW_CSV, {"outcome": "y", "arm": "arm"}, "0")
      "model: need more rows than design columns (n=16, p=16)"),
     # z is exactly twice x, so only the fit's QR shows the design is singular.
     (RANK_DEFICIENT, {}, {"type": "ate", "arm_to": "b", "arm_from": "a"},
-     DEPENDENT_X, f"model: {DEPENDENT_X}"),
+     DEPENDENT_Z, f"model: {DEPENDENT_Z}"),
+    # c lies in the span of the intercept: c is named, not the intercept.
+    (CONSTANT_C, {}, {"type": "ate", "arm_to": "1", "arm_from": "0"},
+     DEPENDENT_C, f"model: {DEPENDENT_C}"),
     # Symmetric with eigenvalues 3 and -1 in its first block: only the
     # posterior's Cholesky factor finds it.
     (SIX_ROW, {"bayes": {"noise_variance": 1.0, "prior_covariance": [
@@ -529,7 +536,8 @@ FOUR_ROW = (FOUR_ROW_CSV, {"outcome": "y", "arm": "arm"}, "0")
 ], ids=["prior-length", "unknown-arm", "unknown-ranked-arm", "unknown-column",
         "unknown-period", "empty-subset", "empty-complement", "dte-without-unit-id",
         "dte-with-bayes", "cluster-without-unit-id", "same-arm-twice", "repeated-ranked-arm",
-        "rows-not-above-columns", "rank-deficient", "prior-not-positive-definite",
+        "rows-not-above-columns", "rank-deficient", "constant-covariate",
+        "prior-not-positive-definite",
         "one-cluster", "dte-one-cluster", "relative-guard"])
 def test_validate_rejects_what_run_rejects(tmp_path, data, model, query, run_message,
                                            model_line):
@@ -579,6 +587,29 @@ def test_query_refused_before_the_data_is_read(tmp_path, queries, message):
         proc = run_cli(command, "--config", "config.json", cwd=tmp_path)
         assert proc.returncode == 1, (command, proc.stderr)
         assert proc.stderr.startswith(f"config error: {message}"), (command, proc.stderr)
+
+
+def test_a_failed_period_fit_is_made_once(tmp_path, monkeypatch):
+    # x is 1.5 times the period, so the period fit's design is singular while
+    # the base fit's is not. Under --partial each dte query records the one
+    # failure: one base fit and one period fit in all.
+    csv = "y,arm,uid,t,x\n" + "".join(
+        f"{(u * 7 + t * 3) % 5},{'ct'[u % 2]},u{u},{t},{1.5 * t}\n"
+        for u in range(20) for t in range(4))
+    dtes = [{"type": "dte", "arm_to": "t", "arm_from": "c", "period": t} for t in range(4)]
+    path = write_workspace(tmp_path, dtes + [{"type": "ate", "arm_to": "t", "arm_from": "c"}],
+                           csv=csv, reference_arm="c", columns={
+                               "outcome": "y", "arm": "arm", "unit_id": "uid", "period": "t"})
+    calls = []
+    fit_ols = model_module.fit_ols
+    monkeypatch.setattr(model_module, "fit_ols",
+                        lambda *args, **kwargs: calls.append(1) or fit_ols(*args, **kwargs))
+    report = execute(load_config(path), partial=True)
+    assert len(calls) == 2
+    assert [e["index"] for e in report["errors"]] == [0, 1, 2, 3]
+    assert len({e["error"] for e in report["errors"]}) == 1
+    assert report["errors"][0]["error"].startswith("design matrix is rank deficient")
+    assert [r["name"] for r in report["results"]] == ["q4"]
 
 
 def test_validate_accepts_a_singular_design_under_a_prior(tmp_path):
@@ -671,3 +702,27 @@ def test_validate_accepts_every_benchmark_workload(tmp_path, monkeypatch):
         assert proc.returncode == 0, (name, proc.stderr)
         assert proc.stdout.startswith("config OK: 3000 rows"), (name, proc.stdout)
 
+
+# sha256 of each benchmark workload's rendered report at seed 0 and 3,000
+# rows, without its created_at field. The same bytes came out under
+# OPENBLAS_NUM_THREADS = 1, 2 and 4. A change that moves a bit of a report
+# updates these and says so.
+REPORT_DIGESTS = {
+    "xsec_hc1": "14649acf0874c9f8528caca441f2e94a7b62a6242bdfd921adeac6aacd1d05be",
+    "panel_cluster": "a025bb8514cd81cba289c25c34b713209c45b942d2e90b44e066aecf37be02e2",
+    "segments_bayes": "87dfc395b62f4ad34cf3b9cb8598cc8294637e5c121816d9092b13b23b737a8d",
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_DIGESTS))
+def test_workload_report_bytes_are_pinned(name, tmp_path, monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    monkeypatch.delitem(sys.modules, "workloads", raising=False)
+    workloads = importlib.import_module("workloads")
+    inputs = workloads.generate(name, seed=0, rows=3000)
+    cfg = load_config(workloads.write_inputs(inputs, str(tmp_path))["config"])
+    report = execute(cfg, flat_prior_ok=inputs.flat_prior_ok)
+    del report["created_at"]
+    digest = hashlib.sha256(render_report(report).encode("utf-8")).hexdigest()
+    assert digest == REPORT_DIGESTS[name]

@@ -6,10 +6,10 @@ sandwiches against a 60-digit one on a near-collinear design, and
 ``fit_bayes`` against a 60-digit posterior. ``build_design`` is checked
 against the block-and-``hstack`` construction it replaced, byte for byte.
 Traced-memory bounds show that a fit holds a few row blocks and vectors of
-length n, and never an n x p array. The rank-deficiency message pivots R
-instead of the design; a differential test shows that both name the same
-columns. The in-place QR rests on numpy's private ``lapack_lite.dgeqrf``,
-whose contract is pinned here.
+length n, and never an n x p array. The rank-deficiency message names the
+columns that lie in the span of the columns before them, read from the
+diagonal of R. The in-place QR rests on numpy's private
+``lapack_lite.dgeqrf``, whose contract is pinned here.
 """
 
 import itertools
@@ -20,14 +20,13 @@ import numpy as np
 import pytest
 from numpy.linalg import lapack_lite
 from numpy.testing import assert_array_equal
-import scipy.linalg
 from scipy.linalg import solve_triangular
 
+from conftest import columns_in_earlier_span
 from effect_engine import model as model_module
 from effect_engine.data import Dataset
-from effect_engine.model import (RANK_RTOL, BayesPrior, ModelSpec, _blocked_r, _pivot_order,
-                                 _qr_r, build_design, build_schema, covariate_matrix,
-                                 fit_bayes, fit_model, fit_ols)
+from effect_engine.model import (BayesPrior, ModelSpec, _qr_r, build_design, build_schema,
+                                 covariate_matrix, fit_bayes, fit_model, fit_ols)
 
 KINDS = ("classical", "hc1", "cluster")
 
@@ -406,25 +405,21 @@ def _rank_deficient(rng, kind):
 
 
 @pytest.mark.parametrize("kind", ["duplicated", "scaled", "summed"])
-def test_pivoted_qr_of_r_names_the_columns_of_the_design(kind, monkeypatch):
-    # X'X = R'R, so pivoting R compares the residual norms pivoting X does.
-    # Ties (duplicated and summed columns) go to the lowest index on both;
-    # with none, the columns equal those of scipy's pivoted QR of X. Blocks
-    # of 64 rows make R a TSQR one.
+def test_rank_deficient_fit_names_the_columns_in_the_span_of_earlier_ones(kind, monkeypatch):
+    # |R[j, j]| is column j's distance from the span of the columns before
+    # it, so the fit names exactly the columns whose least-squares residual
+    # on those is below 1e-8 relative: the later of two copies, the last
+    # term of a sum. Blocks of 64 rows make R a TSQR one.
     monkeypatch.setattr(model_module, "FIT_BLOCK_ROWS", 64)
     rng = np.random.default_rng({"duplicated": 43, "scaled": 44, "summed": 45}[kind])
     for _ in range(70):
         X = _rank_deficient(rng, kind)
-        p = X.shape[1]
-        singular = np.linalg.svd(X, compute_uv=False)
-        rank = int(np.sum(singular > RANK_RTOL * singular[0]))
-        assert rank < p
-        R = _blocked_r(X, rng.normal(size=X.shape[0]), None)[:p, :p]
-        dependent = sorted(_pivot_order(R)[rank:])
-        assert dependent == sorted(_pivot_order(X)[rank:])
-        if kind == "scaled":
-            _, _, piv = scipy.linalg.qr(X, mode="economic", pivoting=True)
-            assert dependent == sorted(piv[rank:].tolist())
+        dependent = columns_in_earlier_span(X)
+        assert dependent
+        with pytest.raises(ValueError) as info:
+            fit_ols(X, rng.normal(size=X.shape[0]), "classical")
+        names = ", ".join(f"column {j}" for j in dependent)
+        assert str(info.value) == f"design matrix is rank deficient; dependent columns: {names}"
 
 
 def _mp_posterior(X, y, m0, S0, s2):

@@ -4,10 +4,10 @@ import dataclasses
 
 import numpy as np
 import pytest
-import scipy.linalg
 from numpy.linalg import lapack_lite
 from numpy.testing import assert_allclose, assert_array_equal
 
+from conftest import columns_in_earlier_span
 from effect_engine import model as model_module
 from effect_engine.data import Dataset
 from effect_engine.model import (
@@ -183,14 +183,43 @@ def _sum_of_two_columns(rng):
 
 @pytest.mark.parametrize("make_design", [_duplicated_column, _sum_of_two_columns])
 def test_rank_deficient_message_names_pivoted_qr_columns(make_design):
+    # The message names the columns in the span of the columns before them,
+    # here the last one: the later copy, the last term of the sum.
     X = make_design(np.random.default_rng(8))
     p = X.shape[1]
     assert np.linalg.matrix_rank(X) == p - 1
-    _, _, piv = scipy.linalg.qr(X, mode="economic", pivoting=True)
-    expected = ", ".join(f"column {i}" for i in sorted(piv[p - 1:].tolist()))
+    assert columns_in_earlier_span(X) == [p - 1]
     with pytest.raises(ValueError) as info:
         fit_ols(X, np.arange(30.0), "hc1")
-    assert str(info.value) == f"design matrix is rank deficient; dependent columns: {expected}"
+    assert str(info.value) == f"design matrix is rank deficient; dependent columns: column {p - 1}"
+
+
+@pytest.mark.filterwarnings("ignore:covariate 'c' is constant")
+@pytest.mark.parametrize("covariates, named", [
+    (lambda x: {"c": np.full(x.size, 2.0)}, "c, c:arm=b"),
+    (lambda x: {"x": x, "x2": 3.0 * x}, "x2, x2:arm=b"),
+], ids=["constant", "scaled-copy"])
+def test_rank_deficient_fit_names_the_later_column(covariates, named):
+    # A constant lies in the span of the intercept, and 3x in that of x:
+    # the covariate and the copy are named, not the columns before them.
+    rng = np.random.default_rng(9)
+    x = rng.normal(size=20)
+    data = Dataset(outcome=rng.normal(size=20), arm=np.where(np.arange(20) % 2, "b", "a"),
+                   covariates=covariates(x))
+    with pytest.raises(ValueError) as info:
+        fit_model(data, ModelSpec(reference_arm="a"))
+    assert str(info.value) == f"design matrix is rank deficient; dependent columns: {named}"
+
+
+def test_one_cluster_is_refused_before_the_design_is_factored(monkeypatch):
+    # The design is also rank deficient (its last column repeats
+    # column 2), but the cluster ids are checked first.
+    calls = []
+    monkeypatch.setattr(model_module, "_qr_r", lambda *args: calls.append(args))
+    X = _duplicated_column(np.random.default_rng(3))
+    with pytest.raises(ValueError, match="^cluster covariance requires at least 2 clusters$"):
+        fit_ols(X, np.arange(30.0), "cluster", cluster_ids=np.zeros(30))
+    assert calls == []
 
 
 def test_full_rank_fit_factorizes_the_design_once(monkeypatch):

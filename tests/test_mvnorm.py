@@ -13,7 +13,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.special import ndtr
 
-from conftest import cli_env
+from conftest import DEPENDENT_Z, RANK_DEFICIENT_CSV, cli_env
 from effect_engine import mvnorm, normal
 from effect_engine.mvnorm import (OrthantResult, _cholesky_with_jitter, _scrambles,
                                   _sobol_points, _sov_batch, mvn_orthant)
@@ -237,9 +237,7 @@ def _cli_outcome(argv, hide_scipy):
 
 def _rank_deficient_argvs(tmp_path):
     """``run`` and ``validate`` on a design whose column z is twice x."""
-    (tmp_path / "data.csv").write_text("y,arm,x,z\n" + "".join(
-        f"{(i * 7) % 5 + 0.5 * i},{'abc'[i % 3]},{i * 0.5},{i * 1.0}\n" for i in range(30)),
-        encoding="utf-8")
+    (tmp_path / "data.csv").write_text(RANK_DEFICIENT_CSV, encoding="utf-8")
     (tmp_path / "config.json").write_text(json.dumps({
         "data": {"path": "data.csv", "columns": {"outcome": "y", "arm": "arm"}},
         "model": {"reference_arm": "a"},
@@ -266,7 +264,7 @@ def test_runs_need_no_scipy_installed(workload, rows, tmp_path, monkeypatch):
     assert hidden == _cli_outcome(run, hide_scipy=False)
     if rows is None:
         assert hidden[0] == 2
-        assert "rank deficient; dependent columns: x, x:arm=b, x:arm=c" in hidden[1]
+        assert DEPENDENT_Z in hidden[1]
     else:
         assert hidden[0] == 0 and hidden[2] is not None, hidden[1]
 

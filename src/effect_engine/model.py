@@ -249,29 +249,19 @@ def build_schema(data: Dataset, spec: ModelSpec) -> ColumnSchema:
                         interactions=spec.interactions)
 
 
-def covariate_matrix(data: Dataset, schema: ColumnSchema, rows=None) -> np.ndarray:
+def covariate_matrix(data: Dataset, schema: ColumnSchema,
+                     rows: slice | None = None) -> np.ndarray:
     """Expanded covariate block (n x q) for ``data`` under ``schema``:
     numeric columns pass through, categorical columns become 0/1 indicators
     for their non-reference levels.
 
-    ``rows`` (a boolean mask, an index array or a slice) restricts the block
-    to those rows; the result equals ``covariate_matrix(data, schema)[rows]``.
-    Indicators compare the dataset's cached level codes (see
-    ``Dataset.categorical_codes``), so each categorical column is encoded
-    once per dataset, not once per call.
+    A ``rows`` slice restricts the block to those rows; the result equals
+    ``covariate_matrix(data, schema)[rows]``. Indicators compare the
+    dataset's cached level codes (see ``Dataset.categorical_codes``), so
+    each categorical column is encoded once per dataset, not once per call.
     """
-    n = data.n
     rows = slice(None) if rows is None else rows
-    if isinstance(rows, slice):
-        n = len(range(*rows.indices(n)))
-    else:
-        rows = np.asarray(rows)
-        if rows.dtype == bool:
-            if rows.shape != (n,):
-                raise ValueError(f"row mask has shape {rows.shape}, expected ({n},)")
-            rows = np.flatnonzero(rows)
-        n = rows.shape[0]
-    out = np.empty((n, len(schema.covariates)))
+    out = np.empty((len(range(*rows.indices(data.n))), len(schema.covariates)))
     gathered: dict[str, np.ndarray] = {}
     for k, (name, level) in enumerate(schema.covariates):
         if level is None:

@@ -708,9 +708,9 @@ def test_validate_accepts_every_benchmark_workload(tmp_path, monkeypatch):
 # OPENBLAS_NUM_THREADS = 1, 2 and 4. A change that moves a bit of a report
 # updates these and says so.
 REPORT_DIGESTS = {
-    "xsec_hc1": "14649acf0874c9f8528caca441f2e94a7b62a6242bdfd921adeac6aacd1d05be",
-    "panel_cluster": "a025bb8514cd81cba289c25c34b713209c45b942d2e90b44e066aecf37be02e2",
-    "segments_bayes": "87dfc395b62f4ad34cf3b9cb8598cc8294637e5c121816d9092b13b23b737a8d",
+    "xsec_hc1": "ddc33f190e42b4493c0a36fcf91d452c0cbb3c69cf9d490988f2b84187ea73ef",
+    "panel_cluster": "f841e1bec72e05aa1791d747a31df198f0b1e0b1a9b70d431eca45c57d47c14c",
+    "segments_bayes": "359be0fe3d868da3d28472394b3855bc11eb7fb8541b7f52c818c127a459067c",
 }
 
 

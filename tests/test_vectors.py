@@ -1,6 +1,9 @@
 """Baseline/delta rows and their moments under a fitted model."""
 
 import itertools
+import math
+import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -186,27 +189,62 @@ def test_covariate_matrix_row_selection_is_exact():
     schema = build_schema(data, ModelSpec(reference_arm="a", encodings={"k": "categorical"}))
     full = covariate_matrix(data, schema)
     assert_array_equal(full, _restringified_block(data, schema))
-    mask = (data.covariates["x"] > 0.3) & (data.covariates["s"] == "yes")
-    assert_array_equal(covariate_matrix(data, schema, rows=mask), full[mask])
-    rows = np.flatnonzero(mask)
-    assert_array_equal(covariate_matrix(data, schema, rows=rows), full[rows])
-    with pytest.raises(ValueError, match="row mask has shape"):
-        covariate_matrix(data, schema, rows=mask[:-1])
+    assert_array_equal(covariate_matrix(data, schema, rows=slice(100, 357)), full[100:357])
 
 
-@pytest.mark.parametrize("names", [("x",), ("s",), ("x", "g", "k", "s")])
-def test_profile_from_subset_matches_masked_mean_bit_for_bit(names):
-    # q = 1 sums pairwise, q >= 2 row by row; both must match the mean of
-    # the masked full block exactly.
-    data = mixed_data(names)
+def drifting_data(n=100_000):
+    # The numeric column's mean is 1e6: summed row by row, as the mean of an
+    # n x q block sums it, 1e5 such values drift by 7e-15 relative.
+    rng = np.random.default_rng(33)
+    return Dataset(outcome=rng.normal(size=n), arm=rng.choice(["a", "b"], size=n),
+                   covariates={"big": 1e6 + rng.normal(size=n),
+                               "s": rng.choice(["no", "yes"], size=n)})
+
+
+@pytest.mark.parametrize("make", [partial(mixed_data, ("x",)), partial(mixed_data, ("s",)),
+                                  mixed_data, drifting_data],
+                         ids=["x", "s", "x-g-k-s", "drifting"])
+def test_profile_from_subset_matches_an_exact_mean(make):
+    # Over every row, a mask and the mask's complement, a numeric value is
+    # within 1e-15 relative of the correctly rounded sum's mean and a level
+    # frequency is exactly count / size.
+    data = make()
     schema = build_schema(data, ModelSpec(reference_arm="a", encodings={"k": "categorical"}))
-    full = _restringified_block(data, schema)
     mask = np.random.default_rng(32).random(data.n) < 0.7
-    for predicate, rows in ((None, slice(None)), (mask, mask)):
-        expected = full[rows].mean(axis=0)
-        assert_array_equal(profile_from_subset(data, schema, predicate).values, expected)
-    assert_array_equal(profile_from_subset(data, schema, ~resolve_mask(data, mask)).values,
-                       full[~mask].mean(axis=0))
+    for predicate, rows in ((None, np.ones(data.n, dtype=bool)), (mask, mask), (~mask, ~mask)):
+        values = profile_from_subset(data, schema, predicate).values
+        size = np.count_nonzero(rows)
+        for value, (name, level) in zip(values, schema.covariates):
+            column = data.covariates[name][rows]
+            if level is None:
+                exact = math.fsum(column) / size
+                assert abs(value - exact) <= 1e-15 * abs(exact), (name, value, exact)
+            else:
+                count = sum(str(v) == level for v in column.tolist())
+                assert value == count / size, (name, level)
+
+
+def test_profile_from_subset_holds_no_expanded_block():
+    # n = 1e5 rows, q = 9 covariate columns (five numeric, two categoricals
+    # of three levels): the profile's peak allocation stays O(n), below
+    # 3 n float64s, where the expanded block alone is n q of them.
+    n = 100_000
+    rng = np.random.default_rng(34)
+    covariates = {f"x{i}": rng.normal(size=n) for i in range(5)}
+    covariates.update(g=rng.choice(["p", "q", "r"], size=n), h=rng.choice(["u", "v", "w"], size=n))
+    data = Dataset(outcome=rng.normal(size=n), arm=rng.choice(["a", "b"], size=n),
+                   covariates=covariates)
+    schema = build_schema(data, ModelSpec(reference_arm="a"))
+    assert len(schema.covariates) == 9
+    mask = rng.random(n) < 0.7
+    for predicate in (None, mask):
+        tracemalloc.start()
+        try:
+            profile_from_subset(data, schema, predicate)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * n * 8, (predicate is None, peak)
 
 
 def test_categorical_levels_keep_string_order_and_encode_once():

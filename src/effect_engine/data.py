@@ -61,8 +61,10 @@ def _labels(values, role: str) -> tuple[np.ndarray, tuple[str, ...], np.ndarray]
 
 def factorize(labels: Sequence) -> tuple[tuple[str, ...], np.ndarray]:
     """Distinct labels in ``sorted(set(labels))`` order, and each label's
-    index into them. Labels are read as ``str(label)``; that pass over the
-    labels is skipped when every distinct label already is a ``str``."""
+    index into them, as unsigned ints as narrow as the number of levels
+    allows (``np.min_scalar_type(len(levels))``). Labels are read as
+    ``str(label)``; that pass over the labels is skipped when every distinct
+    label already is a ``str``."""
     try:
         distinct = set(labels)
         plain = all(type(v) is str for v in distinct)
@@ -73,7 +75,8 @@ def factorize(labels: Sequence) -> tuple[tuple[str, ...], np.ndarray]:
         distinct = set(labels)
     levels = sorted(distinct)
     lookup = {level: i for i, level in enumerate(levels)}
-    codes = np.fromiter(map(lookup.__getitem__, labels), dtype=np.intp, count=len(labels))
+    codes = np.fromiter(map(lookup.__getitem__, labels), dtype=np.min_scalar_type(len(levels)),
+                        count=len(labels))
     return tuple(levels), codes
 
 
@@ -99,8 +102,11 @@ class Dataset:
     label, so a column costs a pointer per row plus its levels. Categorical
     encodings (see :meth:`categorical_codes`) are cached per dataset: those
     of object covariates come from that construction, numeric ones are
-    computed on first use. :func:`add_period_covariate` shares the arrays
-    and cached encodings of the dataset it extends. Equality is identity.
+    computed on first use. Every code array, ``arm_codes`` and each cached
+    encoding, comes from :func:`factorize`, so it is unsigned and as narrow
+    as its number of levels allows. :func:`add_period_covariate` shares the
+    arrays and cached encodings of the dataset it extends. Equality is
+    identity.
     """
 
     outcome: np.ndarray
@@ -116,9 +122,6 @@ class Dataset:
         if outcome.ndim != 1:
             raise ValueError("outcome must be one-dimensional")
         arm, arm_levels, arm_codes = _labels(self.arm, "arm")
-        # The narrowest dtype, kept for the dataset's lifetime; the intp codes
-        # are dropped here, before the covariates are factorized.
-        arm_codes = _freeze(arm_codes.astype(np.min_scalar_type(len(arm_levels))))
         object.__setattr__(self, "outcome", outcome)
         object.__setattr__(self, "arm", arm)
         object.__setattr__(self, "arms", arm_levels)
@@ -281,20 +284,16 @@ def _gc_paused():
             gc.enable()
 
 
-def _drained(chunks: Iterator, error: ValueError) -> ValueError:
-    """``error``, once the rest of ``chunks`` has been read: a malformed
-    record anywhere in the file wins over every other error, as it does for
-    a loader that reads the whole file before checking it."""
-    for _ in chunks:
-        pass
-    return error
-
-
 def _add_labels(labels: dict[int, tuple[dict, list]], columns: Sequence[Sequence[str]]) -> None:
     """Append each labelled column's cells to its list, each through the
     column's dict, so every distinct label is one shared ``str``."""
     for i, (seen, out) in labels.items():
         out.extend(map(seen.setdefault, columns[i], columns[i]))
+
+
+# The ranks of the errors load_csv holds while it reads on, in the order its
+# docstring lists them; the lowest wins.
+_DUPLICATE, _MISSING_ROLE, _RAGGED, _BAD_OUTCOME, _MISSING_COLUMN, _BAD_PERIOD, _NONE = range(7)
 
 
 def load_csv(path, column_map: Mapping[str, object]) -> Dataset:
@@ -338,60 +337,55 @@ def load_csv(path, column_map: Mapping[str, object]) -> Dataset:
         positions: dict[str, list[int]] = {}
         for i, name in enumerate(header):
             positions.setdefault(name, []).append(i)
-        for name, cols in positions.items():
-            if len(cols) > 1:
-                raise _drained(chunks, ValueError(
-                    f"duplicate CSV header {name!r} at columns {cols}"))
         index = {name: cols[0] for name, cols in positions.items()}
-
-        def missing(role: str, name: str) -> ValueError:
-            return ValueError(f"{role} column {name!r} not found in CSV header {header}")
-
-        for role, name in (("outcome", outcome_name), ("arm", arm_name)):
-            if name not in index:
-                raise _drained(chunks, missing(role, name))
         cov_names = column_map.get("covariates")
         if cov_names is None:
             reserved = {outcome_name, arm_name, unit_name, period_name}
             cov_names = [c for c in header if c not in reserved]
-        wanted = [("covariate", name) for name in cov_names]
-        wanted += [(role, name) for role, name in (("unit_id", unit_name), ("period", period_name))
-                   if name is not None]
-        # The first missing covariate, unit or period column, or else the
-        # first bad period cell: reported once no row is ragged and no
-        # outcome cell is bad.
-        later = next((missing(role, name) for role, name in wanted if name not in index), None)
-        bad_outcome = None
 
-        y_i = index[outcome_name]
+        def missing(role: str, name: str) -> ValueError:
+            return ValueError(f"{role} column {name!r} not found in CSV header {header}")
+
+        # The error that wins so far, with its rank, held while the rest of
+        # the file is read: a malformed record still wins over it.
+        held = next(chain(
+            ((_DUPLICATE, ValueError(f"duplicate CSV header {name!r} at columns {cols}"))
+             for name, cols in positions.items() if len(cols) > 1),
+            ((_MISSING_ROLE, missing(role, name))
+             for role, name in (("outcome", outcome_name), ("arm", arm_name))
+             if name not in index),
+            ((_MISSING_COLUMN, missing(role, name))
+             for role, name in [*(("covariate", name) for name in cov_names),
+                                ("unit_id", unit_name), ("period", period_name)]
+             if name is not None and name not in index)), (_NONE, None))
+
         width = len(header)
         outcome: list[np.ndarray] = []
         period: list[np.ndarray] = []
         # Columns of label cells: arm and unit id, and each covariate from
         # the first chunk that does not parse as numbers. A covariate that
         # fails first in a later chunk is read again from the file, whole.
-        labels: dict[int, tuple[dict, list]] = {index[arm_name]: ({}, [])}
-        if unit_name in index:
-            labels[index[unit_name]] = ({}, [])
+        labels: dict[int, tuple[dict, list]] = {
+            index[name]: ({}, []) for name in (arm_name, unit_name) if name in index}
         numeric = {name: [] for name in cov_names if name in index}
         reread: list[str] = []
         start = 0
         for chunk in chunks:
             m = len(chunk)
-            if set(map(len, chunk)) != {width}:
-                r, row = next((r, row) for r, row in enumerate(chunk) if len(row) != width)
-                raise _drained(chunks, ValueError(
-                    f"row {start + r} has {len(row)} cells, expected {width}"))
-            if bad_outcome is None:
+            if held[0] > _RAGGED and set(map(len, chunk)) != {width}:
+                r, row = next((r, row) for r, row in enumerate(chunk, start) if len(row) != width)
+                held = _RAGGED, ValueError(f"row {r} has {len(row)} cells, expected {width}")
+            if held[0] > _BAD_OUTCOME:
                 columns = list(zip(*chunk))
-                cells = columns[y_i]
+                cells = columns[index[outcome_name]]
                 try:
                     y = np.fromiter(map(float, cells), np.float64, m)
                 except ValueError:
                     y = None
                 if y is None or not np.isfinite(y).all():
-                    bad_outcome = _cell_error("outcome", outcome_name, cells, _finite_float, start)
-                elif later is None:
+                    held = _BAD_OUTCOME, _cell_error("outcome", outcome_name, cells,
+                                                     _finite_float, start)
+                elif held[1] is None:
                     outcome.append(y)
                     for name in list(numeric):
                         try:
@@ -409,13 +403,14 @@ def load_csv(path, column_map: Mapping[str, object]) -> Dataset:
                         try:
                             period.append(np.fromiter(map(int, cells), np.int64, m))
                         except (ValueError, OverflowError):
-                            later = _cell_error("period", period_name, cells,
-                                                lambda cell: np.int64(int(cell)), start)
+                            held = _BAD_PERIOD, _cell_error(
+                                "period", period_name, cells, lambda cell: np.int64(int(cell)),
+                                start)
                 del columns, cells
             del chunk  # before the next one is read
             start += m
-        if bad_outcome or later:
-            raise bad_outcome or later
+        if held[1] is not None:
+            raise held[1]
 
     if reread:
         again = {index[name]: ({}, []) for name in reread}

@@ -1,13 +1,14 @@
 """Subset predicates over dataset rows.
 
 A predicate is a conjunction of ``column OP literal`` clauses with OP in
-{==, !=, <, <=, >, >=}. Clauses may reference any covariate or the period
-column. The string form used in configs looks like ``"x >= 3 and grade == 4"``;
-literals compare numerically against numeric columns and as strings against
-categorical ones (ordering operators require a numeric column). A literal in
-single or double quotes may hold anything but its own quote, ``and`` and
-the operators included; an unquoted one may hold no operator and may not
-end in a bare ``and``.
+{==, !=, <, <=, >, >=}. Clauses may reference any covariate, and the period
+column as ``period`` whatever its CSV header; an unknown column is refused
+with the names that work. The string form used in configs looks like
+``"x >= 3 and grade == 4"``; literals compare numerically against numeric
+columns and as strings against categorical ones (ordering operators require
+a numeric column). A literal in single or double quotes may hold anything
+but its own quote, ``and`` and the operators included; an unquoted one may
+hold no operator and may not end in a bare ``and``.
 """
 
 from __future__ import annotations
@@ -113,7 +114,11 @@ def _column_values(data: Dataset, name: str) -> np.ndarray:
         return data.covariates[name]
     if name == "period" and data.period is not None:
         return np.asarray(data.period, dtype=np.float64)
-    raise ValueError(f"unknown predicate column {name!r}")
+    usable = list(data.covariates)
+    if data.period is not None and "period" not in usable:
+        usable.append("period")
+    raise ValueError(f"unknown predicate column {name!r}; the data's predicate columns are "
+                     f"{', '.join(map(repr, usable)) or 'none'}")
 
 
 def parse_predicate(text: str) -> Predicate:

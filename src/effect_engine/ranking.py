@@ -16,12 +16,11 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .data import Dataset
-from .model import ColumnSchema, FittedModel
+from .model import FittedModel
 from .mvnorm import mvn_orthant
 from .vectors import Record, delta_vector, moments, profile_from_subset, query_echo
 
-__all__ = ["ProbEstimate", "ArmProbability", "RankingResult", "prob_positive", "prob_best",
-           "ranked_arms"]
+__all__ = ["ProbEstimate", "ArmProbability", "RankingResult", "prob_positive", "prob_best"]
 
 
 @dataclass(frozen=True)
@@ -99,20 +98,6 @@ def prob_positive(model: FittedModel, data: Dataset, arm_to: str, arm_from: str,
     )
 
 
-def ranked_arms(schema: ColumnSchema, arms: Sequence[str] | None) -> tuple[str, ...]:
-    """The arms ``prob_best`` ranks: ``arms`` as labels of the schema, or all
-    of the schema's. Raises for a label the schema lacks, a repeated label,
-    or fewer than 2 arms."""
-    if arms is None:
-        return schema.all_arms
-    candidates = tuple(schema.require_arm(a) for a in arms)
-    if len(set(candidates)) != len(candidates):
-        raise ValueError("duplicate arm labels in ranking request")
-    if len(candidates) < 2:
-        raise ValueError("ranking needs at least 2 arms")
-    return candidates
-
-
 def prob_best(model: FittedModel, data: Dataset, arms: Sequence[str] | None = None,
               predicate=None, tol: float = 5e-4, seed=None) -> RankingResult:
     """Posterior probability, for each arm, that it has the highest average
@@ -121,10 +106,17 @@ def prob_best(model: FittedModel, data: Dataset, arms: Sequence[str] | None = No
     Each arm's probability is a separate orthant evaluation over its stacked
     delta rows against the other arms (rivals in sorted order, so results do
     not depend on input ordering). With two arms this reduces exactly to
-    ``prob_positive``.
+    ``prob_positive``. Raises for an arm label the schema lacks, a repeated
+    label, or fewer than 2 arms.
     """
     _require_posterior(model)
-    candidates = ranked_arms(model.schema, arms)
+    candidates = model.schema.all_arms
+    if arms is not None:
+        candidates = tuple(model.schema.require_arm(a) for a in arms)
+        if len(set(candidates)) != len(candidates):
+            raise ValueError("duplicate arm labels in ranking request")
+        if len(candidates) < 2:
+            raise ValueError("ranking needs at least 2 arms")
     profile = profile_from_subset(data, model.schema, predicate)
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     # One child seed per schema position, so an arm's estimate does not

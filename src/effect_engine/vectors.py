@@ -25,7 +25,6 @@ __all__ = [
     "CovariateProfile",
     "profile_from_subset",
     "baseline_vector",
-    "distinct_arms",
     "delta_vector",
     "moments",
     "query_echo",
@@ -101,20 +100,14 @@ def baseline_vector(schema: ColumnSchema, profile: CovariateProfile, arm: str) -
     return entries
 
 
-def distinct_arms(schema: ColumnSchema, arm_to: str, arm_from: str) -> tuple[str, str]:
-    """``(arm_to, arm_from)`` as labels of the schema; raises for a label it
-    lacks or for the same arm twice."""
-    arm_to, arm_from = schema.require_arm(arm_to), schema.require_arm(arm_from)
-    if arm_to == arm_from:
-        raise ValueError(f"delta vector needs two distinct arms, got {arm_to!r} twice")
-    return arm_to, arm_from
-
-
 def delta_vector(schema: ColumnSchema, profile: CovariateProfile, arm_to: str,
                  arm_from: str) -> np.ndarray:
     """Read-only (p,) row: the baseline row of ``arm_to`` minus that of
-    ``arm_from`` at the same profile."""
-    arm_to, arm_from = distinct_arms(schema, arm_to, arm_from)
+    ``arm_from`` at the same profile. Raises for a label the schema lacks or
+    for the same arm twice."""
+    arm_to, arm_from = schema.require_arm(arm_to), schema.require_arm(arm_from)
+    if arm_to == arm_from:
+        raise ValueError(f"delta vector needs two distinct arms, got {arm_to!r} twice")
     entries = (baseline_vector(schema, profile, arm_to)
                - baseline_vector(schema, profile, arm_from))
     entries.setflags(write=False)

@@ -491,7 +491,7 @@ FOUR_ROW = (FOUR_ROW_CSV, {"outcome": "y", "arm": "arm"}, "0")
     (SIX_ROW, {"bayes": {"noise_variance": 1.0}}, {"type": "prob_best", "arms": ["0", "7"]},
      "unknown arm label '7'; model has arms ('0', '1')", None),
     (SIX_ROW, {}, {"type": "cate", "arm_to": "1", "arm_from": "0", "predicate": "z > 1"},
-     "unknown predicate column 'z'", None),
+     "unknown predicate column 'z'; the data's predicate columns are 'x'", None),
     (PANEL, {"covariance": "cluster"}, {**DTE, "period": 7},
      "unknown period 7; data has periods [0, 1]", None),
     (PANEL, {}, {"type": "cate", "arm_to": "t", "arm_from": "c", "predicate": "period > 5"},

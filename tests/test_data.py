@@ -16,7 +16,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 from effect_engine import data as data_module
-from effect_engine.data import Dataset, add_period_covariate, load_csv
+from effect_engine.data import (PERIOD_COVARIATE, Dataset, add_period_covariate, factorize,
+                                load_csv)
+from effect_engine.model import ModelSpec, build_schema
 
 
 def test_arm_labels_coerced_to_strings():
@@ -378,6 +380,41 @@ def test_ragged_row_in_a_later_chunk_wins_over_a_bad_outcome(tmp_path, two_row_c
     _assert_loads_like_reference(path, {"outcome": "y", "arm": "arm"})
 
 
+# Each fault sits in the header or the first chunk: a header cell replaced,
+# a data row's cell replaced or dropped (None), or a covariate list that
+# names a missing column.
+@pytest.mark.parametrize("row, col, cell, covariates, message", [
+    (None, 2, "t", None, r"^duplicate CSV header 't' at columns \[2, 3\]$"),
+    (None, 1, "group", None, r"^arm column 'arm' not found in CSV header "),
+    (1, 3, None, None, r"^row 1 has 3 cells, expected 4$"),
+    (1, 0, "oops", None, r"^unparseable outcome cell at row 1, column 'y': 'oops'$"),
+    (None, None, None, ["x", "z"], r"^covariate column 'z' not found in CSV header "),
+    (1, 3, "1.5", None, r"^unparseable period cell at row 1, column 't': '1.5'$"),
+], ids=["duplicate_header", "missing_arm", "ragged_row", "bad_outcome", "missing_covariate",
+        "bad_period"])
+def test_malformed_record_in_the_last_chunk_wins(tmp_path, two_row_chunks, row, col, cell,
+                                                  covariates, message):
+    lines = [["y", "arm", "x", "t"]] + [[str(i), "ab"[i % 2], str(i % 3), str(i % 2)]
+                                        for i in range(8)]
+    if col is not None:
+        target = lines[0 if row is None else row + 1]
+        if cell is None:
+            del target[col]
+        else:
+            target[col] = cell
+    column_map = {"outcome": "y", "arm": "arm", "period": "t"}
+    if covariates is not None:
+        column_map["covariates"] = covariates
+    text = "".join(",".join(line) + "\n" for line in lines)
+    with pytest.raises(ValueError, match=message):
+        load_csv(_write(tmp_path, text), column_map)
+    path = _write(tmp_path, text + '8,a,"2,0\n')
+    with pytest.raises(ValueError) as info:
+        load_csv(path, column_map)
+    assert str(info.value) == (
+        f"malformed CSV record at data row 8 of {path}: unexpected end of data")
+
+
 def test_add_period_covariate():
     data = Dataset(
         outcome=[1.0, 2.0, 3.0, 4.0],
@@ -479,6 +516,23 @@ def test_categorical_codes_sorted_and_cached():
     copy = dataclasses.replace(data)
     assert copy.categorical_codes("g")[1] is not codes
     assert_array_equal(copy.categorical_codes("g")[1], codes)
+
+
+def test_every_code_array_is_as_narrow_as_its_levels():
+    n = 300
+    data = Dataset(outcome=np.arange(n, dtype=float), arm=["abc"[i % 3] for i in range(n)],
+                   covariates={"g": [f"g{i % 5}" for i in range(n)],
+                               "x": np.arange(n) % 7 * 0.5},
+                   period=np.arange(n) % 4)
+    build_schema(data, ModelSpec(reference_arm="a", encodings={"x": "categorical"}))
+    units = factorize([f"u{i}" for i in range(n)])
+    for levels, codes in [(data.arms, data.arm_codes), data.categorical_codes("g"),
+                          data.categorical_codes("x"),
+                          add_period_covariate(data).categorical_codes(PERIOD_COVARIATE),
+                          units]:
+        assert codes.dtype == np.min_scalar_type(len(levels))
+    assert data.categorical_codes("g")[1].dtype == np.uint8
+    assert units[1].dtype == np.uint16
 
 
 def reference_load_csv(path, column_map):
@@ -593,7 +647,8 @@ def csv_files(draw):
     """CSV text and a column map, covering the cases ingest must agree on:
     numeric, categorical and mixed columns, non-finite cells ahead of
     garbage, ``1_000`` and padded numbers, blank lines, CRLF, quoted commas
-    and newlines, a byte-order mark, ragged rows and bad period cells."""
+    and newlines, a byte-order mark, a duplicate header, ragged rows and bad
+    period cells."""
     pools = {"y": draw(st.sampled_from(["numeric"] * 3 + ["nonfinite", "mixed"])),
              "arm": "arm"}
     for i in range(draw(st.integers(0, 3))):
@@ -609,6 +664,8 @@ def csv_files(draw):
     if covs and draw(st.booleans()):
         column_map["covariates"] = draw(st.permutations(covs + ["missing"]))[:len(covs)]
     header = draw(st.permutations(list(pools)))
+    if draw(st.integers(0, 7)) == 0:
+        header.insert(draw(st.integers(0, len(header))), draw(st.sampled_from(header)))
 
     newline = draw(st.sampled_from(["\n", "\r\n"]))
     buf = io.StringIO()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from effect_engine.data import Dataset
+from effect_engine.data import Dataset, load_csv
 from effect_engine.predicates import Clause, Predicate, parse_predicate, resolve_mask
 
 
@@ -168,3 +168,18 @@ def test_resolve_mask_validates_arrays():
         resolve_mask(data, np.array([1, 0, 1, 0]))
     with pytest.raises(TypeError, match="unsupported predicate type"):
         resolve_mask(data, 3.5)
+
+
+def test_unknown_column_error_names_the_usable_columns(tmp_path):
+    # The period column is referred to as "period", not by its CSV header.
+    path = tmp_path / "data.csv"
+    path.write_text("y,arm,week,x,grade\n1,a,1,0.5,4\n2,b,2,1.5,9\n3,a,2,2.5,4\n")
+    data = load_csv(path, {"outcome": "y", "arm": "arm", "period": "week"})
+    assert parse_predicate("period >= 2").mask(data).tolist() == [False, True, True]
+    with pytest.raises(ValueError) as info:
+        parse_predicate("week >= 2").mask(data)
+    assert str(info.value) == ("unknown predicate column 'week'; the data's predicate "
+                               "columns are 'x', 'grade', 'period'")
+    bare = Dataset(outcome=[1.0, 2.0], arm=["a", "b"])
+    with pytest.raises(ValueError, match=r"'x'; the data's predicate columns are none$"):
+        parse_predicate("x == 1").mask(bare)

@@ -9,8 +9,11 @@ covariance can be classical, heteroskedasticity-robust (HC1), cluster-robust
 Every fit is one QR of ``[X | y]`` taken in blocks of ``FIT_BLOCK_ROWS``
 rows (TSQR), the posterior's with its prior rows on top. A fit from a
 dataset writes each block of design rows as it needs it (:class:`DesignRows`),
-so no n x p array is held: the fit keeps a (p+1) x (p+1) triangle per
-block, and the sandwiches a p x p meat or the per-cluster scores.
+in the Fortran order LAPACK factors, straight into the buffer the QR
+factors; the sandwiches' second pass writes each block again and copies it
+into one reused C-ordered buffer for its products. So no n x p array is
+held: the fit keeps a few block buffers, a (p+1) x (p+1) triangle per block,
+and the sandwiches a p x p meat or the per-cluster scores.
 """
 
 from __future__ import annotations
@@ -50,8 +53,9 @@ COVARIANCE_KINDS = ("classical", "hc1", "cluster")
 RANK_RTOL = 1e-10
 
 # Design rows a fit writes and factors at a time. On a 2-vCPU machine,
-# blocks of 4096 to 32768 rows fitted a 200k x 33 design in the same time,
-# and the fit's traced peak grew with the block: 7.5 MB at 8192 rows.
+# blocks of 4096 to 16384 rows fitted a 200k x 33 design within 10% of each
+# other's time (32768 rows: 15% faster, at four times the memory), and the
+# fit's traced peak grows with the block: 2.5 MB at 4096 rows, 4.6 MB at 8192.
 FIT_BLOCK_ROWS = 8192
 
 
@@ -164,21 +168,27 @@ class ColumnSchema:
         inter = [f"{c}:{a}" for c in covs for a in arms] if self.interactions else []
         return ("intercept", *covs, *arms, *inter)
 
-    def fill(self, out: np.ndarray, z: np.ndarray, a: np.ndarray) -> np.ndarray:
+    def fill(self, out: np.ndarray, z: np.ndarray | None, a: np.ndarray) -> np.ndarray:
         """Write ``[1 | z | a | z (x) a]`` into the last axis of ``out`` and
         return it.
 
-        ``out`` is (p,) or (n, p); ``z`` holds the expanded covariate values,
-        (q,) or (n, q), and ``a`` the arm indicators, (k,) or (n, k). The
+        ``out`` is (p,) or (n, p), in any memory order; ``z`` holds the
+        expanded covariate values, (q,) or (n, q), and ``a`` the arm
+        indicators, (k,) or (n, k). ``z`` None means the covariate columns of
+        ``out`` already hold them (:func:`covariate_matrix` wrote them there),
+        so they are read in place, not copied onto themselves. The
         interaction block is written through a (q, k) view of its columns,
         one product of ``z`` per arm: a single broadcast product would loop
         over k values at a time, which took twice as long on 200k rows.
         """
         q, k = len(self.covariates), len(self.arm_labels)
-        a = np.asarray(a, dtype=np.float64)
         out[..., 0] = 1.0
-        out[..., 1:1 + q] = z
+        if z is None:
+            z = out[..., 1:1 + q]
+        else:
+            out[..., 1:1 + q] = z
         out[..., 1 + q:1 + q + k] = a
+        a = out[..., 1 + q:1 + q + k]
         if self.interactions:
             block = out[..., 1 + q + k:].reshape(out.shape[:-1] + (q, k))
             for j in range(k):
@@ -250,38 +260,37 @@ def build_schema(data: Dataset, spec: ModelSpec) -> ColumnSchema:
 
 
 def covariate_matrix(data: Dataset, schema: ColumnSchema,
-                     rows: slice | None = None) -> np.ndarray:
+                     rows: slice | None = None, out: np.ndarray | None = None) -> np.ndarray:
     """Expanded covariate block (n x q) for ``data`` under ``schema``:
     numeric columns pass through, categorical columns become 0/1 indicators
     for their non-reference levels.
 
     A ``rows`` slice restricts the block to those rows; the result equals
-    ``covariate_matrix(data, schema)[rows]``. Indicators compare the
-    dataset's cached level codes (see ``Dataset.categorical_codes``), so
-    each categorical column is encoded once per dataset, not once per call.
+    ``covariate_matrix(data, schema)[rows]``. The block is written into
+    ``out`` when given, an (n, q) array of any memory order (the covariate
+    columns of a design block, say), and into a new array otherwise.
+    Indicators compare the dataset's cached level codes (see
+    ``Dataset.categorical_codes``), so each categorical column is encoded
+    once per dataset, not once per call.
     """
     rows = slice(None) if rows is None else rows
-    out = np.empty((len(range(*rows.indices(data.n))), len(schema.covariates)))
-    gathered: dict[str, np.ndarray] = {}
+    if out is None:
+        out = np.empty((len(range(*rows.indices(data.n))), len(schema.covariates)))
     for k, (name, level) in enumerate(schema.covariates):
         if level is None:
             out[:, k] = data.covariates[name][rows]
-            continue
-        levels, codes = data.categorical_codes(name)
-        if name not in gathered:
-            gathered[name] = codes[rows]
-        out[:, k] = gathered[name] == levels.index(level)
+        else:
+            levels, codes = data.categorical_codes(name)
+            np.equal(codes[rows], levels.index(level), out=out[:, k])
     return out
 
 
 @dataclass(frozen=True, eq=False)
 class DesignRows:
     """The design of ``data`` under ``schema``, written on demand: ``shape``
-    is its (n, p), and ``rows[lo:hi]`` is a new array of its rows lo to
-    hi - 1, which :meth:`ColumnSchema.fill` writes from the covariate block
-    of :func:`covariate_matrix` and the arm indicators of those rows. The
-    fits read it as they read an n x p array, a row block at a time.
-    Equality is identity.
+    is its (n, p), and :meth:`write` writes any of its row ranges into an
+    array the caller gives. The fits write each row block straight into the
+    array that consumes it, so no n x p array is held. Equality is identity.
     """
 
     data: Dataset
@@ -291,24 +300,30 @@ class DesignRows:
     def shape(self) -> tuple[int, int]:
         return self.data.n, self.schema.p
 
-    def __getitem__(self, rows: slice) -> np.ndarray:
-        z = covariate_matrix(self.data, self.schema, rows)
-        codes = [self.data.arms.index(a) for a in self.schema.arm_labels]
-        arms = self.data.arm_codes[rows, None] == np.array(codes)
-        return self.schema.fill(np.empty((z.shape[0], self.schema.p)), z, arms)
+    def write(self, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+        """Write design rows lo to hi - 1 into ``out``, an (hi - lo, p)
+        array of any memory order, and return it. :func:`covariate_matrix`
+        writes the covariate columns in place and :meth:`ColumnSchema.fill`
+        the rest around them, so no other block is built."""
+        q = len(self.schema.covariates)
+        covariate_matrix(self.data, self.schema, slice(lo, hi), out=out[:, 1:1 + q])
+        arm_codes = self.data.arm_codes
+        codes = np.array([self.data.arms.index(a) for a in self.schema.arm_labels],
+                         dtype=arm_codes.dtype)
+        arms = arm_codes[lo:hi, None] == codes
+        return self.schema.fill(out, None, arms)
 
 
 def build_design(data: Dataset, spec: ModelSpec):
     """Build the interacted design matrix.
 
     Returns ``(design, y, schema)`` where ``design`` is the n x p array of
-    every row of :class:`DesignRows`, so besides the design only the n x q
-    covariate block and the n x k arm indicators are held (q < p). The fits
-    do not need it: :func:`fit_model` writes the design a row block at a
-    time.
+    every row of :class:`DesignRows`, written in place, so besides the
+    design only the n x k arm indicators are held. The fits do not need it:
+    :func:`fit_model` writes the design a row block at a time.
     """
     schema = build_schema(data, spec)
-    design = DesignRows(data, schema)[:]
+    design = DesignRows(data, schema).write(0, data.n, np.empty((data.n, schema.p)))
     return design, np.asarray(data.outcome, dtype=np.float64), schema
 
 
@@ -403,28 +418,40 @@ def _row_blocks(n: int):
     return ((lo, min(lo + FIT_BLOCK_ROWS, n)) for lo in range(0, n, FIT_BLOCK_ROWS))
 
 
+def _write_rows(X, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+    """Rows lo to hi - 1 of the design ``X``, an n x p array or a
+    :class:`DesignRows`, written into ``out`` ((hi - lo) x p), which is
+    returned."""
+    if isinstance(X, DesignRows):
+        return X.write(lo, hi, out)
+    out[...] = X[lo:hi]
+    return out
+
+
 def _blocked_r(X, y: np.ndarray, schema: ColumnSchema | None,
                head: np.ndarray | None = None) -> np.ndarray:
     """The (p+1) x (p+1) triangle R of the QR of ``[X | y]``, with the rows
     of ``head`` (h x (p+1)) stacked on top, by TSQR (Demmel, Grigori,
     Hoemmen & Langou 2012).
 
-    Each block of rows ``X[lo:hi]`` (under ``head``, for the first) is
-    copied into one Fortran-ordered buffer and factored in place
-    (:func:`_qr_r`) into its triangle; the triangles, stacked in row order,
-    are factored once more. So the fit holds one block of rows and a
-    (p+1) x (p+1) triangle per block, and each row passes through two QRs
-    however many blocks there are. Merging each block into one running
-    triangle instead lost accuracy in proportion to the block count: on a
-    200k x 33 design in 25 blocks, β was off by 9e-15 of its largest entry
-    that way. On three such designs it was off by at most 7e-16 both from
-    this and from one QR of all rows.
+    Each block of rows lo to hi - 1 of ``X`` (under ``head``, for the first)
+    is written into the design columns of one Fortran-ordered buffer, the
+    order LAPACK factors, by :func:`_write_rows`: a :class:`DesignRows`
+    writes its rows there directly, with no other block built. The buffer
+    is factored in place (:func:`_qr_r`) into the block's triangle; the
+    triangles, stacked in row order, are factored once more. So the fit
+    holds one block of rows and a (p+1) x (p+1) triangle per block, and
+    each row passes through two QRs however many blocks there are. Merging
+    each block into one running triangle instead lost accuracy in
+    proportion to the block count: on a 200k x 33 design in 25 blocks, β
+    was off by 9e-15 of its largest entry that way. On three such designs it
+    was off by at most 7e-16 both from this and from one QR of all rows.
 
     The top p x p block of the result is R of the design and the column
     above the diagonal is Q'y, as in a QR of all rows at once; the corner
     entry's square is the residual sum of squares (Golub & Van Loan,
     *Matrix Computations*, section 5.3). Each block of the design is checked
-    for a NaN or infinity as it is copied (see :func:`_require_finite`).
+    for a NaN or infinity once written (see :func:`_require_finite`).
     """
     n, p = X.shape
     h = 0 if head is None else head.shape[0]
@@ -434,7 +461,7 @@ def _blocked_r(X, y: np.ndarray, schema: ColumnSchema | None,
     triangles = []
     for lo, hi in _row_blocks(n):
         rows = buffer[h:h + hi - lo]
-        rows[:, :p] = X[lo:hi]
+        _write_rows(X, lo, hi, rows[:, :p])
         rows[:, p] = y[lo:hi]
         _require_finite(rows[:, :p], lo, schema)
         triangles.append(_qr_r(buffer, h + hi - lo))
@@ -487,9 +514,9 @@ def fit_ols(design, y: np.ndarray, covariance_kind: str = "hc1",
     times clusters. The cluster ids are checked before the design is read.
 
     ``design`` is an n x p array or a :class:`DesignRows`, read
-    ``FIT_BLOCK_ROWS`` rows at a time (``design[lo:hi]``, a view of an
-    array), so the fit holds a few row blocks and vectors of length n, never
-    an n x p array. The fit is one blocked QR of ``[X | y]``
+    ``FIT_BLOCK_ROWS`` rows at a time into the fit's own block buffers
+    (:func:`_write_rows`), so the fit holds a few row blocks and vectors of
+    length n, never an n x p array. The fit is one blocked QR of ``[X | y]``
     (:func:`_blocked_r`). The rank check reads the singular values of R,
     which are those of the design, and the solve and the covariance come
     from R, so no inverse of X'X is formed. The classical variance is the
@@ -542,13 +569,26 @@ def fit_ols(design, y: np.ndarray, covariance_kind: str = "hc1",
         else:
             cluster_scores = np.zeros((n_groups, p))
             correction = (n_groups / (n_groups - 1)) * ((n - 1) / (n - p))
+        # One block, scores and residual buffer serve every block. The rows
+        # are written column by column, in Fortran order, into the scores
+        # buffer, which is free until the product, then copied into the
+        # block buffer in C order: the products' bits depend on their
+        # operands' order, and column writes into C order took 3 to 5 times
+        # as long.
+        rows = min(n, FIT_BLOCK_ROWS)
+        block_buffer, scores_buffer, residual_buffer = (
+            np.empty((rows, p)), np.empty(rows * p), np.empty(rows))
         for lo, hi in _row_blocks(n):
+            m = hi - lo
+            block, scores = block_buffer[:m], scores_buffer[:m * p]
+            block[...] = _write_rows(X, lo, hi, scores.reshape((m, p), order="F"))
             # Scores in the Q basis, X R^-1 scaled by the residuals, so that
             # R^-1 meat R^-T carries eps * cond(X) where (X'X)^-1 meat
             # (X'X)^-1 would carry its square.
-            block = X[lo:hi]
-            scores = block @ r_inv
-            scores *= (y[lo:hi] - block @ beta)[:, None]
+            scores = np.matmul(block, r_inv, out=scores.reshape(m, p))
+            residuals = np.matmul(block, beta, out=residual_buffer[:m])
+            np.subtract(y[lo:hi], residuals, out=residuals)
+            scores *= residuals[:, None]
             if covariance_kind == "hc1":
                 meat += scores.T @ scores
             else:

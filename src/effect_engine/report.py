@@ -14,6 +14,7 @@ import hashlib
 import json
 import math
 import os
+import stat
 import tempfile
 from datetime import datetime, timezone
 
@@ -86,14 +87,28 @@ def render_report(report: dict) -> str:
                       allow_nan=False) + "\n"
 
 
+def _report_mode(path) -> int:
+    """The permission bits a report at ``path`` gets: those of the file it
+    replaces, else what ``open`` would give a new file, 0o666 less the
+    umask (which can only be read by setting it)."""
+    try:
+        return stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0o022)
+        os.umask(umask)
+        return 0o666 & ~umask
+
+
 def write_report(report: dict, path) -> None:
     """Write atomically: temp file in the target directory, then rename, so
-    a crash never leaves a half-written report behind."""
+    a crash never leaves a half-written report behind. The temp file, which
+    ``mkstemp`` makes private, takes the mode of :func:`_report_mode` first."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(prefix=".report-", suffix=".json", dir=directory)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(render_report(report))
+            os.fchmod(fh.fileno(), _report_mode(path))
         os.replace(tmp, path)
     except BaseException:
         try:

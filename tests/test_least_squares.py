@@ -25,8 +25,8 @@ from scipy.linalg import solve_triangular
 from conftest import columns_in_earlier_span
 from effect_engine import model as model_module
 from effect_engine.data import Dataset
-from effect_engine.model import (BayesPrior, ModelSpec, _qr_r, build_design, build_schema,
-                                 covariate_matrix, fit_bayes, fit_model, fit_ols)
+from effect_engine.model import (BayesPrior, DesignRows, ModelSpec, _qr_r, build_design,
+                                 build_schema, covariate_matrix, fit_bayes, fit_model, fit_ols)
 
 KINDS = ("classical", "hc1", "cluster")
 
@@ -181,25 +181,51 @@ def _mixed_dataset(rng, n, arms=3):
     )
 
 
-@pytest.mark.parametrize("interactions", [True, False])
-@pytest.mark.parametrize("encodings, covariates", [
+DESIGN_CASES = pytest.mark.parametrize("encodings, covariates", [
     (None, ("x", "w")),
     (None, ("site",)),
     ({"dose": "categorical"}, ("dose",)),
     ({"dose": "categorical"}, ("x", "site", "dose", "w")),
     (None, ()),
 ], ids=["numeric", "categorical", "numeric-coded", "mixed", "none"])
-def test_build_design_equals_hstack_construction(interactions, encodings, covariates):
+
+
+def _design_case(encodings, covariates, interactions):
     full = _mixed_dataset(np.random.default_rng(32), 500)
     data = Dataset(outcome=full.outcome, arm=full.arm,
                    covariates={name: full.covariates[name] for name in covariates})
-    spec = ModelSpec(reference_arm="t0", encodings=encodings, interactions=interactions)
+    return data, ModelSpec(reference_arm="t0", encodings=encodings, interactions=interactions)
+
+
+@pytest.mark.parametrize("interactions", [True, False])
+@DESIGN_CASES
+def test_build_design_equals_hstack_construction(interactions, encodings, covariates):
+    data, spec = _design_case(encodings, covariates, interactions)
     design, y, schema = build_design(data, spec)
     expected = _hstack_design(data, spec)
     assert design.shape == (data.n, schema.p)
     assert design.dtype == expected.dtype
     assert design.tobytes() == expected.tobytes()
     assert_array_equal(y, data.outcome)
+
+
+@pytest.mark.parametrize("interactions", [True, False])
+@DESIGN_CASES
+@pytest.mark.parametrize("lo, hi", [(0, 500), (128, 256), (384, 500)],
+                         ids=["all", "middle", "partial-last"])
+def test_design_rows_write_the_rows_of_build_design_into_any_array(
+        interactions, encodings, covariates, lo, hi):
+    # A Fortran-ordered block, a C-ordered one, and the design columns of a
+    # wider Fortran buffer under head rows, as _blocked_r passes them.
+    data, spec = _design_case(encodings, covariates, interactions)
+    design, _, schema = build_design(data, spec)
+    p, m = schema.p, hi - lo
+    wide = np.full((3 + m, p + 1), np.nan, order="F")
+    targets = [np.full((m, p), np.nan, order="F"), np.full((m, p), np.nan), wide[3:, :p]]
+    for out in targets:
+        assert DesignRows(data, schema).write(lo, hi, out) is out
+        assert out.tobytes() == design[lo:hi].tobytes()
+    assert np.isnan(wide[:3]).all() and np.isnan(wide[:, p]).all()
 
 
 def _traced_peak(fn, *args, **kwargs):
@@ -250,13 +276,47 @@ def test_fit_model_peak_does_not_grow_with_the_design(kind):
     assert peaks[120_000] - peaks[30_000] <= 2 * 8 * 90_000
 
 
+def _wide_dataset(n, arms, numeric):
+    """n rows, ``arms`` arms, ``numeric`` numeric covariates and a
+    three-level categorical one (two design columns), unit ids of 300 units."""
+    rng = np.random.default_rng(46)
+    covariates = {f"x{i}": rng.normal(size=n) for i in range(numeric)}
+    covariates["site"] = rng.choice(["north", "south", "east"], size=n).astype(object)
+    return Dataset(outcome=rng.normal(size=n),
+                   arm=rng.choice([f"t{k}" for k in range(arms)], size=n).astype(object),
+                   covariates=covariates,
+                   unit_id=np.asarray([f"u{i % 300}" for i in range(n)], dtype=object))
+
+
+@pytest.mark.parametrize("kind, p, blocks", [("bayes", 72, 1.5), ("hc1", 33, 2.5),
+                                             ("cluster", 33, 2.5)])
+def test_fit_model_holds_its_design_block_and_score_buffers(kind, p, blocks):
+    # The QR pass writes each design block into the Fortran buffer it
+    # factors; the score pass reuses one block buffer and one scores buffer.
+    # So the peak is one block (the posterior's, which has no score pass) or
+    # two and a fraction, plus the cluster codes.
+    arms, numeric = (6, 9) if kind == "bayes" else (3, 8)
+    n = 3 * model_module.FIT_BLOCK_ROWS + 1000
+    data = _wide_dataset(n, arms, numeric)
+    bayes = BayesPrior(mean=0.0, covariance=100.0, noise_variance=1.0) if kind == "bayes" else None
+    spec = ModelSpec(reference_arm="t0", covariance_kind="hc1" if bayes else kind, bayes=bayes)
+    fit_model(data, spec)  # the dataset caches its level codes once
+    model, peak = _traced_peak(fit_model, data, spec)
+    assert model.p == p
+    codes = 2 * n * 8 if kind == "cluster" else 0
+    assert peak <= blocks * model_module.FIT_BLOCK_ROWS * (p + 1) * 8 + codes
+
+
 def test_build_design_allocates_the_design_once():
-    # Besides the design, only covariate_matrix's n x q block is held.
+    # The design is written in place: besides it, only its rows' arm
+    # indicators, as booleans (an eighth of the slack allowed here), and
+    # numpy's fixed-size buffers for strided products are held.
     data = _mixed_dataset(np.random.default_rng(34), 20000)
     spec = ModelSpec(reference_arm="t0", encodings={"dose": "categorical"})
+    build_schema(data, spec)  # the dataset caches its level codes once
     (design, _, schema), peak = _traced_peak(build_design, data, spec)
     assert schema.p == 24
-    assert peak <= 1.6 * design.nbytes
+    assert peak <= design.nbytes + data.n * len(schema.arm_labels) * 8
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -372,10 +432,11 @@ def test_blocked_non_finite_names_global_row(fit):
         run()
 
 
-@pytest.mark.usefixtures("seven_row_blocks")
-def test_blocked_fit_model_reads_the_design_rows_of_build_design():
+@pytest.mark.parametrize("block_rows", [8192, 16, 7])
+def test_blocked_fit_model_reads_the_design_rows_of_build_design(block_rows, monkeypatch):
     # The row-block writer and the full design give the same fits, bit for
-    # bit.
+    # bit, in one block or many, the last one partial.
+    monkeypatch.setattr(model_module, "FIT_BLOCK_ROWS", block_rows)
     data = _panel_dataset(60)
     design, y, schema = build_design(data, ModelSpec(reference_arm="t0"))
     prior = BayesPrior(mean=0.5, covariance=4.0, noise_variance=1.5)

@@ -3,8 +3,12 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
+from conftest import cli_env
 
 from effect_engine.report import (
     REPORT_VERSION,
@@ -104,6 +108,33 @@ def test_write_report_cleans_up_on_failure(tmp_path):
     with pytest.raises(TypeError):
         write_report({"bad": {1, 2}}, path)  # sets are not JSON-serializable
     assert os.listdir(tmp_path) == []
+
+
+def test_write_report_mode_follows_the_umask_or_the_replaced_file(tmp_path):
+    # The umask is process-wide, so the writes run in a child that sets it.
+    code = textwrap.dedent("""
+        import os, sys
+        from effect_engine.report import write_report
+        os.umask(int(sys.argv[1], 8))
+        for path in sys.argv[2:]:
+            write_report({"seed": 1}, path)
+            print(oct(os.stat(path).st_mode & 0o777))
+    """)
+
+    def modes(umask, *paths):
+        proc = subprocess.run([sys.executable, "-c", code, umask, *map(str, paths)],
+                              env=cli_env(), capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.split()
+
+    shared, private = tmp_path / "shared.json", tmp_path / "private.json"
+    for path, mode in ((shared, 0o644), (private, 0o640)):
+        path.write_text("{}")
+        path.chmod(mode)
+    assert modes("022", tmp_path / "new.json") == ["0o644"]
+    assert modes("077", tmp_path / "new2.json", shared, private) == ["0o600", "0o644", "0o640"]
+    assert modes("002", shared, private) == ["0o644", "0o640"]
+    assert sorted(os.listdir(tmp_path)) == ["new.json", "new2.json", "private.json", "shared.json"]
 
 
 def test_report_validates_against_schema():

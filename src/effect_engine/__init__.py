@@ -7,7 +7,7 @@ their covariance.
 """
 
 from .config import ConfigError, QuerySpec, RunConfig, load_config, parse_config
-from .data import Dataset, add_period_covariate, load_csv
+from .data import Dataset, LabelColumn, add_period_covariate, load_csv
 from .effects import EffectEstimate, ate, cate, dte, hte
 from .model import (
     COVARIANCE_KINDS,
@@ -49,6 +49,7 @@ __all__ = [
     "Dataset",
     "EffectEstimate",
     "FittedModel",
+    "LabelColumn",
     "ModelSpec",
     "OrthantResult",
     "Predicate",

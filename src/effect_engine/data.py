@@ -4,8 +4,9 @@ A :class:`Dataset` holds one experiment's rows in columnar form: an outcome
 value, a treatment-arm label, zero or more covariates (numeric or
 categorical), and optional unit and period columns for repeated-measures
 designs. Arm labels and categorical levels are always strings so that runs
-are reproducible regardless of how the input was typed, and each label
-column holds one shared ``str`` object per distinct label.
+are reproducible regardless of how the input was typed. Each label column is
+a :class:`LabelColumn`, its sorted levels and a narrow code per row, so no
+object is held per row.
 """
 
 from __future__ import annotations
@@ -17,20 +18,22 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain, islice
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-__all__ = ["Dataset", "load_csv", "add_period_covariate", "check_column_roles", "factorize",
-           "PERIOD_COVARIATE"]
+__all__ = ["Dataset", "LabelColumn", "load_csv", "add_period_covariate", "check_column_roles",
+           "factorize", "PERIOD_COVARIATE"]
 
 # The name of the categorical covariate add_period_covariate adds, which
 # effects.dte looks for in the model's schema.
 PERIOD_COVARIATE = "period"
 
-# Data rows that load_csv reads, converts and drops at a time. 1,024 to
-# 4,096 read a 200k-row file equally fast; 1,024 gave the lowest peak RSS
-# on every benchmark workload, as larger chunks fragment the heap.
+# Data rows that load_csv reads, converts and drops at a time. Chunks of
+# 256 to 2,048 rows read a 200k-row file equally fast (within 3%). A run's
+# peak RSS grows with the chunk, by the cells of one chunk left in the heap:
+# against 1,024 rows, 256 gave 0.5 MB less on each benchmark workload, and
+# 4,096 gave 2 to 3 MB more.
 CHUNK_ROWS = 1024
 
 
@@ -39,45 +42,123 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _labels(values, role: str) -> tuple[np.ndarray, tuple[str, ...], np.ndarray]:
-    """Frozen object array of ``str(v)`` for each ``v`` in ``values``, with
-    its sorted distinct levels and each row's index into them, from one
-    :func:`factorize`. The array is gathered from the levels, so it holds one
-    shared ``str`` per distinct label however many rows carry it, and the
-    input's own per-row objects can be freed. This is the one place a label
-    column is factorized, so it is also where two levels that differ only in
-    whitespace (``t1`` and `` t1``) are rejected; ``role`` names the column
-    in that error."""
-    levels, codes = factorize(values)
-    seen: dict[str, int] = {}
-    for i, level in enumerate(levels):
-        j = seen.setdefault("".join(level.split()), i)
-        if j != i:
-            rows = [int(np.argmax(codes == k)) for k in (j, i)]
-            raise ValueError(f"{role} labels {levels[j]!r} (row {rows[0]}) and {level!r} "
-                             f"(row {rows[1]}) differ only in whitespace")
-    return _freeze(np.asarray(levels, dtype=object)[codes]), levels, _freeze(codes)
+@dataclass(frozen=True, eq=False)
+class LabelColumn:
+    """A column of string labels: its distinct ``levels`` in sorted order,
+    and ``codes``, each row's index into them, a frozen array of unsigned
+    ints as narrow as the number of levels allows
+    (``np.min_scalar_type(len(levels))``). Iterating yields each row's
+    label, so a column serves where a sequence of labels is read, such as
+    the ``cluster_ids`` of :func:`~effect_engine.model.fit_ols`."""
+
+    levels: tuple[str, ...]
+    codes: np.ndarray
+
+    def __post_init__(self):
+        _freeze(self.codes)
+
+    def __len__(self) -> int:
+        return self.codes.shape[0]
+
+    def __iter__(self) -> Iterator[str]:
+        return map(self.levels.__getitem__, self.codes)
 
 
-def factorize(labels: Sequence) -> tuple[tuple[str, ...], np.ndarray]:
-    """Distinct labels in ``sorted(set(labels))`` order, and each label's
-    index into them, as unsigned ints as narrow as the number of levels
-    allows (``np.min_scalar_type(len(levels))``). Labels are read as
-    ``str(label)``; that pass over the labels is skipped when every distinct
-    label already is a ``str``."""
+class _Growing:
+    """One column's values in one array that grows in place, to twice its
+    size when full, as chunks are appended, and is trimmed to its rows at
+    the end. No chunk's array outlives its append."""
+
+    def __init__(self, dtype):
+        self.values, self.n = np.empty(CHUNK_ROWS, dtype), 0
+
+    def append(self, values: np.ndarray) -> None:
+        end = self.n + len(values)
+        if end > len(self.values):
+            self.values.resize(max(end, 2 * len(self.values)), refcheck=False)
+        self.values[self.n:end] = values
+        self.n = end
+
+    def trimmed(self) -> np.ndarray:
+        self.values.resize(self.n, refcheck=False)
+        return self.values
+
+
+class _FirstSeen(dict):
+    """Label -> code, a label seen for the first time taking the next code."""
+
+    def __missing__(self, label) -> int:
+        code = self[label] = len(self)
+        return code
+
+
+class _Coder:
+    """Codes a label column as its cells arrive, one dict lookup a cell
+    (:class:`_FirstSeen`). The codes are kept in one :class:`_Growing`
+    array as narrow as the labels seen so far allow, and :meth:`column`
+    permutes them to the sorted order of the levels, so no cell's label is
+    kept."""
+
+    def __init__(self):
+        self.seen = _FirstSeen()
+        self.codes = _Growing(np.uint8)
+
+    def add(self, cells: Iterable, m: int) -> None:
+        """Code the next ``m`` cells."""
+        codes = np.fromiter(map(self.seen.__getitem__, cells), np.intp, m)
+        width = np.min_scalar_type(len(self.seen))
+        if width != self.codes.values.dtype:
+            self.codes.values = self.codes.values.astype(width)
+        self.codes.append(codes)
+
+    def column(self, name: Callable[[object], str] | None = None) -> LabelColumn:
+        """The column coded so far. Its levels are the labels seen, or
+        ``name`` of each, in sorted order."""
+        first = list(self.seen) if name is None else list(map(name, self.seen))
+        order = sorted(range(len(first)), key=first.__getitem__)
+        rank = np.empty(len(first), np.min_scalar_type(len(first)))
+        rank[order] = np.arange(len(first))
+        return LabelColumn(tuple(first[i] for i in order), rank[self.codes.trimmed()])
+
+
+def factorize(labels: Sequence) -> LabelColumn:
+    """``labels`` as a :class:`LabelColumn`: the coder of :func:`load_csv`,
+    run over a column in memory. Labels are read as ``str(label)``; that
+    pass over the labels is skipped when every distinct label already is a
+    ``str``, and an integer array is coded by value, its levels named after
+    (equal integers have equal strings). A :class:`LabelColumn` is returned
+    as it is."""
+    if isinstance(labels, LabelColumn):
+        return labels
+    coder = _Coder()
+    if isinstance(labels, np.ndarray) and labels.dtype.kind in "iu":
+        coder.add(labels, len(labels))
+        return coder.column(str)
     try:
-        distinct = set(labels)
-        plain = all(type(v) is str for v in distinct)
+        coder.add(labels, len(labels))
+        plain = all(type(v) is str for v in coder.seen)
     except TypeError:  # unhashable labels, such as lists
         plain = False
     if not plain:
-        labels = list(map(str, labels))
-        distinct = set(labels)
-    levels = sorted(distinct)
-    lookup = {level: i for i, level in enumerate(levels)}
-    codes = np.fromiter(map(lookup.__getitem__, labels), dtype=np.min_scalar_type(len(levels)),
-                        count=len(labels))
-    return tuple(levels), codes
+        coder = _Coder()
+        coder.add(map(str, labels), len(labels))
+    return coder.column()
+
+
+def _label_column(values, role: str) -> LabelColumn:
+    """``factorize(values)``. Every label column of a :class:`Dataset`
+    passes through here, so this is where two levels that differ only in
+    whitespace (``t1`` and `` t1``) are rejected; ``role`` names the column
+    in that error."""
+    column = factorize(values)
+    seen: dict[str, int] = {}
+    for i, level in enumerate(column.levels):
+        j = seen.setdefault("".join(level.split()), i)
+        if j != i:
+            rows = [int(np.argmax(column.codes == k)) for k in (j, i)]
+            raise ValueError(f"{role} labels {column.levels[j]!r} (row {rows[0]}) and "
+                             f"{level!r} (row {rows[1]}) differ only in whitespace")
+    return column
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,75 +168,68 @@ class Dataset:
     Attributes
     ----------
     outcome : (n,) float array
-    arm : (n,) object array of string arm labels
-    covariates : mapping of name -> (n,) array; float64 columns are numeric,
-        object columns hold categorical string levels
-    unit_id : optional (n,) object array of string unit identifiers
+    arm : :class:`LabelColumn` of string arm labels; ``arm.levels`` are the
+        distinct arms in sorted order
+    covariates : mapping of name -> column; a numeric column is a (n,)
+        float64 array, a categorical one a :class:`LabelColumn`
+    unit_id : optional :class:`LabelColumn` of string unit identifiers
     period : optional (n,) int array of ordinal time indices; float input
         must hold whole numbers
-    arms : distinct arm labels in sorted order (derived, not an argument)
-    arm_codes : (n,) unsigned int array, each row's index into ``arms``
-        (derived; an attribute, not a dataclass field)
 
-    Every label column (``arm``, ``unit_id`` and the object covariates) is
-    factorized once, here, and holds one shared ``str`` object per distinct
-    label, so a column costs a pointer per row plus its levels. Categorical
-    encodings (see :meth:`categorical_codes`) are cached per dataset: those
-    of object covariates come from that construction, numeric ones are
-    computed on first use. Every code array, ``arm_codes`` and each cached
-    encoding, comes from :func:`factorize`, so it is unsigned and as narrow
-    as its number of levels allows. :func:`add_period_covariate` shares the
-    arrays and cached encodings of the dataset it extends. Equality is
+    Each label column (``arm``, ``unit_id`` and the categorical covariates)
+    may be given as any sequence of labels, and is factorized once, here
+    (:func:`factorize`), to its levels and its codes: a column costs one to
+    four bytes a row plus its levels, and a :class:`LabelColumn` given is
+    kept as it is. Categorical encodings (see :meth:`categorical_codes`) are
+    those columns' levels and codes; those of numeric columns are computed
+    on first use and cached per dataset. :func:`add_period_covariate` shares
+    the columns and cached encodings of the dataset it extends. Equality is
     identity.
     """
 
     outcome: np.ndarray
-    arm: np.ndarray
-    covariates: Mapping[str, np.ndarray] = field(default_factory=dict)
-    unit_id: np.ndarray | None = None
+    arm: LabelColumn
+    covariates: Mapping[str, np.ndarray | LabelColumn] = field(default_factory=dict)
+    unit_id: LabelColumn | None = None
     period: np.ndarray | None = None
-    arms: tuple[str, ...] = field(default=(), init=False, repr=False)
     _codes: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         outcome = _freeze(np.asarray(self.outcome, dtype=np.float64))
         if outcome.ndim != 1:
             raise ValueError("outcome must be one-dimensional")
-        arm, arm_levels, arm_codes = _labels(self.arm, "arm")
+        arm = _label_column(self.arm, "arm")
         object.__setattr__(self, "outcome", outcome)
         object.__setattr__(self, "arm", arm)
-        object.__setattr__(self, "arms", arm_levels)
-        object.__setattr__(self, "arm_codes", arm_codes)
         n = outcome.shape[0]
-        if arm.shape != (n,):
+        if len(arm) != n:
             raise ValueError("arm column length does not match outcome")
         if not np.all(np.isfinite(outcome)):
             bad = int(np.flatnonzero(~np.isfinite(outcome))[0])
             raise ValueError(f"outcome is not finite at row {bad}")
-        if len(arm_levels) < 2:
-            found = ", ".join(map(repr, arm_levels)) or "none"
+        if len(arm.levels) < 2:
+            found = ", ".join(map(repr, arm.levels)) or "none"
             raise ValueError(f"need at least 2 distinct arm labels, found {found}")
         covs = {}
         for name, values in self.covariates.items():
-            col = np.asarray(values)
-            if col.dtype.kind in "if":
-                col = np.asarray(col, dtype=np.float64)
+            col = values if isinstance(values, LabelColumn) else np.asarray(values)
+            if isinstance(col, np.ndarray) and col.dtype.kind in "if":
+                col = _freeze(np.asarray(col, dtype=np.float64))
                 if not np.all(np.isfinite(col)):
                     bad = int(np.flatnonzero(~np.isfinite(col))[0])
                     raise ValueError(f"covariate {name!r} has a non-finite value at row "
                                      f"{bad}: {float(col[bad])!r}")
+                shape = col.shape
             else:
-                col, levels, codes = _labels(
-                    col if col.dtype == object and col.ndim == 1 else col.tolist(),
-                    f"covariate {name!r}")
-                self._codes[name] = (levels, codes)
-            if col.shape != (n,):
+                col = _label_column(values, f"covariate {name!r}")
+                shape = (len(col),)
+            if shape != (n,):
                 raise ValueError(f"covariate {name!r} length does not match outcome")
-            covs[name] = _freeze(col)
+            covs[name] = col
         object.__setattr__(self, "covariates", covs)
         if self.unit_id is not None:
-            uid = _labels(self.unit_id, "unit_id")[0]
-            if uid.shape != (n,):
+            uid = _label_column(self.unit_id, "unit_id")
+            if len(uid) != n:
                 raise ValueError("unit_id length does not match outcome")
             object.__setattr__(self, "unit_id", uid)
         if self.period is not None:
@@ -182,17 +256,19 @@ class Dataset:
         return tuple(self.covariates)
 
     def is_numeric(self, name: str) -> bool:
-        return self.covariates[name].dtype.kind == "f"
+        return not isinstance(self.covariates[name], LabelColumn)
 
     def categorical_codes(self, name: str) -> tuple[tuple[str, ...], np.ndarray]:
         """Sorted distinct string levels of covariate ``name`` and each
-        row's index into them. Numeric columns are read as the strings of
-        their values. Computed once per dataset and cached."""
-        cached = self._codes.get(name)
-        if cached is None:
-            levels, codes = factorize(self.covariates[name].tolist())
-            cached = self._codes[name] = (levels, _freeze(codes))
-        return cached
+        row's index into them: a categorical column's own levels and codes.
+        A numeric column is read as the strings of its values, once per
+        dataset, and cached."""
+        col = self.covariates[name]
+        if not isinstance(col, LabelColumn):
+            col = self._codes.get(name)
+            if col is None:
+                col = self._codes[name] = factorize(self.covariates[name].tolist())
+        return col.levels, col.codes
 
 
 def _finite_float(cell: str) -> float:
@@ -284,13 +360,6 @@ def _gc_paused():
             gc.enable()
 
 
-def _add_labels(labels: dict[int, tuple[dict, list]], columns: Sequence[Sequence[str]]) -> None:
-    """Append each labelled column's cells to its list, each through the
-    column's dict, so every distinct label is one shared ``str``."""
-    for i, (seen, out) in labels.items():
-        out.extend(map(seen.setdefault, columns[i], columns[i]))
-
-
 # The ranks of the errors load_csv holds while it reads on, in the order its
 # docstring lists them; the lowest wins.
 _DUPLICATE, _MISSING_ROLE, _RAGGED, _BAD_OUTCOME, _MISSING_COLUMN, _BAD_PERIOD, _NONE = range(7)
@@ -310,6 +379,9 @@ def load_csv(path, column_map: Mapping[str, object]) -> Dataset:
 
     The rows are read, converted and dropped :data:`CHUNK_ROWS` at a time,
     so no list of every row and no per-row cell string outlives its chunk.
+    Each column is written once, into one array that grows in place: the
+    values of a numeric column, or the codes of a label column, which each
+    cell gets in one dict lookup (see :class:`LabelColumn`).
     Errors win in the order of a loader that reads the whole file first: a
     malformed record or a byte that is not UTF-8; no data rows; a duplicate
     header; a missing outcome or arm column; the first ragged row; the first
@@ -360,14 +432,14 @@ def load_csv(path, column_map: Mapping[str, object]) -> Dataset:
              if name is not None and name not in index)), (_NONE, None))
 
         width = len(header)
-        outcome: list[np.ndarray] = []
-        period: list[np.ndarray] = []
-        # Columns of label cells: arm and unit id, and each covariate from
-        # the first chunk that does not parse as numbers. A covariate that
-        # fails first in a later chunk is read again from the file, whole.
-        labels: dict[int, tuple[dict, list]] = {
-            index[name]: ({}, []) for name in (arm_name, unit_name) if name in index}
-        numeric = {name: [] for name in cov_names if name in index}
+        outcome = _Growing(np.float64)
+        period = _Growing(np.int64)
+        # The label columns, each coded as it is read: arm and unit id, and
+        # each covariate from the first chunk that does not parse as numbers.
+        # A covariate that fails first in a later chunk is read again from
+        # the file, whole.
+        labels = {index[name]: _Coder() for name in (arm_name, unit_name) if name in index}
+        numeric = {name: _Growing(np.float64) for name in cov_names if name in index}
         reread: list[str] = []
         start = 0
         for chunk in chunks:
@@ -396,8 +468,9 @@ def load_csv(path, column_map: Mapping[str, object]) -> Dataset:
                             if start:
                                 reread.append(name)
                             else:
-                                labels[index[name]] = ({}, [])
-                    _add_labels(labels, columns)
+                                labels[index[name]] = _Coder()
+                    for i, coder in labels.items():
+                        coder.add(columns[i], m)
                     if period_name is not None:
                         cells = columns[index[period_name]]
                         try:
@@ -413,23 +486,21 @@ def load_csv(path, column_map: Mapping[str, object]) -> Dataset:
             raise held[1]
 
     if reread:
-        again = {index[name]: ({}, []) for name in reread}
+        again = {index[name]: _Coder() for name in reread}
         with _gc_paused(), open(path, newline="", encoding="utf-8-sig") as fh:
             chunks = _row_chunks(fh, path)
             next(chunks)
             for chunk in chunks:
-                _add_labels(again, list(zip(*chunk)))
+                columns = list(zip(*chunk))
+                for i, coder in again.items():
+                    coder.add(columns[i], len(chunk))
         labels.update(again)
-    covariates: dict[str, np.ndarray] = {}
-    for name in cov_names:
-        if name in numeric:
-            covariates[name] = np.concatenate(numeric.pop(name))
-        else:
-            covariates[name] = np.asarray(labels.pop(index[name])[1], dtype=object)
-    return Dataset(outcome=np.concatenate(outcome), arm=labels[index[arm_name]][1],
+    covariates = {name: numeric[name].trimmed() if name in numeric
+                  else labels[index[name]].column() for name in cov_names}
+    return Dataset(outcome=outcome.trimmed(), arm=labels[index[arm_name]].column(),
                    covariates=covariates,
-                   unit_id=labels[index[unit_name]][1] if unit_name is not None else None,
-                   period=np.concatenate(period) if period_name is not None else None)
+                   unit_id=labels[index[unit_name]].column() if unit_name is not None else None,
+                   period=period.trimmed() if period_name is not None else None)
 
 
 def add_period_covariate(data: Dataset) -> Dataset:
@@ -437,8 +508,11 @@ def add_period_covariate(data: Dataset) -> Dataset:
     covariate :data:`PERIOD_COVARIATE`, so per-period effects can be
     expressed through period-by-arm interactions.
 
-    Only the period column is factorized: the result shares ``data``'s
-    frozen arrays and cached encodings, and ``data`` itself is unchanged.
+    Only the period column is factorized, by value, its levels named after:
+    they sort as strings, so periods 1, 2, 10 and 11 give the levels
+    ``('1', '10', '11', '2')`` and ``'1'`` is the reference. The result
+    shares ``data``'s columns and cached encodings, and ``data`` itself is
+    unchanged.
     With fewer than two distinct periods the time axis is degenerate and the
     data is returned unchanged (a single-level categorical cannot be encoded).
     """
@@ -448,8 +522,8 @@ def add_period_covariate(data: Dataset) -> Dataset:
         raise ValueError(f"covariate {PERIOD_COVARIATE!r} already exists")
     if (data.period == data.period[0]).all():
         return data
-    col, levels, codes = _labels(data.period.tolist(), f"covariate {PERIOD_COVARIATE!r}")
     out = copy.copy(data)
-    object.__setattr__(out, "covariates", {**data.covariates, PERIOD_COVARIATE: col})
-    object.__setattr__(out, "_codes", {**data._codes, PERIOD_COVARIATE: (levels, codes)})
+    object.__setattr__(out, "covariates",
+                       {**data.covariates, PERIOD_COVARIATE: factorize(data.period)})
+    object.__setattr__(out, "_codes", dict(data._codes))
     return out

@@ -248,7 +248,7 @@ def build_schema(data: Dataset, spec: ModelSpec) -> ColumnSchema:
     covariance without a unit_id column, and warns for a constant numeric
     covariate."""
     reference = str(spec.reference_arm)
-    arms = data.arms
+    arms = data.arm.levels
     if reference not in arms:
         raise ValueError(f"reference arm {reference!r} not present in data; arms are {arms}")
     covariates = tuple(_covariate_columns(data, spec))
@@ -307,10 +307,10 @@ class DesignRows:
         the rest around them, so no other block is built."""
         q = len(self.schema.covariates)
         covariate_matrix(self.data, self.schema, slice(lo, hi), out=out[:, 1:1 + q])
-        arm_codes = self.data.arm_codes
-        codes = np.array([self.data.arms.index(a) for a in self.schema.arm_labels],
-                         dtype=arm_codes.dtype)
-        arms = arm_codes[lo:hi, None] == codes
+        arm = self.data.arm
+        codes = np.array([arm.levels.index(a) for a in self.schema.arm_labels],
+                         dtype=arm.codes.dtype)
+        arms = arm.codes[lo:hi, None] == codes
         return self.schema.fill(out, None, arms)
 
 
@@ -509,9 +509,12 @@ def fit_ols(design, y: np.ndarray, covariance_kind: str = "hc1",
     ``classical`` is the textbook homoskedastic estimator, ``hc1`` the
     degrees-of-freedom-corrected sandwich, and ``cluster`` the Liang-Zeger
     sandwich over ``cluster_ids`` with the usual small-sample correction.
-    Cluster scores are accumulated in one pass over the rows (each cluster
-    sums its rows in row order), so the cost is linear in rows, not rows
-    times clusters. The cluster ids are checked before the design is read.
+    The ids are a label per row, factorized here (:func:`factorize`), or a
+    :class:`~effect_engine.data.LabelColumn`, such as a dataset's
+    ``unit_id``, whose codes are taken as they are. Cluster scores are
+    accumulated in one pass over the rows (each cluster sums its rows in row
+    order), so the cost is linear in rows, not rows times clusters. The
+    cluster ids are checked before the design is read.
 
     ``design`` is an n x p array or a :class:`DesignRows`, read
     ``FIT_BLOCK_ROWS`` rows at a time into the fit's own block buffers
@@ -544,8 +547,8 @@ def fit_ols(design, y: np.ndarray, covariance_kind: str = "hc1",
     if covariance_kind == "cluster":
         if len(cluster_ids) != n:
             raise ValueError("cluster_ids length does not match design rows")
-        groups, group_of_row = factorize(cluster_ids)
-        n_groups = len(groups)
+        clusters = factorize(cluster_ids)
+        n_groups = len(clusters.levels)
         if n_groups < 2:
             raise ValueError("cluster covariance requires at least 2 clusters")
 
@@ -592,7 +595,7 @@ def fit_ols(design, y: np.ndarray, covariance_kind: str = "hc1",
             if covariance_kind == "hc1":
                 meat += scores.T @ scores
             else:
-                np.add.at(cluster_scores, group_of_row[lo:hi], scores)
+                np.add.at(cluster_scores, clusters.codes[lo:hi], scores)
         if covariance_kind == "cluster":
             meat = cluster_scores.T @ cluster_scores
         cov = r_inv @ meat @ r_inv.T * correction
@@ -648,7 +651,7 @@ def fit_model(data: Dataset, spec: ModelSpec) -> FittedModel:
     Dispatches to the conjugate posterior when ``spec.bayes`` is present,
     with its prior expanded to the design's p (:meth:`BayesPrior.expand`),
     otherwise to least squares with the requested covariance estimator
-    (cluster covariance pulls cluster ids from ``data.unit_id``).
+    (cluster covariance takes the codes of ``data.unit_id`` as its clusters).
     """
     schema = build_schema(data, spec)
     design, y = DesignRows(data, schema), np.asarray(data.outcome, dtype=np.float64)

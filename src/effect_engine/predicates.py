@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, LabelColumn
 
 __all__ = ["Clause", "Predicate", "describe_predicate", "parse_predicate", "resolve_mask"]
 
@@ -70,7 +70,7 @@ class Clause:
 
     def mask(self, data: Dataset) -> np.ndarray:
         col = _column_values(data, self.column)
-        if col.dtype.kind == "f":
+        if not isinstance(col, LabelColumn):
             try:
                 lit = float(self.literal)
             except (TypeError, ValueError):
@@ -84,10 +84,10 @@ class Clause:
                 f"ordering operator {self.op!r} requires a numeric column, "
                 f"but {self.column!r} is categorical"
             )
-        # Compare the cached level codes, not the label objects row by row.
-        levels, codes = data.categorical_codes(self.column)
+        # Compare the column's codes with the literal's level index.
         lit = str(self.literal)
-        hit = codes == levels.index(lit) if lit in levels else np.zeros(data.n, dtype=bool)
+        hit = (col.codes == col.levels.index(lit) if lit in col.levels
+               else np.zeros(data.n, dtype=bool))
         return hit if self.op == "==" else ~hit
 
 
@@ -109,7 +109,7 @@ class Predicate:
         return out
 
 
-def _column_values(data: Dataset, name: str) -> np.ndarray:
+def _column_values(data: Dataset, name: str) -> np.ndarray | LabelColumn:
     if name in data.covariates:
         return data.covariates[name]
     if name == "period" and data.period is not None:

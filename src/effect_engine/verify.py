@@ -97,12 +97,12 @@ def delta_identity_check(n_schemas: int = 200, seed: int = 901) -> VerifyResult:
             n_categorical=int(rng.integers(0, 3)),
         )
         spec = ModelSpec(
-            reference_arm=str(rng.choice(data.arms)),
+            reference_arm=str(rng.choice(data.arm.levels)),
             interactions=bool(rng.integers(0, 2)),
         )
         schema = build_schema(data, spec)
         profile = CovariateProfile(rng.normal(size=len(schema.covariates)))
-        w2, w1 = rng.choice(data.arms, size=2, replace=False)
+        w2, w1 = rng.choice(data.arm.levels, size=2, replace=False)
         if not np.array_equal(delta_vector(schema, profile, w2, w1),
                               _labelled_delta(schema.labels, profile, w2, w1)):
             mismatches += 1

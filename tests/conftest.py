@@ -52,3 +52,9 @@ def columns_in_earlier_span(X, rtol=1e-8):
 RANK_DEFICIENT_CSV = "y,arm,x,z\n" + "".join(
     f"{(i * 7) % 5 + 0.5 * i},{'abc'[i % 3]},{i * 0.5},{i * 1.0}\n" for i in range(30))
 DEPENDENT_Z = "design matrix is rank deficient; dependent columns: z, z:arm=b, z:arm=c"
+
+
+def labels(column):
+    """Each row's label of a ``LabelColumn``, ``levels[codes]``, as an
+    object array: what a test reads where a dataset keeps only codes."""
+    return np.asarray(column.levels, dtype=object)[column.codes]

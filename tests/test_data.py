@@ -4,7 +4,10 @@ import csv
 import dataclasses
 import gc
 import io
+import subprocess
+import sys
 import tempfile
+import textwrap
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -15,64 +18,67 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
+from conftest import cli_env, labels
 from effect_engine import data as data_module
-from effect_engine.data import (PERIOD_COVARIATE, Dataset, add_period_covariate, factorize,
-                                load_csv)
+from effect_engine.data import (PERIOD_COVARIATE, Dataset, LabelColumn, add_period_covariate,
+                                factorize, load_csv)
 from effect_engine.model import ModelSpec, build_schema
 
 
 def test_arm_labels_coerced_to_strings():
     data = Dataset(outcome=[1.0, 2.0, 3.0], arm=[0, 1, 1])
-    assert data.arm.tolist() == ["0", "1", "1"]
-    assert data.arms == ("0", "1")
-    assert data.arms is data.arms  # the levels of the one factorization, not re-sorted
+    assert labels(data.arm).tolist() == ["0", "1", "1"]
+    assert data.arm.levels == ("0", "1")
 
 
-def test_label_columns_become_fresh_frozen_str_arrays():
-    # Label columns are new frozen arrays; cells that are not str are str()-ed.
+def test_label_columns_become_frozen_codes_of_str_levels():
+    # Label columns are their levels and fresh frozen codes; cells that are
+    # not str are str()-ed.
     arm = np.asarray(["b", "a", "b"], dtype=object)
     site = np.asarray(["n", "s", "n"], dtype=object)
     units = np.asarray(["u1", 2, 2.5], dtype=object)
     data = Dataset(outcome=[1.0, 2.0, 3.0], arm=arm, covariates={"site": site, "g": [1, "x", 2]},
                    unit_id=units)
-    assert data.arm.tolist() == ["b", "a", "b"]
-    assert data.covariates["site"].tolist() == ["n", "s", "n"]
-    assert data.covariates["g"].tolist() == ["1", "x", "2"]
-    assert data.unit_id.tolist() == ["u1", "2", "2.5"]
-    for got, given in ((data.arm, arm), (data.covariates["site"], site)):
-        assert got.dtype == object and not np.shares_memory(got, given)
-        assert not got.flags.writeable and given.flags.writeable
+    assert labels(data.arm).tolist() == ["b", "a", "b"]
+    assert labels(data.covariates["site"]).tolist() == ["n", "s", "n"]
+    assert labels(data.covariates["g"]).tolist() == ["1", "x", "2"]
+    assert labels(data.unit_id).tolist() == ["u1", "2", "2.5"]
+    for col in (data.arm, data.covariates["site"], data.covariates["g"], data.unit_id):
+        assert isinstance(col, LabelColumn) and not col.codes.flags.writeable
+    assert arm.flags.writeable and site.flags.writeable
     data = Dataset(outcome=[1.0, 2.0], arm=[1, 2.5], unit_id=[7, 8])
-    assert data.arm.tolist() == ["1", "2.5"]
-    assert data.unit_id.tolist() == ["7", "8"]
-    assert all(type(v) is str for v in data.arm.tolist() + data.unit_id.tolist())
+    assert data.arm.levels == ("1", "2.5")
+    assert data.unit_id.levels == ("7", "8")
+    assert all(type(v) is str for v in data.arm.levels + data.unit_id.levels)
 
 
-def _shared(col) -> bool:
-    """Whether an object column holds one object per distinct label."""
-    cells = col.tolist()
-    return len({id(v) for v in cells}) == len(set(cells))
+def _arrays(data):
+    """Every array ``data`` holds: its numeric columns and period, and the
+    codes of its label columns."""
+    columns = [data.outcome, data.period, data.arm, data.unit_id, *data.covariates.values()]
+    return [col.codes if isinstance(col, LabelColumn) else col
+            for col in columns if col is not None]
 
 
-def test_label_columns_share_one_str_per_distinct_label(tmp_path):
-    # Equal labels built as separate objects, as a CSV reader yields them.
-    def cells(labels, n=120):
-        return ["".join(list(labels[i % len(labels)])) for i in range(n)]
-
-    arm, site, unit = cells(["ctl", "trt"]), cells(["north", "south", "east"]), cells(["u1", "u2"])
-    assert not _shared(np.asarray(arm, dtype=object))
-    n = len(arm)
+def test_a_dataset_holds_no_object_column(tmp_path):
+    # Built, loaded or given a period covariate, a dataset holds its label
+    # columns as codes only.
+    n = 120
+    arm, site, unit = (["ctl", "trt"] * 60, ["north", "south", "east"] * 40,
+                       ["u1", "u2", "u2"] * 40)
     data = Dataset(outcome=np.arange(n, dtype=float), arm=arm, covariates={"site": site},
                    unit_id=unit, period=np.arange(n) % 3)
     path = _write(tmp_path, "y,arm,site,u,t\n" + "".join(
         f"{i},{a},{s},{u},{i % 3}\n" for i, (a, s, u) in enumerate(zip(arm, site, unit))))
     loaded = load_csv(path, {"outcome": "y", "arm": "arm", "unit_id": "u", "period": "t"})
     for ds in (data, loaded, add_period_covariate(loaded)):
-        columns = [ds.arm, ds.unit_id, *(c for c in ds.covariates.values() if c.dtype == object)]
-        assert len(columns) == 3 + ("period" in ds.covariates)
-        for col in columns:
-            assert _shared(col)
-    assert loaded.arm.tolist() == arm and loaded.covariates["site"].tolist() == site
+        assert len(_arrays(ds)) == 5 + ("period" in ds.covariates)
+        held = [*vars(ds).values(), *ds.covariates.values(), *ds._codes.values()]
+        assert not any(isinstance(v, np.ndarray) and v.dtype == object for v in held)
+        for col in _arrays(ds):
+            assert col.dtype.kind in "fiu" and col.shape == (n,)
+    assert labels(loaded.arm).tolist() == arm
+    assert labels(loaded.covariates["site"]).tolist() == site
 
 
 def _experiment_csv(tmp_path, n):
@@ -87,15 +93,13 @@ def _experiment_csv(tmp_path, n):
 
 
 def _array_bytes(data):
-    """Bytes of a loaded experiment's arrays and its categorical codes."""
-    arrays = [data.outcome, data.arm, *data.covariates.values(),
-              data.categorical_codes("region")[1]]
-    return sum(a.nbytes for a in arrays)
+    """Bytes of a loaded experiment's arrays and label codes."""
+    return sum(a.nbytes for a in _arrays(data))
 
 
 def test_loaded_dataset_keeps_little_more_than_its_arrays(tmp_path):
-    # One shared str per label: what a loaded dataset keeps alive is its
-    # arrays (and the codes of its categorical columns), not a str per cell.
+    # What a loaded dataset keeps alive is its arrays and the codes of its
+    # label columns, not a str per cell.
     path = _experiment_csv(tmp_path, 20000)
     gc.collect()
     tracemalloc.start()
@@ -123,12 +127,58 @@ def test_load_csv_high_water_stays_near_its_arrays(tmp_path):
     assert peak <= 3 * _array_bytes(data)
 
 
+# Resident memory a child process gains across one load_csv, after a
+# collection, and the bytes of the arrays the dataset holds.
+RSS_ACROSS_LOAD = textwrap.dedent("""
+    import gc, sys
+    from effect_engine.data import LabelColumn, load_csv
+
+    def rss():
+        with open("/proc/self/status") as fh:
+            return next(int(line.split()[1]) * 1024 for line in fh if line.startswith("VmRSS"))
+
+    gc.collect()
+    before = rss()
+    data = load_csv(sys.argv[1], {"outcome": "y", "arm": "arm", "unit_id": "u"})
+    gc.collect()
+    columns = [data.outcome, data.arm, data.unit_id, *data.covariates.values()]
+    arrays = sum((c.codes if isinstance(c, LabelColumn) else c).nbytes for c in columns)
+    print(rss() - before, arrays)
+""")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_load_csv_resident_growth_stays_near_its_arrays(tmp_path):
+    # What tracemalloc cannot see: heap left fragmented by the ingest's
+    # short-lived objects stays resident. 400k rows, three label columns
+    # (arm, a covariate and 3,000 unit ids) and three numeric ones. Each
+    # column is written once, in place, so the process grows by its arrays
+    # and about 2.7 MB that does not grow with the rows (measured 1.24x the
+    # arrays). A loader that kept each column's chunks until a concatenate,
+    # and a str per row until its object column, grew by 1.63x its arrays.
+    n = 400_000
+    rng = np.random.default_rng(41)
+    arm = rng.choice(["control", "v1", "v2", "v3"], size=n)
+    region = rng.choice([f"r{k}" for k in range(10)], size=n)
+    unit = rng.integers(0, 3000, size=n)
+    x1, x2, y = rng.normal(size=n), rng.uniform(0.0, 4.0, size=n), rng.normal(size=n)
+    path = _write(tmp_path, "y,arm,region,u,x1,x2\n" + "".join(
+        f"{a:.4f},{b},{r},u{k},{c:.4f},{d:.4f}\n"
+        for a, b, r, k, c, d in zip(y, arm, region, unit, x1, x2)))
+    proc = subprocess.run([sys.executable, "-c", RSS_ACROSS_LOAD, str(path)], env=cli_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    grown, arrays = map(int, proc.stdout.split())
+    assert grown <= 1.4 * arrays, (grown, arrays)
+
+
 def test_arm_codes_index_the_arms_and_are_frozen():
     data = Dataset(outcome=[1.0, 2.0, 3.0, 4.0], arm=["t", "c", "t", "u"], period=[0, 1, 0, 1])
-    assert data.arm_codes.tolist() == [1, 0, 1, 2]
-    assert [data.arms[c] for c in data.arm_codes] == data.arm.tolist()
-    assert not data.arm_codes.flags.writeable
-    assert add_period_covariate(data).arm_codes is data.arm_codes
+    assert data.arm.codes.tolist() == [1, 0, 1, 2]
+    assert [data.arm.levels[c] for c in data.arm.codes] == ["t", "c", "t", "u"]
+    assert list(data.arm) == ["t", "c", "t", "u"] and len(data.arm) == 4
+    assert not data.arm.codes.flags.writeable
+    assert add_period_covariate(data).arm is data.arm
 
 
 def test_zero_dimensional_outcome_rejected():
@@ -177,7 +227,7 @@ def test_numeric_and_categorical_covariates():
     assert data.is_numeric("x")
     assert not data.is_numeric("grade")
     assert data.covariates["x"].dtype == np.float64
-    assert data.covariates["grade"].dtype == object
+    assert isinstance(data.covariates["grade"], LabelColumn)
     assert data.covariate_names == ("x", "grade")
 
 
@@ -216,7 +266,7 @@ def test_load_csv_type_inference(tmp_path):
     assert data.covariate_names == ("x", "grade")
     assert data.is_numeric("x")
     assert data.is_numeric("grade")
-    assert data.unit_id.tolist() == ["u1", "u2"]
+    assert labels(data.unit_id).tolist() == ["u1", "u2"]
     assert data.period.tolist() == [0, 1]
 
 
@@ -224,7 +274,7 @@ def test_load_csv_categorical_column(tmp_path):
     path = _write(tmp_path, "y,arm,site\n1.0,0,north\n2.0,1,south\n")
     data = load_csv(path, {"outcome": "y", "arm": "arm"})
     assert not data.is_numeric("site")
-    assert data.covariates["site"].tolist() == ["north", "south"]
+    assert labels(data.covariates["site"]).tolist() == ["north", "south"]
 
 
 def test_load_csv_explicit_covariates(tmp_path):
@@ -366,8 +416,7 @@ def test_covariate_that_turns_to_text_in_a_later_chunk_is_categorical(tmp_path,
     path = _write(tmp_path, "y,arm,x,z\n1,a,1.0,0\n2,b,2,1\n3,a,1e0,0\n"
                             "4,b,2.0,1\n5,a,n/a,0\n6,b,2,1\n")
     data = load_csv(path, {"outcome": "y", "arm": "arm"})
-    assert data.covariates["x"].tolist() == ["1.0", "2", "1e0", "2.0", "n/a", "2"]
-    assert _shared(data.covariates["x"])
+    assert labels(data.covariates["x"]).tolist() == ["1.0", "2", "1e0", "2.0", "n/a", "2"]
     assert data.covariates["z"].tolist() == [0.0, 1.0] * 3
     _assert_loads_like_reference(path, {"outcome": "y", "arm": "arm"})
 
@@ -424,7 +473,7 @@ def test_add_period_covariate():
     with_period = add_period_covariate(data)
     assert "period" in with_period.covariates
     assert not with_period.is_numeric("period")
-    assert with_period.covariates["period"].tolist() == ["0", "0", "1", "1"]
+    assert labels(with_period.covariates["period"]).tolist() == ["0", "0", "1", "1"]
 
 
 def test_add_period_covariate_shares_the_parent():
@@ -436,10 +485,9 @@ def test_add_period_covariate_shares_the_parent():
     with_period = add_period_covariate(data)
     for field in ("outcome", "arm", "unit_id", "period"):
         assert getattr(with_period, field) is getattr(data, field)
-    assert with_period.arms is data.arms
     for name in ("site", "x"):
         assert with_period.covariates[name] is data.covariates[name]
-        assert with_period.categorical_codes(name) is cached[name]
+        assert with_period.categorical_codes(name)[1] is cached[name][1]
     # Only the period column is new; its levels sort as strings.
     levels, codes = with_period.categorical_codes("period")
     assert levels == tuple(sorted(map(str, range(12))))
@@ -483,7 +531,7 @@ def test_labels_differing_only_in_whitespace_rejected(tmp_path, column, role):
         return load_csv(_write(tmp_path, text), {"outcome": "y", "arm": "arm", "unit_id": "u"})
 
     rows = [list(row) for row in SEVEN_ROWS]
-    assert load(rows).arms == ("ctrl", "t1")
+    assert load(rows).arm.levels == ("ctrl", "t1")
     clean = rows[1][column]
     rows[3][column] = " " + clean
     with pytest.raises(ValueError) as info:
@@ -496,7 +544,7 @@ def test_labels_differing_in_inner_whitespace_rejected():
     with pytest.raises(ValueError, match=r"^arm labels 'a\\tb' \(row 1\) and 'a b' \(row 0\)"):
         Dataset(outcome=[1.0, 2.0, 3.0], arm=["a b", "a\tb", "c"])
     data = Dataset(outcome=[1.0, 2.0], arm=["a b", "a c"])
-    assert data.arms == ("a b", "a c")
+    assert data.arm.levels == ("a b", "a c")
 
 
 def test_categorical_codes_sorted_and_cached():
@@ -512,10 +560,12 @@ def test_categorical_codes_sorted_and_cached():
     assert data.categorical_codes("g")[1] is codes
     # Numeric columns are read as the strings of their values.
     assert data.categorical_codes("x")[0] == ("1.5", "10.0", "2.0")
-    # Copies encode their own columns.
+    # Copies share their label columns and encode their own numeric ones.
     copy = dataclasses.replace(data)
-    assert copy.categorical_codes("g")[1] is not codes
-    assert_array_equal(copy.categorical_codes("g")[1], codes)
+    assert copy.categorical_codes("g")[1] is codes
+    numeric = data.categorical_codes("x")[1]
+    assert copy.categorical_codes("x")[1] is not numeric
+    assert_array_equal(copy.categorical_codes("x")[1], numeric)
 
 
 def test_every_code_array_is_as_narrow_as_its_levels():
@@ -526,13 +576,76 @@ def test_every_code_array_is_as_narrow_as_its_levels():
                    period=np.arange(n) % 4)
     build_schema(data, ModelSpec(reference_arm="a", encodings={"x": "categorical"}))
     units = factorize([f"u{i}" for i in range(n)])
-    for levels, codes in [(data.arms, data.arm_codes), data.categorical_codes("g"),
+    for levels, codes in [(data.arm.levels, data.arm.codes), data.categorical_codes("g"),
                           data.categorical_codes("x"),
                           add_period_covariate(data).categorical_codes(PERIOD_COVARIATE),
-                          units]:
+                          (units.levels, units.codes)]:
         assert codes.dtype == np.min_scalar_type(len(levels))
     assert data.categorical_codes("g")[1].dtype == np.uint8
-    assert units[1].dtype == np.uint16
+    assert units.codes.dtype == np.uint16
+
+
+def test_period_levels_keep_their_string_order(tmp_path):
+    # Periods 1, 2, 10 and 11 are coded by value but named and sorted as
+    # strings, as before codes: "1" stays the reference period and the fit's
+    # period columns keep their order. Sorting by number would change report
+    # bits, so it is a change of its own.
+    periods = [1, 2, 10, 11] * 6
+    path = _write(tmp_path, "y,arm,u,t\n" + "".join(
+        f"{i % 7}.5,{'ab'[i % 2]},u{i % 6},{t}\n" for i, t in enumerate(periods)))
+    loaded = load_csv(path, {"outcome": "y", "arm": "arm", "unit_id": "u", "period": "t"})
+    built = Dataset(outcome=loaded.outcome, arm=loaded.arm, unit_id=loaded.unit_id,
+                    period=np.asarray(periods, dtype=np.uint8))
+    for data in (loaded, built):
+        with_period = add_period_covariate(data)
+        levels, codes = with_period.categorical_codes(PERIOD_COVARIATE)
+        assert levels == ("1", "10", "11", "2")
+        assert [levels[c] for c in codes] == [str(t) for t in periods]
+        schema = build_schema(with_period, ModelSpec(reference_arm="a"))
+        assert schema.labels == ("intercept", "period=10", "period=11", "period=2", "arm=b",
+                                 "period=10:arm=b", "period=11:arm=b", "period=2:arm=b")
+
+
+def _coding_case(n=1500):
+    """Rows whose label columns cross chunk boundaries: an arm first seen
+    at row 1400; 300 unit ids, each first seen 5 rows after the last, so
+    the codes widen from uint8 to uint16 at row 1280, in the second chunk of
+    1,024 rows; 400 levels of ``g``, seen by row 1200 in an order that is
+    not theirs; and a column ``x`` that turns to text at row 1300."""
+    rows = []
+    for i in range(n):
+        arm = "late" if i >= 1400 and i % 5 == 0 else "ab"[i % 2]
+        unit = f"u{299 - i // 5}"
+        g = f"g{(7 * (i // 3)) % 400 if i < 1200 else (13 * i) % 400}"
+        x = "n/a" if i == 1300 else f"{i % 9}.25"
+        rows.append([f"{i % 13}.5", arm, unit, g, x])
+    return rows
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 3, 1024])
+def test_ingest_codes_equal_factorize_of_the_whole_column(tmp_path, chunk_rows):
+    rows = _coding_case()
+    column_map = {"outcome": "y", "arm": "arm", "unit_id": "u"}
+    path = _write(tmp_path, "y,arm,u,g,x\n" + "".join(",".join(row) + "\n" for row in rows))
+    with mock.patch.object(data_module, "CHUNK_ROWS", chunk_rows):
+        data = load_csv(path, column_map)
+        _assert_loads_like_reference(path, column_map)
+    columns = {"arm": data.arm, "u": data.unit_id, "g": data.covariates["g"],
+               "x": data.covariates["x"]}
+    for k, (name, col) in enumerate(columns.items(), 1):
+        want = factorize([row[k] for row in rows])
+        assert col.levels == want.levels, name
+        assert col.codes.dtype == want.codes.dtype and col.codes.tobytes() == want.codes.tobytes()
+    assert [col.codes.dtype for col in columns.values()] == [np.uint8, np.uint16, np.uint16,
+                                                             np.uint8]
+    # A level that differs only in whitespace from one seen chunks earlier.
+    rows[1450][2] = " u290"
+    path = _write(tmp_path, "y,arm,u,g,x\n" + "".join(",".join(row) + "\n" for row in rows))
+    with mock.patch.object(data_module, "CHUNK_ROWS", chunk_rows):
+        with pytest.raises(ValueError) as info:
+            load_csv(path, column_map)
+    assert str(info.value) == ("unit_id labels ' u290' (row 1450) and 'u290' (row 45) "
+                               "differ only in whitespace")
 
 
 def reference_load_csv(path, column_map):
@@ -699,6 +812,9 @@ def _assert_same_array(a, b):
     if a is None or b is None:
         assert a is None and b is None
         return
+    if isinstance(a, LabelColumn) or isinstance(b, LabelColumn):
+        assert a.levels == b.levels
+        a, b = a.codes, b.codes
     assert a.dtype == b.dtype and a.shape == b.shape
     if a.dtype == object:
         assert a.tolist() == b.tolist()
@@ -719,9 +835,6 @@ def _assert_loads_like_reference(path, column_map):
     assert got.covariate_names == want.covariate_names
     for name in want.covariate_names:
         _assert_same_array(got.covariates[name], want.covariates[name])
-    for col in (got.arm, got.unit_id, *got.covariates.values()):
-        if col is not None and col.dtype == object:
-            assert _shared(col)
 
 
 def _check_case(case):

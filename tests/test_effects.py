@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from conftest import labels
 from effect_engine.data import Dataset, add_period_covariate
 from effect_engine.effects import ate, cate, dte, hte
 from effect_engine.model import ModelSpec, fit_model
@@ -101,7 +102,7 @@ def test_cate_accepts_parsed_and_custom_predicates():
     model, data = saturated_model()
     parsed = cate(model, data, "1", "0", parse_predicate("grade == 'l'"))
     assert parsed.query["predicate"] == "grade == l"
-    masked = cate(model, data, "1", "0", data.covariates["grade"] == "l")
+    masked = cate(model, data, "1", "0", labels(data.covariates["grade"]) == "l")
     assert masked.query["predicate"] == "<custom>"
     assert_allclose(masked.estimate, parsed.estimate, rtol=0, atol=0)
 

@@ -22,7 +22,8 @@ from numpy.linalg import lapack_lite
 from numpy.testing import assert_array_equal
 from scipy.linalg import solve_triangular
 
-from conftest import columns_in_earlier_span
+from conftest import columns_in_earlier_span, labels
+from effect_engine import data as data_module
 from effect_engine import model as model_module
 from effect_engine.data import Dataset
 from effect_engine.model import (BayesPrior, DesignRows, ModelSpec, _qr_r, build_design,
@@ -157,7 +158,7 @@ def _hstack_design(data, spec):
     n = data.n
     covs = covariate_matrix(data, schema)
     arm_block = np.column_stack(
-        [(data.arm == a).astype(np.float64) for a in schema.arm_labels])
+        [(labels(data.arm) == a).astype(np.float64) for a in schema.arm_labels])
     blocks = [np.ones((n, 1)), covs, arm_block]
     if schema.interactions:
         inter = np.empty((n, covs.shape[1] * arm_block.shape[1]))
@@ -449,6 +450,30 @@ def test_blocked_fit_model_reads_the_design_rows_of_build_design(block_rows, mon
     for model, want in pairs:
         assert_array_equal(model.beta, want.beta)
         assert_array_equal(model.cov_beta, want.cov_beta)
+
+
+@pytest.mark.parametrize("block_rows", [8192, 7])
+def test_cluster_fit_of_the_unit_codes_equals_the_fit_of_their_labels(block_rows, monkeypatch):
+    # A dataset's cluster fit takes the codes of its unit column as they
+    # are, and gives the bits of a fit handed the unit labels themselves.
+    # 300 units, named so that string order ("10" < "9"), first-seen order
+    # and numeric order all differ, with codes wider than uint8.
+    monkeypatch.setattr(model_module, "FIT_BLOCK_ROWS", block_rows)
+    full = _mixed_dataset(np.random.default_rng(43), 900)
+    units = [str((37 * i) % 300) for i in range(900)]
+    data = Dataset(outcome=full.outcome, arm=full.arm, covariates=full.covariates,
+                   unit_id=units)
+    assert data.unit_id.codes.dtype == np.uint16
+    spec = ModelSpec(reference_arm="t0", covariance_kind="cluster")
+    design, y, schema = build_design(data, spec)
+    want = fit_ols(design, y, "cluster", cluster_ids=units, schema=schema)
+    coded = []
+    monkeypatch.setattr(data_module._Coder, "add",
+                        lambda self, cells, m: coded.append(m))
+    got = fit_model(data, spec)
+    assert coded == []  # no label is hashed again
+    assert got.beta.tobytes() == want.beta.tobytes()
+    assert got.cov_beta.tobytes() == want.cov_beta.tobytes()
 
 
 def _rank_deficient(rng, kind):

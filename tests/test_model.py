@@ -7,7 +7,7 @@ import pytest
 from numpy.linalg import lapack_lite
 from numpy.testing import assert_allclose, assert_array_equal
 
-from conftest import columns_in_earlier_span
+from conftest import columns_in_earlier_span, labels
 from effect_engine import model as model_module
 from effect_engine.data import Dataset
 from effect_engine.model import (
@@ -387,9 +387,9 @@ def test_row_permutation_invariance():
     perm = rng.permutation(24)
     shuffled = Dataset(
         outcome=data.outcome[perm],
-        arm=data.arm[perm],
+        arm=labels(data.arm)[perm],
         covariates={"x": data.covariates["x"][perm]},
-        unit_id=data.unit_id[perm],
+        unit_id=labels(data.unit_id)[perm],
     )
     for kind in ("classical", "hc1", "cluster"):
         spec = ModelSpec(reference_arm="0", covariance_kind=kind)

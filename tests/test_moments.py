@@ -12,6 +12,7 @@ into one product and may move in the last bits only.
 import numpy as np
 import pytest
 
+from conftest import labels
 from effect_engine.data import Dataset, add_period_covariate
 from effect_engine.effects import ate, cate, dte, hte
 from effect_engine.model import BayesPrior, ModelSpec, as_flat_prior_posterior, fit_model
@@ -118,7 +119,7 @@ def test_queries_match_per_row_reference(n_arms, seed, bayes):
     posterior = as_flat_prior_posterior(model)
     arm_to, arm_from = f"arm{n_arms - 1}", "arm0" if n_arms == 2 else "arm1"
     predicates = [None, "x >= 0", parse_predicate("g == hi and k == 2"),
-                  np.asarray(data.covariates["g"] == "lo")]
+                  np.asarray(labels(data.covariates["g"]) == "lo")]
 
     for ci in (0.95, 0.8):
         got = to_ref(ate(model, data, arm_to, arm_from, ci_level=ci))

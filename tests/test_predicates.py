@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+from conftest import labels
 from effect_engine.data import Dataset, load_csv
 from effect_engine.predicates import Clause, Predicate, parse_predicate, resolve_mask
 
@@ -76,7 +77,7 @@ def test_categorical_mask_equals_object_comparison(op, literal):
     # rendering "4.0" is absent: the code comparison selects what comparing
     # the label objects would.
     data = sample_data()
-    col = data.covariates["grade"]
+    col = labels(data.covariates["grade"])
     want = col == str(literal) if op == "==" else col != str(literal)
     got = Clause(column="grade", op=op, literal=literal).mask(data)
     assert got.dtype == bool

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from conftest import labels
 from effect_engine.data import Dataset
 from effect_engine.model import (
     FittedModel,
@@ -138,6 +139,8 @@ def _restringified_block(data, schema):
     cols = []
     for name, level in schema.covariates:
         values = data.covariates[name]
+        if not data.is_numeric(name):
+            values = labels(values)
         if level is None:
             cols.append(np.asarray(values, dtype=np.float64))
         else:
@@ -179,8 +182,9 @@ def test_design_rows_are_baseline_rows(names, interactions, n_arms):
                      encodings={"k": "categorical"} if "k" in names else None)
     design, _, schema = build_design(data, spec)
     values = _restringified_block(data, schema) if names else np.empty((n, 0))
+    arm = labels(data.arm)
     for i in range(n):
-        row = baseline_vector(schema, CovariateProfile(values[i]), data.arm[i])
+        row = baseline_vector(schema, CovariateProfile(values[i]), arm[i])
         assert row.tobytes() == design[i].tobytes(), i
 
 
@@ -215,7 +219,8 @@ def test_profile_from_subset_matches_an_exact_mean(make):
         values = profile_from_subset(data, schema, predicate).values
         size = np.count_nonzero(rows)
         for value, (name, level) in zip(values, schema.covariates):
-            column = data.covariates[name][rows]
+            column = data.covariates[name]
+            column = (column if data.is_numeric(name) else labels(column))[rows]
             if level is None:
                 exact = math.fsum(column) / size
                 assert abs(value - exact) <= 1e-15 * abs(exact), (name, value, exact)

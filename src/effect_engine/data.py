@@ -15,6 +15,8 @@ import copy
 import csv
 import gc
 import math
+import os
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain, islice
@@ -29,11 +31,11 @@ __all__ = ["Dataset", "LabelColumn", "load_csv", "add_period_covariate", "check_
 # effects.dte looks for in the model's schema.
 PERIOD_COVARIATE = "period"
 
-# Data rows that load_csv reads, converts and drops at a time. Chunks of
-# 256 to 2,048 rows read a 200k-row file equally fast (within 3%). A run's
-# peak RSS grows with the chunk, by the cells of one chunk left in the heap:
-# against 1,024 rows, 256 gave 0.5 MB less on each benchmark workload, and
-# 4,096 gave 2 to 3 MB more.
+# Data rows that load_csv reads, converts and drops at a time. With numpy's
+# reader reading the chunks after the first, a run of the 200k-row xsec_hc1
+# benchmark took as long with chunks of 256 to 8,192 rows (within the spread
+# of its runs) and peaked lowest at 1,024: 52.2 MB of resident memory,
+# against 53.0 MB at 256, 52.7 MB at 2,048 and 58.2 MB at 8,192.
 CHUNK_ROWS = 1024
 
 
@@ -360,6 +362,60 @@ def _gc_paused():
             gc.enable()
 
 
+class _Refused(Exception):
+    """numpy's reader cannot read a chunk as the csv reader would; the file
+    is read again, on the csv reader alone."""
+
+
+def _reads_alike(path) -> bool:
+    """Whether numpy's reader splits the rows of ``path`` as the strict csv
+    reader does. It does not with a ``"`` in the file: numpy reads ``"a"b``
+    as ``ab``, and takes a quote left open for a ragged row elsewhere. Nor
+    with a cell over the csv field limit, which numpy reads; such a cell's
+    line fills a block of half the limit, so the file is scanned in binary,
+    a block at a time, into one buffer. A pipe, which a scan would drain,
+    is left to the csv reader."""
+    if not os.path.isfile(path):
+        return False
+    block = bytearray(csv.field_size_limit() // 2 or 1)
+    with open(path, "rb") as fh:
+        while size := fh.readinto(block):
+            if block.find(b'"', 0, size) >= 0 or (size == len(block) and b"\n" not in block
+                                                  and b"\r" not in block):
+                return False
+    return True
+
+
+def _parsed_chunks(fh, dtype: np.dtype) -> Iterator[np.ndarray]:
+    """The rest of the CSV text ``fh``, read by numpy's C reader up to
+    :data:`CHUNK_ROWS` rows at a time, each chunk an array of the structured
+    ``dtype``: one field a column, its numbers parsed in C. Blank lines are
+    skipped. A chunk numpy refuses (a ragged row, a cell its field cannot
+    parse, a byte that is not UTF-8) raises :class:`_Refused`."""
+    while True:
+        with warnings.catch_warnings():
+            # numpy warns of each blank line it skips, and of a read that
+            # finds no row left, as where the rows fill the last chunk.
+            warnings.filterwarnings("ignore", r"(loadtxt: input|Input line \d+) contained no data",
+                                    UserWarning)
+            try:
+                rows = np.loadtxt(fh, dtype, delimiter=",", quotechar='"', comments=None,
+                                  max_rows=CHUNK_ROWS, ndmin=1)
+            except ValueError:  # UnicodeDecodeError among them
+                raise _Refused from None
+        yield rows
+        if len(rows) < CHUNK_ROWS:
+            return
+
+
+def _parsed(cells, parse, dtype, m: int) -> np.ndarray:
+    """The ``m`` cells parsed by ``parse`` into an array of ``dtype``; a
+    column that numpy's reader has parsed already is that array."""
+    if isinstance(cells, np.ndarray):
+        return cells
+    return np.fromiter(map(parse, cells), dtype, m)
+
+
 # The ranks of the errors load_csv holds while it reads on, in the order its
 # docstring lists them; the lowest wins.
 _DUPLICATE, _MISSING_ROLE, _RAGGED, _BAD_OUTCOME, _MISSING_COLUMN, _BAD_PERIOD, _NONE = range(7)
@@ -382,6 +438,12 @@ def load_csv(path, column_map: Mapping[str, object]) -> Dataset:
     Each column is written once, into one array that grows in place: the
     values of a numeric column, or the codes of a label column, which each
     cell gets in one dict lookup (see :class:`LabelColumn`).
+    The header and the first chunk are read by the csv reader, and each
+    column's type is set from them. numpy's C reader reads the chunks after
+    it, its numbers parsed in C with no ``str`` a cell, unless the csv
+    reader must read them to keep this contract: an error is held after the
+    first chunk, the file holds a ``"`` (see :func:`_reads_alike`), or numpy
+    refuses a chunk, which reads the file again on the csv reader alone.
     Errors win in the order of a loader that reads the whole file first: a
     malformed record or a byte that is not UTF-8; no data rows; a duplicate
     header; a missing outcome or arm column; the first ragged row; the first
@@ -392,6 +454,15 @@ def load_csv(path, column_map: Mapping[str, object]) -> Dataset:
         if column_map.get(role) is None:
             raise ValueError(f"column_map names no {role} column; outcome and arm are required")
     check_column_roles(column_map)
+    try:
+        return _load_csv(path, column_map, numpy_reader=True)
+    except _Refused:
+        return _load_csv(path, column_map, numpy_reader=False)
+
+
+def _load_csv(path, column_map: Mapping[str, object], numpy_reader: bool) -> Dataset:
+    """:func:`load_csv`, with numpy's reader reading the chunks after the
+    first if ``numpy_reader`` and :func:`_reads_alike`."""
     outcome_name = column_map["outcome"]
     arm_name = column_map["arm"]
     unit_name = column_map.get("unit_id")
@@ -403,7 +474,7 @@ def load_csv(path, column_map: Mapping[str, object]) -> Dataset:
         except StopIteration:
             raise ValueError(f"empty CSV file: {path}") from None
         try:
-            chunks = chain([next(chunks)], chunks)
+            first = next(chunks)
         except StopIteration:
             raise ValueError(f"CSV file has a header but no data rows: {path}") from None
         positions: dict[str, list[int]] = {}
@@ -441,20 +512,38 @@ def load_csv(path, column_map: Mapping[str, object]) -> Dataset:
         labels = {index[name]: _Coder() for name in (arm_name, unit_name) if name in index}
         numeric = {name: _Growing(np.float64) for name in cov_names if name in index}
         reread: list[str] = []
+
+        def later() -> Iterator:
+            # Run once the first chunk is in, so its held error and the
+            # columns it left numeric decide who reads the rest, and how.
+            if not (numpy_reader and held[1] is None and _reads_alike(path)):
+                yield from chunks
+                return
+            fields = [object] * width
+            for name in [outcome_name, *numeric]:
+                fields[index[name]] = np.float64
+            if period_name is not None:
+                fields[index[period_name]] = np.int64
+            yield from _parsed_chunks(fh, np.dtype([("", f) for f in fields]))
+
         start = 0
-        for chunk in chunks:
+        for chunk in chain([first], later()):
             m = len(chunk)
-            if held[0] > _RAGGED and set(map(len, chunk)) != {width}:
+            parsed = isinstance(chunk, np.ndarray)  # by numpy: no ragged row
+            if held[0] > _RAGGED and not parsed and set(map(len, chunk)) != {width}:
                 r, row = next((r, row) for r, row in enumerate(chunk, start) if len(row) != width)
                 held = _RAGGED, ValueError(f"row {r} has {len(row)} cells, expected {width}")
             if held[0] > _BAD_OUTCOME:
-                columns = list(zip(*chunk))
+                columns = ([chunk[name] for name in chunk.dtype.names] if parsed
+                           else list(zip(*chunk)))
                 cells = columns[index[outcome_name]]
                 try:
-                    y = np.fromiter(map(float, cells), np.float64, m)
+                    y = _parsed(cells, float, np.float64, m)
                 except ValueError:
                     y = None
                 if y is None or not np.isfinite(y).all():
+                    if parsed:  # the error names the cell as written
+                        raise _Refused
                     held = _BAD_OUTCOME, _cell_error("outcome", outcome_name, cells,
                                                      _finite_float, start)
                 elif held[1] is None:
@@ -462,7 +551,7 @@ def load_csv(path, column_map: Mapping[str, object]) -> Dataset:
                     for name in list(numeric):
                         try:
                             numeric[name].append(
-                                np.fromiter(map(float, columns[index[name]]), np.float64, m))
+                                _parsed(columns[index[name]], float, np.float64, m))
                         except ValueError:
                             del numeric[name]
                             if start:
@@ -474,7 +563,7 @@ def load_csv(path, column_map: Mapping[str, object]) -> Dataset:
                     if period_name is not None:
                         cells = columns[index[period_name]]
                         try:
-                            period.append(np.fromiter(map(int, cells), np.int64, m))
+                            period.append(_parsed(cells, int, np.int64, m))
                         except (ValueError, OverflowError):
                             held = _BAD_PERIOD, _cell_error(
                                 "period", period_name, cells, lambda cell: np.int64(int(cell)),

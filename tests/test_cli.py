@@ -15,6 +15,7 @@ from numpy.testing import assert_allclose
 
 from conftest import DEPENDENT_Z, RANK_DEFICIENT_CSV, cli_env
 from effect_engine import cli, verify
+from effect_engine import data as data_module
 from effect_engine import model as model_module
 from effect_engine.cli import execute
 from effect_engine.config import QUERY_TYPES, load_config, parse_config
@@ -97,6 +98,19 @@ def test_run_writes_report(tmp_path):
     assert_allclose(rel["estimate"], 2.125, rtol=0, atol=1e-12)
     assert_allclose(rel["components"]["covariance"], -1.0, rtol=0, atol=1e-12)
     assert report["errors"] == []
+
+
+def test_rows_that_fill_the_last_chunk_leave_no_warning_in_the_report(tmp_path):
+    # The ingest reads a third chunk that finds no row left; numpy's warning
+    # of that must reach neither the report nor the terminal.
+    n = 2 * data_module.CHUNK_ROWS
+    write_workspace(tmp_path, [{"type": "ate", "arm_to": "1", "arm_from": "0"}],
+                    csv="y,arm\n" + "".join(f"{i % 7 + 3 * (i % 2)},{i % 2}\n" for i in range(n)))
+    proc = run_cli("run", "--config", "config.json", "--out", "report.json", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "report written to report.json\n"
+    report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+    assert report["warnings"] == [] and report["model"]["n"] == n
 
 
 def test_run_to_stdout_when_no_output_configured(tmp_path):

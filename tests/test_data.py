@@ -4,11 +4,14 @@ import csv
 import dataclasses
 import gc
 import io
+import math
 import subprocess
 import sys
 import tempfile
 import textwrap
 import tracemalloc
+import warnings
+from decimal import Decimal, localcontext
 from pathlib import Path
 from unittest import mock
 
@@ -153,9 +156,13 @@ def test_load_csv_resident_growth_stays_near_its_arrays(tmp_path):
     # short-lived objects stays resident. 400k rows, three label columns
     # (arm, a covariate and 3,000 unit ids) and three numeric ones. Each
     # column is written once, in place, so the process grows by its arrays
-    # and about 2.7 MB that does not grow with the rows (measured 1.24x the
-    # arrays). A loader that kept each column's chunks until a concatenate,
-    # and a str per row until its object column, grew by 1.63x its arrays.
+    # (11.2 MB) and about 2 MB that does not grow with the rows: 1.96 MB,
+    # 1.18x the arrays, with numpy's reader reading the chunks after the
+    # first, and 2.14 MB with the csv reader reading them all. That figure
+    # moves by 0.2 MB with the heap's layout alone (a longer docstring in the
+    # loader moved it). A loader that kept each column's chunks until a
+    # concatenate, and a str per row until its object column, grew by 1.63x
+    # its arrays.
     n = 400_000
     rng = np.random.default_rng(41)
     arm = rng.choice(["control", "v1", "v2", "v3"], size=n)
@@ -823,8 +830,13 @@ def _assert_same_array(a, b):
 
 
 def _assert_loads_like_reference(path, column_map):
-    got = _load_or_error(load_csv, path, column_map)
-    want = _load_or_error(reference_load_csv, path, column_map)
+    _assert_same_load(_load_or_error(load_csv, path, column_map),
+                      _load_or_error(reference_load_csv, path, column_map))
+
+
+def _assert_same_load(got, want):
+    """``got`` and ``want``, each a dataset or an error, are alike: the same
+    columns, or an error of the same type and message."""
     if isinstance(want, Exception):
         assert type(got) is type(want)
         assert str(got) == str(want)
@@ -859,6 +871,201 @@ def test_load_csv_matches_row_wise_reference_across_chunks(chunk_rows, case):
     # columns that turn categorical late all cross chunk boundaries.
     with mock.patch.object(data_module, "CHUNK_ROWS", chunk_rows):
         _check_case(case)
+
+
+def _numpy_cell(cell, dtype):
+    """What load_csv's numpy reader reads from ``cell`` in a field of
+    ``dtype``, or None if it refuses the cell."""
+    fh = io.StringIO(f"{cell},0\n", newline="")
+    try:
+        (rows,) = data_module._parsed_chunks(fh, np.dtype([("", dtype), ("", np.int64)]))
+    except data_module._Refused:
+        return None
+    return rows[0][0]
+
+
+def _halfway(x, above):
+    """The exact decimal halfway between the double ``x`` and the next one
+    up, or a digit above it: the cells a parse rounds wrongly if any."""
+    with localcontext() as ctx:
+        ctx.prec = 1100
+        text = format((Decimal(x) + Decimal(math.nextafter(x, math.inf))) / 2, "f")
+    if above:
+        text += ("" if "." in text else ".") + "0001"
+    return text
+
+
+NUMBER_PARTS = [*"0123456789", "+", "-", ".", "e", "E", "_", " ", "\t", "\x0b", "\xa0",
+                "\u2003", "١٢", "１", "nan", "NaN", "-nan", "inf", "-Inf",
+                "Infinity", "iNfInItY", "1e999", "0x1", "1j"]
+EDGE_NUMBERS = ["9007199254740993", "9007199254740993.000000000000000000001",
+                "2.2250738585072011e-308", "2.4703282292062327e-324",
+                "2.4703282292062328e-324", "1.7976931348623158e308", "1.7976931348623159e308",
+                "1e23", "0.1", "-0", "00", "+0.0e0", "9223372036854775807",
+                "9223372036854775808", "-9223372036854775808", "-9223372036854775809"]
+number_cells = st.one_of(
+    st.lists(st.sampled_from(NUMBER_PARTS), max_size=8).map("".join),
+    # 17 to 25 significant digits: more than a double holds.
+    st.builds(lambda sign, digits, point, exp: f"{sign}{digits[:point]}.{digits[point:]}{exp}",
+              st.sampled_from(["", "-", "+"]), st.text("0123456789", min_size=17, max_size=25),
+              st.integers(0, 25), st.sampled_from(["", "e5", "e-300", "E+22", "e-320"])),
+    st.builds(_halfway, st.floats(allow_nan=False, allow_infinity=False, min_value=-1e300,
+                                  max_value=1e300), st.booleans()),
+    st.sampled_from(EDGE_NUMBERS))
+
+
+@settings(max_examples=600, deadline=None)
+@given(number_cells)
+def test_numpy_reads_a_number_as_float_and_int_do(cell):
+    # Whatever number numpy's reader takes, float() or int() takes too, to
+    # the same bits; what numpy refuses sends the file to the csv reader.
+    as_float = _numpy_cell(cell, np.float64)
+    if as_float is not None:
+        assert np.float64(float(cell)).tobytes() == as_float.tobytes(), cell
+    as_int = _numpy_cell(cell, np.int64)
+    if as_int is not None:
+        assert int(cell) == as_int, cell
+    column_map = {"outcome": "y", "arm": "arm", "period": "t"}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        path.write_text(f"y,arm,x,t\n1,a,1,1\n2,b,{cell},{cell}\n", encoding="utf-8")
+        with mock.patch.object(data_module, "CHUNK_ROWS", 1), \
+                mock.patch.object(data_module, "_load_csv", wraps=data_module._load_csv) as spy:
+            _assert_loads_like_the_csv_reader(path, column_map)
+    assert spy.call_args_list[0] == mock.call(path, column_map, numpy_reader=True)
+    assert spy.call_count == 2 + (as_float is None or as_int is None)
+
+
+def _assert_loads_like_the_csv_reader(path, column_map):
+    """load_csv reads ``path`` as it does with numpy's reader kept out, and
+    as the row-wise reference does: the same columns, or the same error. A
+    csv or decoding error of the reference is load_csv's malformed record
+    or byte that is not UTF-8."""
+    got = _load_or_error(load_csv, path, column_map)
+    with mock.patch.object(data_module, "_reads_alike", return_value=False):
+        _assert_same_load(got, _load_or_error(load_csv, path, column_map))
+    want = _load_or_error(reference_load_csv, path, column_map)
+    if isinstance(want, csv.Error):
+        assert str(got).startswith("malformed CSV record at data row "), got
+    elif isinstance(want, UnicodeDecodeError):
+        assert str(got).startswith(f"{path} is not UTF-8: "), got
+    else:
+        _assert_same_load(got, want)
+
+
+def _clean_row(i, period):
+    return [f"{i % 7}.5", "ab"[i % 2], f"{i % 5}.25", f"g{i % 3}"] + [str(i % 4)] * period
+
+
+# Cells that numpy's reader would read otherwise than the csv reader and
+# float() or int() do, or that it refuses. "\udce9" is written as the byte
+# 0xe9, which is not UTF-8.
+RAW_CELLS = ['"a"b', 'a"b', '"a" ', '"a', '""', '"1"', '"two\nlines"', '"x\r\ny"', "1_000",
+             "n/a", "caf\udce9", "nan", "-inf", "1e999", "", " ", "7 "]
+
+
+@st.composite
+def raw_csv_tails(draw):
+    """Rows written as raw text, not through ``csv.writer``, to follow the
+    clean rows of a file's first chunk: quotes anywhere, a quoted newline,
+    ``1_000``, text in a numeric column, ragged rows, blank and
+    whitespace-only lines and a byte that is not UTF-8. Returns the number
+    of clean rows to add to the first chunk's, the line break, the raw text
+    and the column map."""
+    period = draw(st.booleans())
+    column_map = {"outcome": "y", "arm": "arm", **({"period": "t"} if period else {})}
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = []
+    for r in range(draw(st.integers(1, 6))):
+        row = _clean_row(r, period)
+        fault = draw(st.sampled_from(["none"] * 3 + ["cell", "ragged", "line"]))
+        if fault == "cell":
+            row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(RAW_CELLS))
+        elif fault == "ragged":
+            row = row[:-1] if draw(st.booleans()) else row + ["1"]
+        elif fault == "line":
+            lines.append(draw(st.sampled_from(["", " ", "\t", "  ,  "])))
+        lines.append(",".join(row))
+    tail = newline.join(lines) + (newline if draw(st.booleans()) else "")
+    return draw(st.integers(0, 2)), newline, tail, column_map
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 3, data_module.CHUNK_ROWS])
+@settings(max_examples=150, deadline=None)
+@given(raw_csv_tails())
+def test_raw_text_after_the_first_chunk_loads_as_the_csv_reader_reads_it(chunk_rows, case):
+    lead, newline, tail, column_map = case
+    header = "y,arm,x,g" + (",t" if "period" in column_map else "")
+    head = "".join(",".join(_clean_row(i, "period" in column_map)) + newline
+                   for i in range(chunk_rows + lead))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        path.write_bytes((header + newline + head + tail).encode("utf-8", "surrogateescape"))
+        with mock.patch.object(data_module, "CHUNK_ROWS", chunk_rows):
+            _assert_loads_like_the_csv_reader(path, column_map)
+
+
+def test_later_chunks_of_a_quote_free_file_are_read_by_numpy(tmp_path):
+    column_map = {"outcome": "y", "arm": "arm"}
+    path = _experiment_csv(tmp_path, 3 * data_module.CHUNK_ROWS + 5)
+    with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as spy:
+        data = load_csv(path, column_map)
+    assert spy.call_count == 3  # two whole chunks and the five rows left
+    _assert_loads_like_reference(path, column_map)
+    # One quoted cell, read as the same cell: the csv reader reads it all.
+    text = path.read_text(encoding="utf-8")
+    cut = text.rindex("\n", 0, -1) + 1
+    last = text[cut:].split(",")
+    path.write_text(text[:cut] + ",".join([last[0], f'"{last[1]}"', *last[2:]]),
+                    encoding="utf-8")
+    with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as spy:
+        quoted = load_csv(path, column_map)
+    assert spy.call_count == 0
+    _assert_same_load(quoted, data)
+
+
+def test_rows_that_fill_the_last_chunk_leave_no_warning(tmp_path):
+    # numpy's reader warns where a chunk finds no row left, and at each
+    # blank line it skips; neither is the caller's to see.
+    n = 2 * data_module.CHUNK_ROWS
+    lines = [f"{i % 7}.5,{'ab'[i % 2]},{i % 5}\n" for i in range(n)]
+    lines.insert(n - 3, "\n")
+    path = _write(tmp_path, "y,arm,x\n" + "".join(lines))
+    with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as spy, \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        data = load_csv(path, {"outcome": "y", "arm": "arm"})
+    assert [str(w.message) for w in caught] == []
+    assert spy.call_count == 2 and data.n == n
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /dev/stdin")
+def test_a_pipe_is_read_whole(tmp_path):
+    # A pipe cannot be scanned and then read: numpy's reader would see only
+    # the rows the scan left.
+    path = _experiment_csv(tmp_path, 3 * data_module.CHUNK_ROWS + 5)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from effect_engine.data import load_csv; "
+         "print(load_csv('/dev/stdin', {'outcome': 'y', 'arm': 'arm'}).n)"],
+        input=path.read_bytes(), env=cli_env(), capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) == 3 * data_module.CHUNK_ROWS + 5
+
+
+def test_a_cell_over_the_csv_field_limit_in_a_later_chunk_is_malformed(tmp_path):
+    # numpy's reader has no field limit, so a line long enough to hold a
+    # cell over it keeps the file on the csv reader.
+    lines = [f"{i}.5,{'ab'[i % 2]}\n" for i in range(8)]
+    lines[6] = "6.5," + "b" * 40 + "\n"
+    path = _write(tmp_path, "y,arm\n" + "".join(lines))
+    limit = csv.field_size_limit(32)
+    try:
+        with mock.patch.object(data_module, "CHUNK_ROWS", 2), pytest.raises(ValueError) as info:
+            load_csv(path, {"outcome": "y", "arm": "arm"})
+    finally:
+        csv.field_size_limit(limit)
+    assert str(info.value) == (f"malformed CSV record at data row 6 of {path}: "
+                               "field larger than field limit (32)")
 
 
 def test_load_csv_column_in_two_roles_rejected(tmp_path):

@@ -13,13 +13,16 @@ malformed flag exits 2 with argparse's usage message.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import os
 import sys
 import warnings as _warnings
+from contextlib import contextmanager
 from functools import cached_property
 
 import numpy as np
+from numpy.linalg import lapack_lite
 
 from .config import QUERY_TYPES, ConfigError, QuerySpec, RunConfig, load_config
 from .data import Dataset, add_period_covariate, load_csv
@@ -34,7 +37,7 @@ from .model import (  # noqa: F401
     fit_bayes,
     fit_model,
 )
-from .report import build_report, render_report, sha256_file, write_report
+from .report import build_report, render_report, write_report
 from .verify import SUITES, run_suite
 
 __all__ = ["main", "execute"]
@@ -127,8 +130,46 @@ def _load_data(cfg: RunConfig) -> Dataset:
         raise ConfigError(f"failed to load data: {exc}") from None
 
 
+def _openblas_threads():
+    """The getter and setter of the thread count of numpy's bundled
+    OpenBLAS, or None for a numpy built on another BLAS. ``dlsym`` on the
+    ``lapack_lite`` extension searches the libraries it links, so it finds
+    the symbols wherever the wheel put ``libscipy_openblas64_``."""
+    lib = ctypes.CDLL(lapack_lite.__file__)
+    try:
+        get = lib.scipy_openblas_get_num_threads64_
+        put = lib.scipy_openblas_set_num_threads64_
+    except AttributeError:
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block with numpy's OpenBLAS on one thread, and give the
+    caller's thread count back after it. The QR of a tall block of design
+    rows is bound by memory bandwidth: a second thread slows it, and
+    changes the bits of a wide block's QR. Without the symbols
+    (:func:`_openblas_threads`) the block runs at the caller's setting."""
+    threads = _openblas_threads()
+    if threads is None:
+        yield
+        return
+    get, put = threads
+    caller = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(caller)
+
+
+@_one_blas_thread()
 def execute(cfg: RunConfig, *, flat_prior_ok: bool = False, partial: bool = False) -> dict:
-    """Run every query in the config and assemble the report document.
+    """Run every query in the config and assemble the report document, with
+    numpy's OpenBLAS on one thread (:func:`_one_blas_thread`).
 
     Without ``partial`` the first query failure is raised again as a
     ``RuntimeError`` whose message starts ``queries[i]: ``; with it, each
@@ -162,7 +203,7 @@ def execute(cfg: RunConfig, *, flat_prior_ok: bool = False, partial: bool = Fals
 
     return build_report(
         config_digest=cfg.config_digest,
-        data_digest=sha256_file(cfg.data_path),
+        data_digest=data.digest,
         seed=cfg.seed,
         model_info=model_info,
         results=results,

@@ -14,6 +14,8 @@ from __future__ import annotations
 import copy
 import csv
 import gc
+import hashlib
+import io
 import math
 import os
 import warnings
@@ -177,6 +179,8 @@ class Dataset:
     unit_id : optional :class:`LabelColumn` of string unit identifiers
     period : optional (n,) int array of ordinal time indices; float input
         must hold whole numbers
+    digest : ``sha256:<hex>`` of the bytes :func:`load_csv` read the data
+        from; None for data built in memory
 
     Each label column (``arm``, ``unit_id`` and the categorical covariates)
     may be given as any sequence of labels, and is factorized once, here
@@ -194,6 +198,7 @@ class Dataset:
     covariates: Mapping[str, np.ndarray | LabelColumn] = field(default_factory=dict)
     unit_id: LabelColumn | None = None
     period: np.ndarray | None = None
+    digest: str | None = None
     _codes: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
@@ -312,6 +317,10 @@ def _not_utf8(path) -> ValueError:
     ``path`` that is not UTF-8. A decoder's own position counts from the
     start of its buffer, so the file is scanned again in binary, a line at a
     time (no UTF-8 sequence spans a newline byte)."""
+    # A pipe cannot be scanned again: opened anew, it gives only the bytes
+    # the decoder had not read yet, so its error names no line.
+    if not os.path.isfile(path):
+        return ValueError(f"{path} is not UTF-8")
     offset = 0
     with open(path, "rb") as fh:
         for line_no, line in enumerate(fh, 1):
@@ -360,6 +369,22 @@ def _gc_paused():
     finally:
         if was_enabled:
             gc.enable()
+
+
+class _Digesting(io.RawIOBase):
+    """The binary file ``raw``, read through: each byte read also goes to
+    ``digest``, so the file is hashed in the pass that reads it."""
+
+    def __init__(self, raw, digest):
+        self._raw, self._digest = raw, digest
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        size = self._raw.readinto(buffer)
+        self._digest.update(memoryview(buffer)[:size])
+        return size
 
 
 class _Refused(Exception):
@@ -444,6 +469,8 @@ def load_csv(path, column_map: Mapping[str, object]) -> Dataset:
     reader must read them to keep this contract: an error is held after the
     first chunk, the file holds a ``"`` (see :func:`_reads_alike`), or numpy
     refuses a chunk, which reads the file again on the csv reader alone.
+    The bytes read are hashed in the same pass, into the dataset's
+    ``digest``, so data from a pipe is read once and gets its own digest.
     Errors win in the order of a loader that reads the whole file first: a
     malformed record or a byte that is not UTF-8; no data rows; a duplicate
     header; a missing outcome or arm column; the first ragged row; the first
@@ -467,7 +494,10 @@ def _load_csv(path, column_map: Mapping[str, object], numpy_reader: bool) -> Dat
     arm_name = column_map["arm"]
     unit_name = column_map.get("unit_id")
     period_name = column_map.get("period")
-    with _gc_paused(), open(path, newline="", encoding="utf-8-sig") as fh:
+    digest = hashlib.sha256()
+    with _gc_paused(), open(path, "rb", buffering=0) as raw, io.TextIOWrapper(
+            io.BufferedReader(_Digesting(raw, digest), 1 << 16),
+            encoding="utf-8-sig", newline="") as fh:
         chunks = _row_chunks(fh, path)
         try:
             header = next(chunks)[0]
@@ -508,10 +538,10 @@ def _load_csv(path, column_map: Mapping[str, object], numpy_reader: bool) -> Dat
         # The label columns, each coded as it is read: arm and unit id, and
         # each covariate from the first chunk that does not parse as numbers.
         # A covariate that fails first in a later chunk is read again from
-        # the file, whole.
+        # the file, whole; ``reread`` holds the error naming its first text cell.
         labels = {index[name]: _Coder() for name in (arm_name, unit_name) if name in index}
         numeric = {name: _Growing(np.float64) for name in cov_names if name in index}
-        reread: list[str] = []
+        reread: dict[str, ValueError] = {}
 
         def later() -> Iterator:
             # Run once the first chunk is in, so its held error and the
@@ -549,13 +579,14 @@ def _load_csv(path, column_map: Mapping[str, object], numpy_reader: bool) -> Dat
                 elif held[1] is None:
                     outcome.append(y)
                     for name in list(numeric):
+                        cells = columns[index[name]]
                         try:
-                            numeric[name].append(
-                                _parsed(columns[index[name]], float, np.float64, m))
+                            numeric[name].append(_parsed(cells, float, np.float64, m))
                         except ValueError:
                             del numeric[name]
                             if start:
-                                reread.append(name)
+                                reread[name] = _cell_error("covariate", name, cells, float,
+                                                           start)
                             else:
                                 labels[index[name]] = _Coder()
                     for i, coder in labels.items():
@@ -575,6 +606,10 @@ def _load_csv(path, column_map: Mapping[str, object], numpy_reader: bool) -> Dat
             raise held[1]
 
     if reread:
+        if not os.path.isfile(path):
+            first = next(iter(reread.values()))
+            raise ValueError(f"{first}, after rows that read as numbers: {path} is not a regular "
+                             "file, so it cannot be read again to code the column as labels")
         again = {index[name]: _Coder() for name in reread}
         with _gc_paused(), open(path, newline="", encoding="utf-8-sig") as fh:
             chunks = _row_chunks(fh, path)
@@ -589,7 +624,8 @@ def _load_csv(path, column_map: Mapping[str, object], numpy_reader: bool) -> Dat
     return Dataset(outcome=outcome.trimmed(), arm=labels[index[arm_name]].column(),
                    covariates=covariates,
                    unit_id=labels[index[unit_name]].column() if unit_name is not None else None,
-                   period=period.trimmed() if period_name is not None else None)
+                   period=period.trimmed() if period_name is not None else None,
+                   digest="sha256:" + digest.hexdigest())
 
 
 def add_period_covariate(data: Dataset) -> Dataset:

@@ -20,7 +20,6 @@ from datetime import datetime, timezone
 
 __all__ = [
     "REPORT_VERSION",
-    "sha256_file",
     "sha256_config",
     "build_report",
     "render_report",
@@ -28,14 +27,6 @@ __all__ = [
 ]
 
 REPORT_VERSION = "1"
-
-
-def sha256_file(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 16), b""):
-            digest.update(block)
-    return "sha256:" + digest.hexdigest()
 
 
 def sha256_config(obj) -> str:

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, exercised through subprocesses."""
 
+import dataclasses
 import hashlib
 import importlib
 import inspect
@@ -18,7 +19,7 @@ from effect_engine import cli, verify
 from effect_engine import data as data_module
 from effect_engine import model as model_module
 from effect_engine.cli import execute
-from effect_engine.config import QUERY_TYPES, load_config, parse_config
+from effect_engine.config import QUERY_TYPES, ConfigError, load_config, parse_config
 from effect_engine.data import add_period_covariate, load_csv
 from effect_engine.effects import ate, cate, dte, hte
 from effect_engine.model import as_flat_prior_posterior, fit_model
@@ -702,13 +703,17 @@ def test_execute_answers_each_type_with_its_library_call(tmp_path):
         assert got == want
 
 
-def test_validate_accepts_every_benchmark_workload(tmp_path, monkeypatch):
-    # The benchmark's own generator (perfbench/workloads.py), imported
-    # without writing bytecode next to it, at a few thousand rows.
+@pytest.fixture
+def workloads(monkeypatch):
+    """The benchmark's own generator (perfbench/workloads.py), imported
+    without writing bytecode next to it."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     monkeypatch.delitem(sys.modules, "workloads", raising=False)
-    workloads = importlib.import_module("workloads")
+    return importlib.import_module("workloads")
+
+
+def test_validate_accepts_every_benchmark_workload(tmp_path, workloads):
     for name in workloads.WORKLOADS:
         paths = workloads.write_inputs(workloads.generate(name, seed=0, rows=3000),
                                        str(tmp_path / name))
@@ -729,14 +734,75 @@ REPORT_DIGESTS = {
 
 
 @pytest.mark.parametrize("name", sorted(REPORT_DIGESTS))
-def test_workload_report_bytes_are_pinned(name, tmp_path, monkeypatch):
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
-    monkeypatch.delitem(sys.modules, "workloads", raising=False)
-    workloads = importlib.import_module("workloads")
+def test_workload_report_bytes_are_pinned(name, tmp_path, workloads):
     inputs = workloads.generate(name, seed=0, rows=3000)
     cfg = load_config(workloads.write_inputs(inputs, str(tmp_path))["config"])
     report = execute(cfg, flat_prior_ok=inputs.flat_prior_ok)
     del report["created_at"]
     digest = hashlib.sha256(render_report(report).encode("utf-8")).hexdigest()
     assert digest == REPORT_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_DIGESTS))
+def test_report_bytes_do_not_depend_on_the_blas_thread_count(name, tmp_path, workloads):
+    # Each workload's shape at 9,000 rows: the first block of design rows is
+    # full (8,192 rows), and segments_bayes is p = 72 wide, where LAPACK's QR
+    # of a block changes bits with OpenBLAS's thread count. Two of its 24
+    # prob_best queries keep the run short.
+    inputs = workloads.generate(name, seed=0, rows=9000)
+    queries = inputs.config["queries"]
+    best = [q for q in queries if q["type"] == "prob_best"]
+    queries[:] = [q for q in queries if q["type"] != "prob_best"] + best[:2]
+    config = workloads.write_inputs(inputs, str(tmp_path))["config"]
+    flags = ["--flat-prior-ok"] if inputs.flat_prior_ok else []
+    reports = set()
+    for threads in ("1", "2", "4"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "effect_engine", "run", "--config", config, *flags],
+            cwd=tmp_path, env={**cli_env(), "OPENBLAS_NUM_THREADS": threads},
+            capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        reports.add("\n".join(strip_timestamp(proc.stdout)))
+    assert len(reports) == 1
+
+
+def test_execute_runs_on_one_blas_thread_and_gives_the_caller_its_count_back(
+        tmp_path, monkeypatch):
+    threads = cli._openblas_threads()
+    if threads is None:
+        pytest.skip("numpy is not built on its bundled OpenBLAS")
+    get, put = threads
+    inside = []
+    fit_model = cli.fit_model
+    monkeypatch.setattr(cli, "fit_model", lambda *args: inside.append(get()) or fit_model(*args))
+    write_workspace(tmp_path, [{"type": "ate", "arm_to": "1", "arm_from": "0"}])
+    cfg = load_config(str(tmp_path / "config.json"))
+    caller = get()
+    put(3)
+    try:
+        execute(cfg)
+        after_run = get()
+        with pytest.raises(ConfigError):
+            execute(dataclasses.replace(cfg, data_path=str(tmp_path / "missing.csv")))
+        after_error = get()
+    finally:
+        put(caller)
+    assert inside == [1]
+    assert after_run == after_error == 3
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /dev/stdin")
+def test_piped_data_gets_the_digest_of_its_bytes(tmp_path):
+    n = 2 * data_module.CHUNK_ROWS + 5
+    csv = "y,arm\n" + "".join(f"{i % 7 + 3 * (i % 2)},{i % 2}\n" for i in range(n))
+    write_workspace(tmp_path, [{"type": "ate", "arm_to": "1", "arm_from": "0"}], csv=csv)
+    named = run_cli("run", "--config", "config.json", cwd=tmp_path)
+    piped = subprocess.run(
+        [sys.executable, "-m", "effect_engine", "run", "--config", "config.json",
+         "--data", "/dev/stdin"],
+        cwd=tmp_path, env=cli_env(), input=csv, capture_output=True, text=True, timeout=300)
+    assert named.returncode == 0, named.stderr
+    assert piped.returncode == 0, piped.stderr
+    digest = "sha256:" + hashlib.sha256(csv.encode()).hexdigest()
+    assert json.loads(named.stdout)["data_digest"] == digest
+    assert json.loads(piped.stdout)["data_digest"] == digest

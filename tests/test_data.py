@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import gc
+import hashlib
 import io
 import math
 import subprocess
@@ -1044,12 +1045,72 @@ def test_a_pipe_is_read_whole(tmp_path):
     # A pipe cannot be scanned and then read: numpy's reader would see only
     # the rows the scan left.
     path = _experiment_csv(tmp_path, 3 * data_module.CHUNK_ROWS + 5)
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys; from effect_engine.data import load_csv; "
-         "print(load_csv('/dev/stdin', {'outcome': 'y', 'arm': 'arm'}).n)"],
-        input=path.read_bytes(), env=cli_env(), capture_output=True, timeout=120)
+    data = load_csv(path, {"outcome": "y", "arm": "arm"})
+    assert _load_from_a_pipe(path.read_bytes()).split() == [str(data.n), data.digest]
+    assert data.n == 3 * data_module.CHUNK_ROWS + 5
+
+
+def _load_from_a_pipe(raw: bytes) -> str:
+    """What ``load_csv('/dev/stdin')`` prints in a child whose stdin is a
+    pipe that carries ``raw``: the dataset's row count and digest, or the
+    message of the ``ValueError`` the load raised."""
+    code = textwrap.dedent("""\
+        from effect_engine.data import load_csv
+        try:
+            data = load_csv("/dev/stdin", {"outcome": "y", "arm": "arm"})
+        except ValueError as exc:
+            print(exc)
+        else:
+            print(data.n, data.digest)
+        """)
+    proc = subprocess.run([sys.executable, "-c", code], input=raw, env=cli_env(),
+                          capture_output=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) == 3 * data_module.CHUNK_ROWS + 5
+    return proc.stdout.decode()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /dev/stdin")
+def test_a_covariate_that_turns_to_text_from_a_pipe_is_refused_naming_its_cell(tmp_path):
+    # Coding such a column as labels reads the file again, which a pipe
+    # cannot give; from disk the same rows load.
+    n = data_module.CHUNK_ROWS + 77
+    lines = [f"{i % 7}.5,{'ab'[i % 2]},{i % 5}\n" for i in range(n)]
+    lines[n - 7] = f"{n - 7}.5,a,n/a\n"
+    path = _write(tmp_path, "y,arm,x\n" + "".join(lines))
+    data = load_csv(path, {"outcome": "y", "arm": "arm"})
+    assert data.covariates["x"].levels == ("0", "1", "2", "3", "4", "n/a")
+    assert _load_from_a_pipe(path.read_bytes()) == (
+        f"unparseable covariate cell at row {n - 7}, column 'x': 'n/a', after rows that "
+        "read as numbers: /dev/stdin is not a regular file, so it cannot be read again to "
+        "code the column as labels\n")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /dev/stdin")
+def test_a_byte_that_is_not_utf8_from_a_pipe_names_no_line():
+    # Opened again, the pipe gives only what the decoder had not read: a
+    # scan of that would name the second bad byte, at a line counted from
+    # the wrong place.
+    raw = ("y,arm\n" + "".join(f"{i}.5,{'ab'[i % 2]}\n" for i in range(3000))).encode()
+    piped = raw + b"1.5,\xff\n" + raw[6:] + b"2.5,\xfe\n" + raw[6:]
+    assert _load_from_a_pipe(piped) == "/dev/stdin is not UTF-8\n"
+
+
+# Each variant is read on another path of load_csv: numpy's reader, the csv
+# reader (a quote), a chunk numpy refuses and the file read again from the
+# start (1_000), a covariate read again for its labels, rows that fill the
+# last chunk.
+@pytest.mark.parametrize("variant", ["numpy", "quoted", "bom", "refused", "reread", "filled"])
+def test_the_digest_is_the_sha256_of_the_bytes_of_the_file(tmp_path, variant):
+    n = 2 * data_module.CHUNK_ROWS + (0 if variant == "filled" else 7)
+    lines = [f"{i % 7}.5,{'ab'[i % 2]},{i % 5}\n" for i in range(n)]
+    lines[n - 3] = {"quoted": '"1.5",a,1\n', "refused": "1_000,a,1\n",
+                    "reread": "1.5,a,n/a\n"}.get(variant, lines[n - 3])
+    raw = (("\ufeff" if variant == "bom" else "") + "y,arm,x\n" + "".join(lines)).encode()
+    path = tmp_path / "data.csv"
+    path.write_bytes(raw)
+    data = load_csv(path, {"outcome": "y", "arm": "arm"})
+    assert data.n == n
+    assert data.digest == "sha256:" + hashlib.sha256(raw).hexdigest()
 
 
 def test_a_cell_over_the_csv_field_limit_in_a_later_chunk_is_malformed(tmp_path):

@@ -1,6 +1,5 @@
 """Report serialization: digests, sanitization, determinism, atomic writes."""
 
-import hashlib
 import json
 import os
 import subprocess
@@ -15,7 +14,6 @@ from effect_engine.report import (
     build_report,
     render_report,
     sha256_config,
-    sha256_file,
     write_report,
 )
 
@@ -42,13 +40,6 @@ def minimal_report(**overrides):
     )
     kwargs.update(overrides)
     return build_report(**kwargs)
-
-
-def test_sha256_file(tmp_path):
-    path = tmp_path / "blob.bin"
-    path.write_bytes(b"hello\n")
-    expected = hashlib.sha256(b"hello\n").hexdigest()
-    assert sha256_file(path) == f"sha256:{expected}"
 
 
 def test_sha256_config_ignores_key_order_and_whitespace():

@@ -33,11 +33,11 @@ __all__ = ["Dataset", "LabelColumn", "load_csv", "add_period_covariate", "check_
 # effects.dte looks for in the model's schema.
 PERIOD_COVARIATE = "period"
 
-# Data rows that load_csv reads, converts and drops at a time. With numpy's
-# reader reading the chunks after the first, a run of the 200k-row xsec_hc1
-# benchmark took as long with chunks of 256 to 8,192 rows (within the spread
-# of its runs) and peaked lowest at 1,024: 52.2 MB of resident memory,
-# against 53.0 MB at 256, 52.7 MB at 2,048 and 58.2 MB at 8,192.
+# Lines that load_csv reads, parses, converts and drops at a time. With
+# numpy's reader parsing the chunks after the first, a run of the 200k-row
+# xsec_hc1 benchmark took as long with chunks of 256 to 8,192 rows and
+# peaked lowest at 1,024 (52.2 MB of resident memory, against 53.0 MB at
+# 256, 52.7 MB at 2,048 and 58.2 MB at 8,192; measured reading from the file).
 CHUNK_ROWS = 1024
 
 
@@ -333,30 +333,6 @@ def _not_utf8(path) -> ValueError:
     return ValueError(f"{path} is not UTF-8")
 
 
-def _row_chunks(fh, path) -> Iterator[list[list[str]]]:
-    """The rows of the CSV text ``fh`` in lists: the header row alone, then
-    the non-blank data rows, up to :data:`CHUNK_ROWS` at a time. Quoting is
-    strict, so a quote left open cannot swallow the rest of the file: a
-    malformed record raises ``ValueError`` naming the data row where it
-    starts, as a byte that is not UTF-8 does naming its line and offset."""
-    reader = csv.reader(fh, strict=True)
-    rows = filter(None, reader)
-    start, chunk = -1, []
-    try:
-        chunk.extend(islice(reader, 1))
-        while chunk:
-            yield chunk
-            start += len(chunk)
-            chunk = []
-            # extend keeps the rows read before a malformed one: they number it.
-            chunk.extend(islice(rows, CHUNK_ROWS))
-    except csv.Error as exc:
-        where = f"at data row {start + len(chunk)}" if start >= 0 else "in the header"
-        raise ValueError(f"malformed CSV record {where} of {path}: {exc}") from None
-    except UnicodeDecodeError:
-        raise _not_utf8(path) from None
-
-
 @contextmanager
 def _gc_paused():
     """Pause the cyclic garbage collector. The row lists of a chunk are
@@ -373,7 +349,10 @@ def _gc_paused():
 
 class _Digesting(io.RawIOBase):
     """The binary file ``raw``, read through: each byte read also goes to
-    ``digest``, so the file is hashed in the pass that reads it."""
+    ``digest``, so the file is hashed in the pass that reads it, and
+    ``quoted`` is set once a ``"`` has been read."""
+
+    quoted = False
 
     def __init__(self, raw, digest):
         self._raw, self._digest = raw, digest
@@ -383,54 +362,96 @@ class _Digesting(io.RawIOBase):
 
     def readinto(self, buffer) -> int:
         size = self._raw.readinto(buffer)
-        self._digest.update(memoryview(buffer)[:size])
+        read = memoryview(buffer)[:size]
+        self._digest.update(read)
+        self.quoted = self.quoted or b'"' in read.tobytes()
         return size
 
 
-class _Refused(Exception):
-    """numpy's reader cannot read a chunk as the csv reader would; the file
-    is read again, on the csv reader alone."""
+def _numpy_rows(lines: list[str], dtype: np.dtype) -> np.ndarray | None:
+    """``lines`` of CSV text that hold no ``"``, parsed by numpy's C reader
+    into an array of the structured ``dtype``: one field a column, its
+    numbers parsed in C. Blank lines are skipped. None where the csv reader
+    must parse them instead: numpy refuses them (a ragged row, a cell its
+    field cannot parse) or reads a non-finite float, whose cell an error
+    names as written."""
+    with warnings.catch_warnings():
+        # numpy warns of lines that hold no row.
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        try:
+            rows = np.loadtxt(lines, dtype, delimiter=",", comments=None, ndmin=1)
+        except ValueError:
+            return None
+    finite = all(np.isfinite(rows[name]).all() for name in dtype.names if dtype[name].kind == "f")
+    return rows if finite else None
 
 
-def _reads_alike(path) -> bool:
-    """Whether numpy's reader splits the rows of ``path`` as the strict csv
-    reader does. It does not with a ``"`` in the file: numpy reads ``"a"b``
-    as ``ab``, and takes a quote left open for a ragged row elsewhere. Nor
-    with a cell over the csv field limit, which numpy reads; such a cell's
-    line fills a block of half the limit, so the file is scanned in binary,
-    a block at a time, into one buffer. A pipe, which a scan would drain,
-    is left to the csv reader."""
-    if not os.path.isfile(path):
-        return False
-    block = bytearray(csv.field_size_limit() // 2 or 1)
-    with open(path, "rb") as fh:
-        while size := fh.readinto(block):
-            if block.find(b'"', 0, size) >= 0 or (size == len(block) and b"\n" not in block
-                                                  and b"\r" not in block):
-                return False
-    return True
+def _raising(exc: Exception) -> Iterator:
+    """An iterator that raises ``exc`` when first asked for an item."""
+    raise exc
+    yield
 
 
-def _parsed_chunks(fh, dtype: np.dtype) -> Iterator[np.ndarray]:
-    """The rest of the CSV text ``fh``, read by numpy's C reader up to
-    :data:`CHUNK_ROWS` rows at a time, each chunk an array of the structured
-    ``dtype``: one field a column, its numbers parsed in C. Blank lines are
-    skipped. A chunk numpy refuses (a ragged row, a cell its field cannot
-    parse, a byte that is not UTF-8) raises :class:`_Refused`."""
-    while True:
-        with warnings.catch_warnings():
-            # numpy warns of each blank line it skips, and of a read that
-            # finds no row left, as where the rows fill the last chunk.
-            warnings.filterwarnings("ignore", r"(loadtxt: input|Input line \d+) contained no data",
-                                    UserWarning)
-            try:
-                rows = np.loadtxt(fh, dtype, delimiter=",", quotechar='"', comments=None,
-                                  max_rows=CHUNK_ROWS, ndmin=1)
-            except ValueError:  # UnicodeDecodeError among them
-                raise _Refused from None
-        yield rows
-        if len(rows) < CHUNK_ROWS:
-            return
+def _row_chunks(path, digest, fields: Callable[[], np.dtype]) -> Iterator:
+    """The CSV file ``path``, read once and hashed into ``digest``: its
+    header row (None if it has none), then its non-blank data rows, read
+    :data:`CHUNK_ROWS` lines at a time. numpy's reader parses each chunk
+    after the first into the structured dtype ``fields()`` returns then
+    (:func:`_numpy_rows`); the csv reader parses the first, whose cells set
+    the column types, and any numpy does not read as it would. From the
+    chunk in which a ``"`` has been read (up to one read of the file ahead
+    of its line), or one with a line longer than the csv field limit, the
+    csv reader reads the rest, as a quoted cell may span lines. Quoting is
+    strict: a malformed record raises ``ValueError`` naming the data row
+    where it starts, as a byte that is not UTF-8 does naming its line and
+    offset."""
+    with open(path, "rb", buffering=0) as raw:
+        source = _Digesting(raw, digest)
+        lines = io.TextIOWrapper(io.BufferedReader(source), encoding="utf-8-sig",
+                                 newline="")
+        start, chunk = -1, []
+        try:
+            yield next(filter(None, csv.reader(lines, strict=True)), None)
+            start = 0
+            while True:
+                block = []
+                try:
+                    block.extend(islice(lines, CHUNK_ROWS))
+                except UnicodeDecodeError as exc:
+                    # The csv reader reads the lines before the byte, as it
+                    # would have, then meets it.
+                    lines = _raising(exc)
+                    break
+                if not block:
+                    return
+                if source.quoted or max(map(len, block)) > csv.field_size_limit():
+                    break
+                chunk = _numpy_rows(block, fields()) if start else None
+                if chunk is None:
+                    chunk = list(filter(None, csv.reader(block)))
+                if len(chunk):
+                    yield chunk
+                    start += len(chunk)
+            rows = filter(None, csv.reader(chain(block, lines), strict=True))
+            while True:
+                chunk = []
+                # extend keeps the rows read before a malformed one: they number it.
+                chunk.extend(islice(rows, CHUNK_ROWS))
+                if not chunk:
+                    return
+                yield chunk
+                start += len(chunk)
+        except csv.Error as exc:
+            where = f"at data row {start + len(chunk)}" if start >= 0 else "in the header"
+            raise ValueError(f"malformed CSV record {where} of {path}: {exc}") from None
+        except UnicodeDecodeError:
+            raise _not_utf8(path) from None
+
+
+def _columns(chunk) -> list:
+    # The columns of a chunk: the fields of numpy's array, or the csv rows'.
+    parsed = isinstance(chunk, np.ndarray)
+    return [chunk[name] for name in chunk.dtype.names] if parsed else list(zip(*chunk))
 
 
 def _parsed(cells, parse, dtype, m: int) -> np.ndarray:
@@ -458,17 +479,16 @@ def load_csv(path, column_map: Mapping[str, object]) -> Dataset:
     ignored and blank lines are skipped; rows in error messages are counted
     from 0 among the data rows.
 
-    The rows are read, converted and dropped :data:`CHUNK_ROWS` at a time,
-    so no list of every row and no per-row cell string outlives its chunk.
-    Each column is written once, into one array that grows in place: the
-    values of a numeric column, or the codes of a label column, which each
-    cell gets in one dict lookup (see :class:`LabelColumn`).
-    The header and the first chunk are read by the csv reader, and each
-    column's type is set from them. numpy's C reader reads the chunks after
-    it, its numbers parsed in C with no ``str`` a cell, unless the csv
-    reader must read them to keep this contract: an error is held after the
-    first chunk, the file holds a ``"`` (see :func:`_reads_alike`), or numpy
-    refuses a chunk, which reads the file again on the csv reader alone.
+    The file is read once (:func:`_row_chunks`), :data:`CHUNK_ROWS` lines
+    at a time, each chunk converted and dropped before the next, so no list
+    of every row and no per-row cell string outlives its chunk. Each column
+    is written once, into one array that grows in place: the values of a
+    numeric column, or the codes of a label column, which each cell gets in
+    one dict lookup (see :class:`LabelColumn`). The csv reader parses the
+    first chunk, whose cells set each column's type; numpy's C reader parses
+    a later one, its numbers in C with no ``str`` a cell, where it reads it
+    as the csv reader would. A covariate that turns to text after the first
+    chunk is read again, for its labels, from a regular file only.
     The bytes read are hashed in the same pass, into the dataset's
     ``digest``, so data from a pipe is read once and gets its own digest.
     Errors win in the order of a loader that reads the whole file first: a
@@ -481,32 +501,28 @@ def load_csv(path, column_map: Mapping[str, object]) -> Dataset:
         if column_map.get(role) is None:
             raise ValueError(f"column_map names no {role} column; outcome and arm are required")
     check_column_roles(column_map)
-    try:
-        return _load_csv(path, column_map, numpy_reader=True)
-    except _Refused:
-        return _load_csv(path, column_map, numpy_reader=False)
-
-
-def _load_csv(path, column_map: Mapping[str, object], numpy_reader: bool) -> Dataset:
-    """:func:`load_csv`, with numpy's reader reading the chunks after the
-    first if ``numpy_reader`` and :func:`_reads_alike`."""
     outcome_name = column_map["outcome"]
     arm_name = column_map["arm"]
     unit_name = column_map.get("unit_id")
     period_name = column_map.get("period")
     digest = hashlib.sha256()
-    with _gc_paused(), open(path, "rb", buffering=0) as raw, io.TextIOWrapper(
-            io.BufferedReader(_Digesting(raw, digest), 1 << 16),
-            encoding="utf-8-sig", newline="") as fh:
-        chunks = _row_chunks(fh, path)
-        try:
-            header = next(chunks)[0]
-        except StopIteration:
-            raise ValueError(f"empty CSV file: {path}") from None
-        try:
-            first = next(chunks)
-        except StopIteration:
-            raise ValueError(f"CSV file has a header but no data rows: {path}") from None
+
+    def fields() -> np.dtype:
+        # The column types as they stand, for each chunk numpy parses (one
+        # after the first, so the names below are set): a number for the
+        # outcome, each numeric covariate and the period, a str for any other.
+        types = {index.get(outcome_name): np.float64, index.get(period_name): np.int64,
+                 **{index[name]: np.float64 for name in numeric}}
+        return np.dtype([("", types.get(i, object)) for i in range(len(header))])
+
+    with _gc_paused():
+        chunks = _row_chunks(path, digest, fields)
+        header = next(chunks, None)
+        if header is None:
+            raise ValueError(f"empty CSV file: {path}")
+        first = next(chunks, None)
+        if first is None:
+            raise ValueError(f"CSV file has a header but no data rows: {path}")
         positions: dict[str, list[int]] = {}
         for i, name in enumerate(header):
             positions.setdefault(name, []).append(i)
@@ -543,37 +559,21 @@ def _load_csv(path, column_map: Mapping[str, object], numpy_reader: bool) -> Dat
         numeric = {name: _Growing(np.float64) for name in cov_names if name in index}
         reread: dict[str, ValueError] = {}
 
-        def later() -> Iterator:
-            # Run once the first chunk is in, so its held error and the
-            # columns it left numeric decide who reads the rest, and how.
-            if not (numpy_reader and held[1] is None and _reads_alike(path)):
-                yield from chunks
-                return
-            fields = [object] * width
-            for name in [outcome_name, *numeric]:
-                fields[index[name]] = np.float64
-            if period_name is not None:
-                fields[index[period_name]] = np.int64
-            yield from _parsed_chunks(fh, np.dtype([("", f) for f in fields]))
-
         start = 0
-        for chunk in chain([first], later()):
+        for chunk in chain([first], chunks):
             m = len(chunk)
             parsed = isinstance(chunk, np.ndarray)  # by numpy: no ragged row
             if held[0] > _RAGGED and not parsed and set(map(len, chunk)) != {width}:
                 r, row = next((r, row) for r, row in enumerate(chunk, start) if len(row) != width)
                 held = _RAGGED, ValueError(f"row {r} has {len(row)} cells, expected {width}")
             if held[0] > _BAD_OUTCOME:
-                columns = ([chunk[name] for name in chunk.dtype.names] if parsed
-                           else list(zip(*chunk)))
+                columns = _columns(chunk)
                 cells = columns[index[outcome_name]]
                 try:
                     y = _parsed(cells, float, np.float64, m)
                 except ValueError:
                     y = None
                 if y is None or not np.isfinite(y).all():
-                    if parsed:  # the error names the cell as written
-                        raise _Refused
                     held = _BAD_OUTCOME, _cell_error("outcome", outcome_name, cells,
                                                      _finite_float, start)
                 elif held[1] is None:
@@ -604,21 +604,17 @@ def _load_csv(path, column_map: Mapping[str, object], numpy_reader: bool) -> Dat
             start += m
         if held[1] is not None:
             raise held[1]
-
-    if reread:
-        if not os.path.isfile(path):
-            first = next(iter(reread.values()))
-            raise ValueError(f"{first}, after rows that read as numbers: {path} is not a regular "
-                             "file, so it cannot be read again to code the column as labels")
-        again = {index[name]: _Coder() for name in reread}
-        with _gc_paused(), open(path, newline="", encoding="utf-8-sig") as fh:
-            chunks = _row_chunks(fh, path)
-            next(chunks)
-            for chunk in chunks:
-                columns = list(zip(*chunk))
+        if reread:
+            if not os.path.isfile(path):
+                raise ValueError(f"{next(iter(reread.values()))}, after rows that read as "
+                                 f"numbers: {path} is not a regular file, so it cannot be read "
+                                 "again to code the column as labels")
+            again = {index[name]: _Coder() for name in reread}
+            for chunk in islice(_row_chunks(path, hashlib.sha256(), fields), 1, None):
+                columns = _columns(chunk)
                 for i, coder in again.items():
                     coder.add(columns[i], len(chunk))
-        labels.update(again)
+            labels.update(again)
     covariates = {name: numeric[name].trimmed() if name in numeric
                   else labels[index[name]].column() for name in cov_names}
     return Dataset(outcome=outcome.trimmed(), arm=labels[index[arm_name]].column(),

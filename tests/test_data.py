@@ -6,10 +6,12 @@ import gc
 import hashlib
 import io
 import math
+import os
 import subprocess
 import sys
 import tempfile
 import textwrap
+import threading
 import tracemalloc
 import warnings
 from decimal import Decimal, localcontext
@@ -661,12 +663,12 @@ def reference_load_csv(path, column_map):
     cell goes through ``float()`` or ``int()`` on its own, in row order.
     Kept as the reference the streaming loader must match exactly."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh, strict=True)
+        reader = filter(None, csv.reader(fh, strict=True))
         try:
             header = next(reader)
         except StopIteration:
             raise ValueError(f"empty CSV file: {path}") from None
-        rows = [row for row in reader if row]
+        rows = list(reader)
 
     if not rows:
         raise ValueError(f"CSV file has a header but no data rows: {path}")
@@ -767,9 +769,9 @@ CELL_POOLS = {
 def csv_files(draw):
     """CSV text and a column map, covering the cases ingest must agree on:
     numeric, categorical and mixed columns, non-finite cells ahead of
-    garbage, ``1_000`` and padded numbers, blank lines, CRLF, quoted commas
-    and newlines, a byte-order mark, a duplicate header, ragged rows and bad
-    period cells."""
+    garbage, ``1_000`` and padded numbers, blank lines (before the header
+    too), CRLF, quoted commas and newlines, a byte-order mark, a duplicate
+    header, ragged rows and bad period cells."""
     pools = {"y": draw(st.sampled_from(["numeric"] * 3 + ["nonfinite", "mixed"])),
              "arm": "arm"}
     for i in range(draw(st.integers(0, 3))):
@@ -791,6 +793,8 @@ def csv_files(draw):
     newline = draw(st.sampled_from(["\n", "\r\n"]))
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator=newline)
+    if draw(st.integers(0, 4)) == 0:
+        buf.write(newline)
     writer.writerow(header)
     for r in range(draw(st.integers(2, 8))):
         # Odd rows draw from the pool rotated by one, so the simplest draw
@@ -876,13 +880,9 @@ def test_load_csv_matches_row_wise_reference_across_chunks(chunk_rows, case):
 
 def _numpy_cell(cell, dtype):
     """What load_csv's numpy reader reads from ``cell`` in a field of
-    ``dtype``, or None if it refuses the cell."""
-    fh = io.StringIO(f"{cell},0\n", newline="")
-    try:
-        (rows,) = data_module._parsed_chunks(fh, np.dtype([("", dtype), ("", np.int64)]))
-    except data_module._Refused:
-        return None
-    return rows[0][0]
+    ``dtype``, or None if it leaves the cell to the csv reader."""
+    rows = data_module._numpy_rows([f"{cell},0\n"], np.dtype([("", dtype), ("", np.int64)]))
+    return None if rows is None else rows[0][0]
 
 
 def _halfway(x, above):
@@ -919,7 +919,8 @@ number_cells = st.one_of(
 @given(number_cells)
 def test_numpy_reads_a_number_as_float_and_int_do(cell):
     # Whatever number numpy's reader takes, float() or int() takes too, to
-    # the same bits; what numpy refuses sends the file to the csv reader.
+    # the same bits; what numpy refuses, the csv reader parses, in the one
+    # pass over the file.
     as_float = _numpy_cell(cell, np.float64)
     if as_float is not None:
         assert np.float64(float(cell)).tobytes() == as_float.tobytes(), cell
@@ -930,20 +931,22 @@ def test_numpy_reads_a_number_as_float_and_int_do(cell):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "data.csv"
         path.write_text(f"y,arm,x,t\n1,a,1,1\n2,b,{cell},{cell}\n", encoding="utf-8")
-        with mock.patch.object(data_module, "CHUNK_ROWS", 1), \
-                mock.patch.object(data_module, "_load_csv", wraps=data_module._load_csv) as spy:
+        with mock.patch.object(data_module, "CHUNK_ROWS", 1):
+            with mock.patch.object(data_module, "open", create=True, wraps=open) as opened:
+                got = _load_or_error(load_csv, path, column_map)
             _assert_loads_like_the_csv_reader(path, column_map)
-    assert spy.call_args_list[0] == mock.call(path, column_map, numpy_reader=True)
-    assert spy.call_count == 2 + (as_float is None or as_int is None)
+    # Opened again only to code x as labels, where the cell is text.
+    assert opened.call_count == 1 + (isinstance(got, Dataset) and not got.is_numeric("x"))
 
 
 def _assert_loads_like_the_csv_reader(path, column_map):
-    """load_csv reads ``path`` as it does with numpy's reader kept out, and
-    as the row-wise reference does: the same columns, or the same error. A
-    csv or decoding error of the reference is load_csv's malformed record
-    or byte that is not UTF-8."""
+    """load_csv reads ``path`` as it does with numpy's reader refusing every
+    chunk, and so the csv reader parsing them all, and as the row-wise
+    reference does: the same columns, or the same error. A csv or decoding
+    error of the reference is load_csv's malformed record or byte that is
+    not UTF-8."""
     got = _load_or_error(load_csv, path, column_map)
-    with mock.patch.object(data_module, "_reads_alike", return_value=False):
+    with mock.patch.object(np, "loadtxt", side_effect=ValueError):
         _assert_same_load(got, _load_or_error(load_csv, path, column_map))
     want = _load_or_error(reference_load_csv, path, column_map)
     if isinstance(want, csv.Error):
@@ -1008,20 +1011,27 @@ def test_raw_text_after_the_first_chunk_loads_as_the_csv_reader_reads_it(chunk_r
 
 def test_later_chunks_of_a_quote_free_file_are_read_by_numpy(tmp_path):
     column_map = {"outcome": "y", "arm": "arm"}
-    path = _experiment_csv(tmp_path, 3 * data_module.CHUNK_ROWS + 5)
+    chunk_rows = data_module.CHUNK_ROWS
+    path = _experiment_csv(tmp_path, 8 * chunk_rows + 5)
     with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as spy:
         data = load_csv(path, column_map)
-    assert spy.call_count == 3  # two whole chunks and the five rows left
+    assert spy.call_count == 8  # seven whole chunks and the five rows left
     _assert_loads_like_reference(path, column_map)
-    # One quoted cell, read as the same cell: the csv reader reads it all.
+    # One quoted cell in the last row, read as the same cell. The quote is
+    # seen with the read that holds it (io.TextIOWrapper reads 8 KB at a
+    # time): numpy parses the chunks that end before that read, the csv
+    # reader the rest.
     text = path.read_text(encoding="utf-8")
     cut = text.rindex("\n", 0, -1) + 1
     last = text[cut:].split(",")
     path.write_text(text[:cut] + ",".join([last[0], f'"{last[1]}"', *last[2:]]),
                     encoding="utf-8")
+    raw = path.read_bytes()
+    ends = np.cumsum([len(line) for line in raw.splitlines(keepends=True)])
+    read_start = raw.index(b'"') // 8192 * 8192
     with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as spy:
         quoted = load_csv(path, column_map)
-    assert spy.call_count == 0
+    assert spy.call_count == np.sum(ends[2 * chunk_rows::chunk_rows] <= read_start) > 0
     _assert_same_load(quoted, data)
 
 
@@ -1040,10 +1050,108 @@ def test_rows_that_fill_the_last_chunk_leave_no_warning(tmp_path):
     assert spy.call_count == 2 and data.n == n
 
 
+def test_load_csv_skips_blank_lines_before_the_header(tmp_path):
+    path = _write(tmp_path, "\n\r\ny,arm,x\n1,a,0.5\n\n2,b,1.5\n")
+    data = load_csv(path, {"outcome": "y", "arm": "arm"})
+    assert data.outcome.tolist() == [1.0, 2.0]
+    assert data.covariates["x"].tolist() == [0.5, 1.5]
+    _assert_loads_like_reference(path, {"outcome": "y", "arm": "arm"})
+    path = _write(tmp_path, "\n\n")
+    with pytest.raises(ValueError, match="^empty CSV file: "):
+        load_csv(path, {"outcome": "y", "arm": "arm"})
+
+
+def test_a_chunk_numpy_refuses_leaves_the_chunks_after_it_to_numpy(tmp_path):
+    # A 1_000 outcome, which numpy refuses, in the second of four chunks: the
+    # csv reader parses that chunk, numpy the two after it, in one pass over
+    # the file.
+    chunk_rows = data_module.CHUNK_ROWS
+    path = _experiment_csv(tmp_path, 3 * chunk_rows + 5)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    row = chunk_rows + 9
+    lines[row + 1] = "1_000," + lines[row + 1].split(",", 1)[1]
+    path.write_text("".join(lines), encoding="utf-8")
+    column_map = {"outcome": "y", "arm": "arm"}
+    with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as spy, \
+            mock.patch.object(data_module, "open", create=True, wraps=open) as opened:
+        data = load_csv(path, column_map)
+    assert opened.call_count == 1
+    assert [len(call.args[0]) for call in spy.call_args_list] == [chunk_rows, chunk_rows, 5]
+    assert data.outcome[row] == 1000.0
+    _assert_loads_like_reference(path, column_map)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="makes a FIFO")
+def test_a_fifo_is_read_by_numpy_after_its_first_chunk(tmp_path):
+    column_map = {"outcome": "y", "arm": "arm"}
+    path = _experiment_csv(tmp_path, 3 * data_module.CHUNK_ROWS + 5)
+    data = load_csv(path, column_map)
+    fifo = tmp_path / "data.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(path.read_bytes(),), daemon=True)
+    writer.start()
+    with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as spy:
+        piped = load_csv(fifo, column_map)
+    writer.join(timeout=60)
+    assert spy.call_count == 3
+    _assert_same_load(piped, data)
+    assert piped.digest == data.digest
+
+
+def _fixed_width_lines(n):
+    """A 32-byte header line and ``n`` 32-byte data lines: data line 2047
+    starts at byte 65,536."""
+    header = "g,y,arm," + "x" * 23 + "\n"
+    return [header] + [f"g{i % 3},{i % 7}.5,{'ab'[i % 2]},{i % 5}.25".ljust(31, "0") + "\n"
+                       for i in range(n)]
+
+
+def test_a_quoted_cell_across_a_chunk_boundary_after_chunks_numpy_read(tmp_path):
+    # In chunks of 64 lines, data line 2047 ends the 32nd chunk. Its cell
+    # opens a quote, at byte 65,536, which no read of the lines before it
+    # reaches: numpy parses the 30 chunks after the first, and the csv reader
+    # reads on from the 32nd, across its end.
+    column_map = {"outcome": "y", "arm": "arm"}
+    lines = _fixed_width_lines(2100)
+    lines[2048] = '"g\nq"' + lines[2048][2:]
+    path = _write(tmp_path, "".join(lines))
+    with mock.patch.object(data_module, "CHUNK_ROWS", 64):
+        with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as spy:
+            data = load_csv(path, column_map)
+        assert spy.call_count == 30
+        assert labels(data.covariates["g"])[2046:2049].tolist() == ["g0", "g\nq", "g2"]
+        _assert_loads_like_the_csv_reader(path, column_map)
+        # Left open, the quote is named at the data row where its record starts.
+        lines[2048] = lines[2048].replace('"g\nq"', '"g')
+        path = _write(tmp_path, "".join(lines))
+        with pytest.raises(ValueError) as info:
+            load_csv(path, column_map)
+    assert str(info.value) == (
+        f"malformed CSV record at data row 2047 of {path}: unexpected end of data")
+
+
+@pytest.mark.parametrize("chunk_rows", [data_module.CHUNK_ROWS, 4096])
+def test_a_malformed_record_wins_over_a_later_byte_that_is_not_utf8(tmp_path, chunk_rows):
+    # A malformed cell after byte 65,536, and a byte that is not UTF-8 some
+    # 28 KB on: in chunks of 4,096 lines, both in the first chunk, whose
+    # reading that byte stops. The csv reader still parses the lines before
+    # it first, as a reader of the whole file does.
+    lines = _fixed_width_lines(3000)
+    lines[2101] = '"g"' + lines[2101][1:-3] + "\n"  # "g"1, still 32 bytes
+    raw = "".join(lines).encode()
+    path = tmp_path / "data.csv"
+    path.write_bytes(raw[:32 * 3000] + b"\xff" + raw[32 * 3000 + 1:])
+    column_map = {"outcome": "y", "arm": "arm"}
+    with mock.patch.object(data_module, "CHUNK_ROWS", chunk_rows):
+        with pytest.raises(ValueError) as info:
+            load_csv(path, column_map)
+        _assert_loads_like_the_csv_reader(path, column_map)
+    assert str(info.value) == (
+        f"malformed CSV record at data row 2100 of {path}: ',' expected after '\"'")
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /dev/stdin")
 def test_a_pipe_is_read_whole(tmp_path):
-    # A pipe cannot be scanned and then read: numpy's reader would see only
-    # the rows the scan left.
     path = _experiment_csv(tmp_path, 3 * data_module.CHUNK_ROWS + 5)
     data = load_csv(path, {"outcome": "y", "arm": "arm"})
     assert _load_from_a_pipe(path.read_bytes()).split() == [str(data.n), data.digest]
@@ -1096,9 +1204,8 @@ def test_a_byte_that_is_not_utf8_from_a_pipe_names_no_line():
 
 
 # Each variant is read on another path of load_csv: numpy's reader, the csv
-# reader (a quote), a chunk numpy refuses and the file read again from the
-# start (1_000), a covariate read again for its labels, rows that fill the
-# last chunk.
+# reader (a quote), a chunk numpy refuses and the csv reader parses (1_000),
+# a covariate read again for its labels, rows that fill the last chunk.
 @pytest.mark.parametrize("variant", ["numpy", "quoted", "bom", "refused", "reread", "filled"])
 def test_the_digest_is_the_sha256_of_the_bytes_of_the_file(tmp_path, variant):
     n = 2 * data_module.CHUNK_ROWS + (0 if variant == "filled" else 7)
@@ -1115,7 +1222,7 @@ def test_the_digest_is_the_sha256_of_the_bytes_of_the_file(tmp_path, variant):
 
 def test_a_cell_over_the_csv_field_limit_in_a_later_chunk_is_malformed(tmp_path):
     # numpy's reader has no field limit, so a line long enough to hold a
-    # cell over it keeps the file on the csv reader.
+    # cell over it leaves the rest of the file to the csv reader.
     lines = [f"{i}.5,{'ab'[i % 2]}\n" for i in range(8)]
     lines[6] = "6.5," + "b" * 40 + "\n"
     path = _write(tmp_path, "y,arm\n" + "".join(lines))

@@ -11,6 +11,7 @@ object is held per row.
 
 from __future__ import annotations
 
+import codecs
 import copy
 import csv
 import gc
@@ -269,12 +270,12 @@ class Dataset:
         """Sorted distinct string levels of covariate ``name`` and each
         row's index into them: a categorical column's own levels and codes.
         A numeric column is read as the strings of its values, once per
-        dataset, and cached."""
+        dataset, and cached; ``-0.0`` is read as ``0.0``, the value it equals."""
         col = self.covariates[name]
         if not isinstance(col, LabelColumn):
             col = self._codes.get(name)
             if col is None:
-                col = self._codes[name] = factorize(self.covariates[name].tolist())
+                col = self._codes[name] = factorize((self.covariates[name] + 0.0).tolist())
         return col.levels, col.codes
 
 
@@ -312,27 +313,6 @@ def check_column_roles(column_map: Mapping[str, object]) -> None:
                              "each column may have one role")
 
 
-def _not_utf8(path) -> ValueError:
-    """The error naming the line and byte offset of the first byte of
-    ``path`` that is not UTF-8. A decoder's own position counts from the
-    start of its buffer, so the file is scanned again in binary, a line at a
-    time (no UTF-8 sequence spans a newline byte)."""
-    # A pipe cannot be scanned again: opened anew, it gives only the bytes
-    # the decoder had not read yet, so its error names no line.
-    if not os.path.isfile(path):
-        return ValueError(f"{path} is not UTF-8")
-    offset = 0
-    with open(path, "rb") as fh:
-        for line_no, line in enumerate(fh, 1):
-            try:
-                line.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                return ValueError(f"{path} is not UTF-8: byte {line[exc.start]:#04x} at line "
-                                  f"{line_no}, byte offset {offset + exc.start} ({exc.reason})")
-            offset += len(line)
-    return ValueError(f"{path} is not UTF-8")
-
-
 @contextmanager
 def _gc_paused():
     """Pause the cyclic garbage collector. The row lists of a chunk are
@@ -348,23 +328,41 @@ def _gc_paused():
 
 
 class _Digesting(io.RawIOBase):
-    """The binary file ``raw``, read through: each byte read also goes to
-    ``digest``, so the file is hashed in the pass that reads it, and
-    ``quoted`` is set once a ``"`` has been read."""
+    """The binary file ``raw``, read through: each byte read goes to
+    ``digest``, so the file is hashed in the pass that reads it, ``quoted``
+    is set once a ``"`` has been read, and a decoder checks each read that
+    is not ASCII, or follows a sequence left open, as UTF-8. At a byte that
+    is not, the bytes before it are handed on, so each line before its line
+    is read whole, ``bad_offset`` is set to its offset in the file, and the
+    next read raises the decoder's error."""
 
     quoted = False
+    bad_offset = None
 
     def __init__(self, raw, digest):
-        self._raw, self._digest = raw, digest
+        self._raw, self._digest, self._read = raw, digest, 0
+        self._utf8 = codecs.getincrementaldecoder("utf-8")()
 
     def readable(self) -> bool:
         return True
 
     def readinto(self, buffer) -> int:
+        if self.bad_offset is not None:
+            raise self._bad
         size = self._raw.readinto(buffer)
-        read = memoryview(buffer)[:size]
-        self._digest.update(read)
-        self.quoted = self.quoted or b'"' in read.tobytes()
+        data = memoryview(buffer)[:size].tobytes()
+        self._digest.update(data)
+        self.quoted = self.quoted or b'"' in data
+        pending = self._utf8.getstate()[0]  # a sequence the last read left open
+        if pending or not data.isascii():
+            try:
+                self._utf8.decode(data, final=not size)
+            except UnicodeDecodeError as exc:
+                self._bad, self.bad_offset = exc, self._read - len(pending) + exc.start
+                size = max(self.bad_offset - self._read, 0)
+                if not size:
+                    raise
+        self._read += size
         return size
 
 
@@ -396,15 +394,15 @@ def _row_chunks(path, digest, fields: Callable[[], np.dtype]) -> Iterator:
     """The CSV file ``path``, read once and hashed into ``digest``: its
     header row (None if it has none), then its non-blank data rows, read
     :data:`CHUNK_ROWS` lines at a time. numpy's reader parses each chunk
-    after the first into the structured dtype ``fields()`` returns then
-    (:func:`_numpy_rows`); the csv reader parses the first, whose cells set
-    the column types, and any numpy does not read as it would. From the
-    chunk in which a ``"`` has been read (up to one read of the file ahead
-    of its line), or one with a line longer than the csv field limit, the
-    csv reader reads the rest, as a quoted cell may span lines. Quoting is
-    strict: a malformed record raises ``ValueError`` naming the data row
-    where it starts, as a byte that is not UTF-8 does naming its line and
-    offset."""
+    into the structured dtype ``fields()`` returns then
+    (:func:`_numpy_rows`), and the csv reader any chunk numpy does not read
+    as it would. From the chunk in which a ``"`` has been read (up to one
+    read of the file ahead of its line), or one with a line longer than the
+    csv field limit, the csv reader reads the rest, as a quoted cell may
+    span lines. Quoting is strict: a malformed record raises ``ValueError``
+    naming the data row where it starts. So does a byte that is not UTF-8,
+    naming also its offset in the file; the lines before it are parsed
+    first (:class:`_Digesting`), so a malformed record among them wins."""
     with open(path, "rb", buffering=0) as raw:
         source = _Digesting(raw, digest)
         lines = io.TextIOWrapper(io.BufferedReader(source), encoding="utf-8-sig",
@@ -426,7 +424,7 @@ def _row_chunks(path, digest, fields: Callable[[], np.dtype]) -> Iterator:
                     return
                 if source.quoted or max(map(len, block)) > csv.field_size_limit():
                     break
-                chunk = _numpy_rows(block, fields()) if start else None
+                chunk = _numpy_rows(block, fields())
                 if chunk is None:
                     chunk = list(filter(None, csv.reader(block)))
                 if len(chunk):
@@ -441,11 +439,12 @@ def _row_chunks(path, digest, fields: Callable[[], np.dtype]) -> Iterator:
                     return
                 yield chunk
                 start += len(chunk)
-        except csv.Error as exc:
+        except (csv.Error, UnicodeDecodeError) as exc:
             where = f"at data row {start + len(chunk)}" if start >= 0 else "in the header"
-            raise ValueError(f"malformed CSV record {where} of {path}: {exc}") from None
-        except UnicodeDecodeError:
-            raise _not_utf8(path) from None
+            if isinstance(exc, csv.Error):
+                raise ValueError(f"malformed CSV record {where} of {path}: {exc}") from None
+            raise ValueError(f"{path} is not UTF-8: byte {exc.object[exc.start]:#04x} {where}, "
+                             f"byte offset {source.bad_offset} ({exc.reason})") from None
 
 
 def _columns(chunk) -> list:
@@ -484,18 +483,18 @@ def load_csv(path, column_map: Mapping[str, object]) -> Dataset:
     of every row and no per-row cell string outlives its chunk. Each column
     is written once, into one array that grows in place: the values of a
     numeric column, or the codes of a label column, which each cell gets in
-    one dict lookup (see :class:`LabelColumn`). The csv reader parses the
-    first chunk, whose cells set each column's type; numpy's C reader parses
-    a later one, its numbers in C with no ``str`` a cell, where it reads it
-    as the csv reader would. A covariate that turns to text after the first
-    chunk is read again, for its labels, from a regular file only.
-    The bytes read are hashed in the same pass, into the dataset's
-    ``digest``, so data from a pipe is read once and gets its own digest.
-    Errors win in the order of a loader that reads the whole file first: a
-    malformed record or a byte that is not UTF-8; no data rows; a duplicate
-    header; a missing outcome or arm column; the first ragged row; the first
-    bad outcome cell; a missing covariate, unit or period column; the first
-    bad period cell.
+    one dict lookup (see :class:`LabelColumn`). numpy's C reader parses a
+    chunk, its numbers in C with no ``str`` a cell, where it reads it as the
+    csv reader would, and the csv reader parses it where not. A covariate
+    is numeric until a cell ``float()`` refuses; one that turns to text
+    after the first chunk is read again, for its labels, from a regular
+    file only. The bytes read are hashed in the same pass, into the
+    dataset's ``digest``, so data from a pipe is read once and gets its own
+    digest. Errors win in the order of a loader that reads the whole file
+    first: a malformed record or a byte that is not UTF-8, whichever comes
+    first; no data rows; a duplicate header; a missing outcome or arm
+    column; the first ragged row; the first bad outcome cell; a missing
+    covariate, unit or period column; the first bad period cell.
     """
     for role in ("outcome", "arm"):
         if column_map.get(role) is None:
@@ -508,9 +507,9 @@ def load_csv(path, column_map: Mapping[str, object]) -> Dataset:
     digest = hashlib.sha256()
 
     def fields() -> np.dtype:
-        # The column types as they stand, for each chunk numpy parses (one
-        # after the first, so the names below are set): a number for the
-        # outcome, each numeric covariate and the period, a str for any other.
+        # The column types as they stand, for each chunk numpy parses: a
+        # number for the outcome, each covariate still numeric and the
+        # period, a str for any other.
         types = {index.get(outcome_name): np.float64, index.get(period_name): np.int64,
                  **{index[name]: np.float64 for name in numeric}}
         return np.dtype([("", types.get(i, object)) for i in range(len(header))])
@@ -520,9 +519,6 @@ def load_csv(path, column_map: Mapping[str, object]) -> Dataset:
         header = next(chunks, None)
         if header is None:
             raise ValueError(f"empty CSV file: {path}")
-        first = next(chunks, None)
-        if first is None:
-            raise ValueError(f"CSV file has a header but no data rows: {path}")
         positions: dict[str, list[int]] = {}
         for i, name in enumerate(header):
             positions.setdefault(name, []).append(i)
@@ -560,7 +556,7 @@ def load_csv(path, column_map: Mapping[str, object]) -> Dataset:
         reread: dict[str, ValueError] = {}
 
         start = 0
-        for chunk in chain([first], chunks):
+        for chunk in chunks:
             m = len(chunk)
             parsed = isinstance(chunk, np.ndarray)  # by numpy: no ragged row
             if held[0] > _RAGGED and not parsed and set(map(len, chunk)) != {width}:
@@ -602,6 +598,8 @@ def load_csv(path, column_map: Mapping[str, object]) -> Dataset:
                 del columns, cells
             del chunk  # before the next one is read
             start += m
+        if not start:
+            raise ValueError(f"CSV file has a header but no data rows: {path}")
         if held[1] is not None:
             raise held[1]
         if reread:

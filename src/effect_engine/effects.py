@@ -16,7 +16,7 @@ import numpy as np
 from .data import PERIOD_COVARIATE, Dataset
 from .model import FittedModel
 from .normal import ndtri
-from .predicates import resolve_mask
+from .predicates import describe_predicate, resolve_mask
 from .vectors import Record, delta_vector, moments, profile_from_subset, query_echo
 
 __all__ = ["EffectEstimate", "ate", "cate", "hte", "dte", "period_mask"]
@@ -83,6 +83,9 @@ def hte(model: FittedModel, data: Dataset, arm_to: str, arm_from: str, predicate
     not a difference of the two standalone standard errors.
     """
     mask = resolve_mask(data, predicate)
+    if mask.all():
+        raise ValueError(f"hte predicate {describe_predicate(predicate)!r} selects every row, "
+                         "so its complement is empty")
     profile_in = profile_from_subset(data, model.schema, mask)
     profile_out = profile_from_subset(data, model.schema, ~mask)
     contrast = (delta_vector(model.schema, profile_in, arm_to, arm_from)

@@ -149,6 +149,16 @@ def _cholesky(matrix) -> np.ndarray:
     return np.asarray(chol)
 
 
+def _correlated_normals(mu: np.ndarray, chol: np.ndarray, n_samples: int, seed: int,
+                        chunk: int):
+    """``n_samples`` draws of N(mu, chol chol^T), ``chunk`` rows at a time:
+    chunk i maps the standard normals keyed by (seed, i) through ``chol``."""
+    m = mu.shape[0]
+    for index, done in enumerate(range(0, n_samples, chunk)):
+        take = min(chunk, n_samples - done)
+        yield _standard_normals(seed, index, take * m).reshape(take, m) @ chol.T + mu
+
+
 def mc_ratio(mean, cov, n_samples: int = 2**17, seed: int = 0,
              chunk: int = 2**13) -> tuple[float, float]:
     """Monte Carlo mean of R/S for (R, S) jointly normal.
@@ -162,17 +172,10 @@ def mc_ratio(mean, cov, n_samples: int = 2**17, seed: int = 0,
         raise ValueError("mc_ratio expects a 2-vector mean and 2x2 covariance")
     sums: list[float] = []
     squares: list[float] = []
-    done = 0
-    index = 0
-    while done < n_samples:
-        take = min(chunk, n_samples - done)
-        z = _standard_normals(seed, index, take * 2).reshape(take, 2)
-        x = z @ chol.T + mu
+    for x in _correlated_normals(mu, chol, n_samples, seed, chunk):
         ratio = x[:, 0] / x[:, 1]
         sums.append(math.fsum(ratio.tolist()))
         squares.append(math.fsum((ratio * ratio).tolist()))
-        done += take
-        index += 1
     estimate = math.fsum(sums) / n_samples
     second = math.fsum(squares) / n_samples
     variance = max(second - estimate * estimate, 0.0)
@@ -188,17 +191,7 @@ def mc_orthant(mean, cov, n_samples: int = 2**17, seed: int = 0,
     rule-of-three uncertainty scale instead of an impossible zero error.
     """
     mu = np.asarray(mean, dtype=np.float64)
-    chol = _cholesky(cov)
-    m = mu.shape[0]
-    hits = 0
-    done = 0
-    index = 0
-    while done < n_samples:
-        take = min(chunk, n_samples - done)
-        z = _standard_normals(seed, index, take * m).reshape(take, m)
-        x = z @ chol.T + mu
-        hits += int(np.all(x > 0.0, axis=1).sum())
-        done += take
-        index += 1
+    draws = _correlated_normals(mu, _cholesky(cov), n_samples, seed, chunk)
+    hits = sum(int(np.all(x > 0.0, axis=1).sum()) for x in draws)
     p = hits / n_samples
     return p, math.sqrt(max(p * (1.0 - p), 1.0 / n_samples) / n_samples)

@@ -512,7 +512,7 @@ FOUR_ROW = (FOUR_ROW_CSV, {"outcome": "y", "arm": "arm"}, "0")
     (PANEL, {}, {"type": "cate", "arm_to": "t", "arm_from": "c", "predicate": "period > 5"},
      "empty conditioning subset", None),
     (PANEL, {}, {"type": "hte", "arm_to": "t", "arm_from": "c", "predicate": "period >= 0"},
-     "empty conditioning subset", None),
+     "hte predicate 'period >= 0' selects every row, so its complement is empty", None),
     (NO_UNIT, {}, DTE, NO_DTE_UNIT, None),
     (PANEL, {"bayes": {"noise_variance": 1.0}}, DTE, DTE_BAYES, None),
     (NO_UNIT, {"covariance": "cluster"}, {"type": "ate", "arm_to": "t", "arm_from": "c"},

@@ -15,6 +15,7 @@ import threading
 import tracemalloc
 import warnings
 from decimal import Decimal, localcontext
+from itertools import chain
 from pathlib import Path
 from unittest import mock
 
@@ -409,7 +410,7 @@ def test_load_csv_names_the_line_and_offset_of_a_byte_that_is_not_utf8(tmp_path)
     path.write_bytes(head + b"1.5,a,x\xffz\n2.5,b,y\n")
     with pytest.raises(ValueError) as info:
         load_csv(path, {"outcome": "y", "arm": "arm"})
-    assert str(info.value) == (f"{path} is not UTF-8: byte 0xff at line 2502, byte offset "
+    assert str(info.value) == (f"{path} is not UTF-8: byte 0xff at data row 2500, byte offset "
                                f"{len(head) + 7} (invalid start byte)")
 
 
@@ -578,6 +579,15 @@ def test_categorical_codes_sorted_and_cached():
     assert_array_equal(copy.categorical_codes("x")[1], numeric)
 
 
+def test_a_numeric_column_read_as_categories_gives_minus_zero_and_zero_one_level():
+    data = Dataset(outcome=[1.0, 2.0, 3.0, 4.0], arm=["a", "b", "a", "b"],
+                   covariates={"x": [-0.0, 0.0, 1.0, -0.0]})
+    levels, codes = data.categorical_codes("x")
+    assert levels == ("0.0", "1.0")
+    assert codes.tolist() == [0, 0, 1, 0]
+    assert np.signbit(data.covariates["x"][0])  # the column itself is kept as given
+
+
 def test_every_code_array_is_as_narrow_as_its_levels():
     n = 300
     data = Dataset(outcome=np.arange(n, dtype=float), arm=["abc"[i % 3] for i in range(n)],
@@ -658,17 +668,30 @@ def test_ingest_codes_equal_factorize_of_the_whole_column(tmp_path, chunk_rows):
                                "differ only in whitespace")
 
 
+def _raising(exc):
+    raise exc
+    yield
+
+
 def reference_load_csv(path, column_map):
     """The row-wise loader that the column-wise ``load_csv`` replaced: every
     cell goes through ``float()`` or ``int()`` on its own, in row order.
-    Kept as the reference the streaming loader must match exactly."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = filter(None, csv.reader(fh, strict=True))
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"empty CSV file: {path}") from None
-        rows = list(reader)
+    Kept as the reference the streaming loader must match exactly. At a
+    byte that is not UTF-8 it raises the ``UnicodeDecodeError`` of decoding
+    the whole file after parsing the lines before that byte's line."""
+    raw = Path(path).read_bytes()
+    try:
+        raw.decode("utf-8")  # its offsets count a byte-order mark
+        lines = io.StringIO(raw.decode("utf-8-sig"), newline="")
+    except UnicodeDecodeError as exc:
+        head = io.StringIO(raw[:exc.start].decode("utf-8-sig"), newline="")
+        lines = chain((line for line in head if line.endswith(("\n", "\r"))), _raising(exc))
+    reader = filter(None, csv.reader(lines, strict=True))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ValueError(f"empty CSV file: {path}") from None
+    rows = list(reader)
 
     if not rows:
         raise ValueError(f"CSV file has a header but no data rows: {path}")
@@ -952,7 +975,9 @@ def _assert_loads_like_the_csv_reader(path, column_map):
     if isinstance(want, csv.Error):
         assert str(got).startswith("malformed CSV record at data row "), got
     elif isinstance(want, UnicodeDecodeError):
-        assert str(got).startswith(f"{path} is not UTF-8: "), got
+        byte = want.object[want.start]
+        assert str(got).startswith(f"{path} is not UTF-8: byte {byte:#04x} "), got
+        assert str(got).endswith(f", byte offset {want.start} ({want.reason})"), got
     else:
         _assert_same_load(got, want)
 
@@ -1015,12 +1040,12 @@ def test_later_chunks_of_a_quote_free_file_are_read_by_numpy(tmp_path):
     path = _experiment_csv(tmp_path, 8 * chunk_rows + 5)
     with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as spy:
         data = load_csv(path, column_map)
-    assert spy.call_count == 8  # seven whole chunks and the five rows left
+    assert spy.call_count == 9  # eight whole chunks and the five rows left
     _assert_loads_like_reference(path, column_map)
     # One quoted cell in the last row, read as the same cell. The quote is
     # seen with the read that holds it (io.TextIOWrapper reads 8 KB at a
-    # time): numpy parses the chunks that end before that read, the csv
-    # reader the rest.
+    # time): numpy parses the chunks that end before that read, the first
+    # too, and the csv reader the rest.
     text = path.read_text(encoding="utf-8")
     cut = text.rindex("\n", 0, -1) + 1
     last = text[cut:].split(",")
@@ -1031,7 +1056,7 @@ def test_later_chunks_of_a_quote_free_file_are_read_by_numpy(tmp_path):
     read_start = raw.index(b'"') // 8192 * 8192
     with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as spy:
         quoted = load_csv(path, column_map)
-    assert spy.call_count == np.sum(ends[2 * chunk_rows::chunk_rows] <= read_start) > 0
+    assert spy.call_count == np.sum(ends[chunk_rows::chunk_rows] <= read_start) > 1
     _assert_same_load(quoted, data)
 
 
@@ -1047,7 +1072,7 @@ def test_rows_that_fill_the_last_chunk_leave_no_warning(tmp_path):
         warnings.simplefilter("always")
         data = load_csv(path, {"outcome": "y", "arm": "arm"})
     assert [str(w.message) for w in caught] == []
-    assert spy.call_count == 2 and data.n == n
+    assert spy.call_count == 3 and data.n == n
 
 
 def test_load_csv_skips_blank_lines_before_the_header(tmp_path):
@@ -1063,8 +1088,8 @@ def test_load_csv_skips_blank_lines_before_the_header(tmp_path):
 
 def test_a_chunk_numpy_refuses_leaves_the_chunks_after_it_to_numpy(tmp_path):
     # A 1_000 outcome, which numpy refuses, in the second of four chunks: the
-    # csv reader parses that chunk, numpy the two after it, in one pass over
-    # the file.
+    # csv reader parses that chunk, numpy the one before it and the two after
+    # it, in one pass over the file.
     chunk_rows = data_module.CHUNK_ROWS
     path = _experiment_csv(tmp_path, 3 * chunk_rows + 5)
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
@@ -1076,13 +1101,13 @@ def test_a_chunk_numpy_refuses_leaves_the_chunks_after_it_to_numpy(tmp_path):
             mock.patch.object(data_module, "open", create=True, wraps=open) as opened:
         data = load_csv(path, column_map)
     assert opened.call_count == 1
-    assert [len(call.args[0]) for call in spy.call_args_list] == [chunk_rows, chunk_rows, 5]
+    assert [len(call.args[0]) for call in spy.call_args_list] == [chunk_rows] * 3 + [5]
     assert data.outcome[row] == 1000.0
     _assert_loads_like_reference(path, column_map)
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="makes a FIFO")
-def test_a_fifo_is_read_by_numpy_after_its_first_chunk(tmp_path):
+def test_a_fifo_is_read_by_numpy(tmp_path):
     column_map = {"outcome": "y", "arm": "arm"}
     path = _experiment_csv(tmp_path, 3 * data_module.CHUNK_ROWS + 5)
     data = load_csv(path, column_map)
@@ -1093,7 +1118,7 @@ def test_a_fifo_is_read_by_numpy_after_its_first_chunk(tmp_path):
     with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as spy:
         piped = load_csv(fifo, column_map)
     writer.join(timeout=60)
-    assert spy.call_count == 3
+    assert spy.call_count == 4
     _assert_same_load(piped, data)
     assert piped.digest == data.digest
 
@@ -1109,8 +1134,8 @@ def _fixed_width_lines(n):
 def test_a_quoted_cell_across_a_chunk_boundary_after_chunks_numpy_read(tmp_path):
     # In chunks of 64 lines, data line 2047 ends the 32nd chunk. Its cell
     # opens a quote, at byte 65,536, which no read of the lines before it
-    # reaches: numpy parses the 30 chunks after the first, and the csv reader
-    # reads on from the 32nd, across its end.
+    # reaches: numpy parses the 31 chunks before the one it ends, and the csv
+    # reader reads on from the 32nd, across its end.
     column_map = {"outcome": "y", "arm": "arm"}
     lines = _fixed_width_lines(2100)
     lines[2048] = '"g\nq"' + lines[2048][2:]
@@ -1118,7 +1143,7 @@ def test_a_quoted_cell_across_a_chunk_boundary_after_chunks_numpy_read(tmp_path)
     with mock.patch.object(data_module, "CHUNK_ROWS", 64):
         with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as spy:
             data = load_csv(path, column_map)
-        assert spy.call_count == 30
+        assert spy.call_count == 31
         assert labels(data.covariates["g"])[2046:2049].tolist() == ["g0", "g\nq", "g2"]
         _assert_loads_like_the_csv_reader(path, column_map)
         # Left open, the quote is named at the data row where its record starts.
@@ -1194,13 +1219,88 @@ def test_a_covariate_that_turns_to_text_from_a_pipe_is_refused_naming_its_cell(t
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /dev/stdin")
-def test_a_byte_that_is_not_utf8_from_a_pipe_names_no_line():
-    # Opened again, the pipe gives only what the decoder had not read: a
-    # scan of that would name the second bad byte, at a line counted from
-    # the wrong place.
+def test_a_byte_that_is_not_utf8_from_a_pipe_is_named_as_from_the_file(tmp_path):
+    # The first bad byte is named, at its data row and its offset in the
+    # stream, as it is from the file: the second is never read.
     raw = ("y,arm\n" + "".join(f"{i}.5,{'ab'[i % 2]}\n" for i in range(3000))).encode()
     piped = raw + b"1.5,\xff\n" + raw[6:] + b"2.5,\xfe\n" + raw[6:]
-    assert _load_from_a_pipe(piped) == "/dev/stdin is not UTF-8\n"
+    path = tmp_path / "data.csv"
+    path.write_bytes(piped)
+    message = (f"is not UTF-8: byte 0xff at data row 3000, byte offset {len(raw) + 4} "
+               "(invalid start byte)")
+    with pytest.raises(ValueError) as info:
+        load_csv(path, {"outcome": "y", "arm": "arm"})
+    assert str(info.value) == f"{path} {message}"
+    assert _load_from_a_pipe(piped) == f"/dev/stdin {message}\n"
+    # A malformed record in the same read before the bad byte wins.
+    assert _load_from_a_pipe(b'y,arm\n1,"a"b\n2,b\n3,\xff\n') == (
+        "malformed CSV record at data row 0 of /dev/stdin: ',' expected after '\"'\n")
+
+
+class _ShortReads(io.RawIOBase):
+    """The binary file ``raw``, read at most ``size`` bytes at a time, as a
+    pipe may give it."""
+
+    def __init__(self, raw, size):
+        self._raw, self._size = raw, size
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        return self._raw.readinto(memoryview(buffer)[:self._size])
+
+    def close(self):
+        self._raw.close()
+        super().close()
+
+
+# Bytes that are not UTF-8, and what load_csv says of them: a record left
+# open across the bad byte's line; a sequence cut off by the end of the
+# file; a lead byte whose continuation is a newline or an ASCII byte, which
+# short reads bring in the read after it; offsets that count a byte-order
+# mark; a bad byte in the header; lines that end in a bare carriage return;
+# and, before a bad byte, a malformed record.
+NOT_UTF8 = [
+    (b'y,arm\n1,a\n2,"b\n\xc3"\n3,a\n',
+     "byte 0xc3 at data row 1, byte offset 15 (invalid continuation byte)"),
+    (b"y,arm\n1,a\n\n2,b\n3,a\xe2\x82",
+     "byte 0xe2 at data row 2, byte offset 18 (unexpected end of data)"),
+    (b'y,arm\n1,a\n2,"b\n\n"\n3,a\n4,\xf0\x9f\x98\n',
+     "byte 0xf0 at data row 3, byte offset 24 (invalid continuation byte)"),
+    (b"y,arm\r\n1,a\r\n2,b\xe2\x82(\r\n",
+     "byte 0xe2 at data row 1, byte offset 15 (invalid continuation byte)"),
+    (b"\xef\xbb\xbfy,arm\n1,a\n2,\xffb\n",
+     "byte 0xff at data row 1, byte offset 15 (invalid start byte)"),
+    (b"\xef\xbb\xbfy,\xe9arm\n1,a\n2,b\n",
+     "byte 0xe9 in the header, byte offset 5 (invalid continuation byte)"),
+    (b"y,arm\r1,a\r2,b\r3,\xff\r",
+     "byte 0xff at data row 2, byte offset 16 (invalid start byte)"),
+    (b'y,arm\n1,"a"b\n2,b\n3,\xff\n', None),
+    (b'y,arm\r1,"a"b\r2,b\r3,\xff\r', None),
+]
+
+
+@pytest.mark.parametrize("raw, message", NOT_UTF8, ids=[
+    "open-record", "cut-off", "quoted-blank-line", "crlf", "bom", "header", "bare-cr",
+    "malformed-first", "malformed-first-bare-cr"])
+def test_a_byte_that_is_not_utf8_is_named_in_the_one_read_whatever_the_read_sizes(
+        tmp_path, raw, message):
+    path = tmp_path / "data.csv"
+    path.write_bytes(raw)
+    column_map = {"outcome": "y", "arm": "arm"}
+    want = (f"{path} is not UTF-8: {message}" if message else
+            f"malformed CSV record at data row 0 of {path}: ',' expected after '\"'")
+    for chunk_rows, size in [(1, 1), (1, 2), (2, 3), (1, 5), (2, 8), (1024, 1 << 16)]:
+        with mock.patch.object(data_module, "CHUNK_ROWS", chunk_rows), \
+                mock.patch.object(data_module, "open", create=True,
+                                  side_effect=lambda *args, **kw: _ShortReads(open(*args, **kw),
+                                                                              size)) as opened:
+            with pytest.raises(ValueError) as info:
+                load_csv(path, column_map)
+            assert str(info.value) == want, (chunk_rows, size)
+            assert opened.call_count == 1
+            _assert_loads_like_the_csv_reader(path, column_map)
 
 
 # Each variant is read on another path of load_csv: numpy's reader, the csv

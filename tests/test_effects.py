@@ -217,8 +217,20 @@ def test_noise_covariate_barely_moves_the_ate():
 
 def test_hte_rejects_empty_complement():
     model, data = saturated_model()
-    with pytest.raises(ValueError, match="empty conditioning subset"):
+    with pytest.raises(ValueError, match="^hte predicate '<custom>' selects every row, so its "
+                                         "complement is empty$"):
         hte(model, data, "1", "0", np.ones(6, dtype=bool))
+
+
+def test_hte_whose_predicate_selects_every_row_names_the_predicate():
+    model, data = saturated_model()
+    with pytest.raises(ValueError) as info:
+        hte(model, data, "1", "0", "grade != 'm'")
+    assert str(info.value) == ("hte predicate \"grade != 'm'\" selects every row, so its "
+                               "complement is empty")
+    # A predicate that selects no row leaves the subset itself empty.
+    with pytest.raises(ValueError, match="^empty conditioning subset$"):
+        hte(model, data, "1", "0", "grade == 'm'")
 
 
 def panel_data():

@@ -21,7 +21,6 @@ import warnings as _warnings
 from contextlib import contextmanager
 from functools import cached_property
 
-import numpy as np
 from numpy.linalg import lapack_lite
 
 from .config import QUERY_TYPES, ConfigError, QuerySpec, RunConfig, load_config
@@ -98,7 +97,8 @@ class _FitCache:
 def _run_query(query: QuerySpec, fits: _FitCache, cfg: RunConfig) -> dict:
     kind, kwargs = QUERY_TYPES[query.type], dict(query.params)
     if kind.fit == "posterior":
-        kwargs.update(tol=cfg.mvn_tol, seed=np.random.SeedSequence([cfg.seed, query.index]))
+        # The seed's entropy: a SeedSequence is made only where QMC runs.
+        kwargs.update(tol=cfg.mvn_tol, seed=[cfg.seed, query.index])
     data, model = fits.read(query)
     result = getattr(kind.module, query.type)(model, data, **kwargs)
     out = {**result.to_dict(), "index": query.index, "name": query.name}

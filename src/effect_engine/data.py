@@ -331,16 +331,19 @@ class _Digesting(io.RawIOBase):
     """The binary file ``raw``, read through: each byte read goes to
     ``digest``, so the file is hashed in the pass that reads it, ``quoted``
     is set once a ``"`` has been read, and a decoder checks each read that
-    is not ASCII, or follows a sequence left open, as UTF-8. At a byte that
-    is not, the bytes before it are handed on, so each line before its line
-    is read whole, ``bad_offset`` is set to its offset in the file, and the
-    next read raises the decoder's error."""
+    is not ASCII, or follows a sequence left open, as UTF-8. The bytes of a
+    sequence left open are handed on with the read that closes it. At a
+    byte that is not UTF-8, the bytes before it are handed on, so each line
+    before its line is read whole, ``bad_offset`` is set to its offset in
+    the file, and the next read raises the decoder's error. If those bytes
+    end in a bare ``\r``, a ``\n`` follows them: the text layer holds a
+    line's last ``\r`` back until it sees the next character."""
 
     quoted = False
     bad_offset = None
 
     def __init__(self, raw, digest):
-        self._raw, self._digest, self._read = raw, digest, 0
+        self._raw, self._digest, self._read, self._last = raw, digest, 0, b""
         self._utf8 = codecs.getincrementaldecoder("utf-8")()
 
     def readable(self) -> bool:
@@ -349,21 +352,32 @@ class _Digesting(io.RawIOBase):
     def readinto(self, buffer) -> int:
         if self.bad_offset is not None:
             raise self._bad
-        size = self._raw.readinto(buffer)
-        data = memoryview(buffer)[:size].tobytes()
-        self._digest.update(data)
-        self.quoted = self.quoted or b'"' in data
-        pending = self._utf8.getstate()[0]  # a sequence the last read left open
-        if pending or not data.isascii():
-            try:
-                self._utf8.decode(data, final=not size)
-            except UnicodeDecodeError as exc:
-                self._bad, self.bad_offset = exc, self._read - len(pending) + exc.start
-                size = max(self.bad_offset - self._read, 0)
-                if not size:
-                    raise
-        self._read += size
-        return size
+        view = memoryview(buffer)
+        while True:
+            held = self._utf8.getstate()[0]  # a sequence the last read left open
+            view[:len(held)] = held
+            size = self._raw.readinto(view[len(held):])
+            data = view[len(held):len(held) + size].tobytes()
+            self._digest.update(data)
+            self.quoted = self.quoted or b'"' in data
+            end = len(held) + size
+            if held or not data.isascii():
+                try:
+                    self._utf8.decode(data, final=not size)
+                    end -= len(self._utf8.getstate()[0])
+                except UnicodeDecodeError as exc:
+                    self._bad, self.bad_offset = exc, self._read - len(held) + exc.start
+                    end = exc.start
+                    if (view[end - 1:end].tobytes() if end else self._last) == b"\r":
+                        view[end:end + 1] = b"\n"
+                        end += 1
+                    if not end:
+                        raise
+            self._read += size
+            if end or not size:  # an empty read would end the file
+                break
+        self._last = view[end - 1:end].tobytes() or self._last
+        return end
 
 
 def _numpy_rows(lines: list[str], dtype: np.dtype) -> np.ndarray | None:

@@ -106,8 +106,12 @@ def prob_best(model: FittedModel, data: Dataset, arms: Sequence[str] | None = No
     Each arm's probability is a separate orthant evaluation over its stacked
     delta rows against the other arms (rivals in sorted order, so results do
     not depend on input ordering). With two arms this reduces exactly to
-    ``prob_positive``. Raises for an arm label the schema lacks, a repeated
-    label, or fewer than 2 arms.
+    ``prob_positive``, and with three each orthant is bivariate, in closed
+    form (``"closed_form_2d"``); neither reads ``tol`` or ``seed``. From
+    four arms on each orthant runs QMC on the child of ``seed`` (a
+    ``SeedSequence`` or its entropy) spawned for the arm's schema position.
+    Raises for an arm label the schema lacks, a repeated label, or fewer
+    than 2 arms.
     """
     _require_posterior(model)
     candidates = model.schema.all_arms
@@ -118,13 +122,18 @@ def prob_best(model: FittedModel, data: Dataset, arms: Sequence[str] | None = No
         if len(candidates) < 2:
             raise ValueError("ranking needs at least 2 arms")
     profile = profile_from_subset(data, model.schema, predicate)
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     # One child seed per schema position, so an arm's estimate does not
-    # depend on the order the candidates were requested in.
-    children = ss.spawn(len(model.schema.all_arms))
+    # depend on the order the candidates were requested in. They are spawned
+    # only for orthants that run QMC: mvn_orthant answers one and two
+    # dimensions in closed form, so a ranking of three arms or fewer loads
+    # no random number generator.
+    children = None
+    if len(candidates) > 3:
+        ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+        children = ss.spawn(len(model.schema.all_arms))
     entries = []
     for arm in candidates:
-        child = children[model.schema.all_arms.index(arm)]
+        child = children[model.schema.all_arms.index(arm)] if children else None
         rows = [delta_vector(model.schema, profile, arm, other)
                 for other in sorted(a for a in candidates if a != arm)]
         res = mvn_orthant(*moments(model, np.vstack(rows)), tol=tol, seed=child)

@@ -727,7 +727,7 @@ def test_validate_accepts_every_benchmark_workload(tmp_path, workloads):
 # OPENBLAS_NUM_THREADS = 1, 2 and 4. A change that moves a bit of a report
 # updates these and says so.
 REPORT_DIGESTS = {
-    "xsec_hc1": "ddc33f190e42b4493c0a36fcf91d452c0cbb3c69cf9d490988f2b84187ea73ef",
+    "xsec_hc1": "e883bca4be12a0069ef25f2fab83078e7f05ecf82dd41f7d13511252e5c4cecb",
     "panel_cluster": "f841e1bec72e05aa1791d747a31df198f0b1e0b1a9b70d431eca45c57d47c14c",
     "segments_bayes": "359be0fe3d868da3d28472394b3855bc11eb7fb8541b7f52c818c127a459067c",
 }

@@ -1259,8 +1259,9 @@ class _ShortReads(io.RawIOBase):
 # open across the bad byte's line; a sequence cut off by the end of the
 # file; a lead byte whose continuation is a newline or an ASCII byte, which
 # short reads bring in the read after it; offsets that count a byte-order
-# mark; a bad byte in the header; lines that end in a bare carriage return;
-# and, before a bad byte, a malformed record.
+# mark; a bad byte in the header; lines that end in a bare carriage return,
+# also right before the bad byte or a cut-off sequence; and, before a bad
+# byte, a malformed record, whose data row an int names.
 NOT_UTF8 = [
     (b'y,arm\n1,a\n2,"b\n\xc3"\n3,a\n',
      "byte 0xc3 at data row 1, byte offset 15 (invalid continuation byte)"),
@@ -1276,21 +1277,27 @@ NOT_UTF8 = [
      "byte 0xe9 in the header, byte offset 5 (invalid continuation byte)"),
     (b"y,arm\r1,a\r2,b\r3,\xff\r",
      "byte 0xff at data row 2, byte offset 16 (invalid start byte)"),
-    (b'y,arm\n1,"a"b\n2,b\n3,\xff\n', None),
-    (b'y,arm\r1,"a"b\r2,b\r3,\xff\r', None),
+    (b"y,arm\r1,a\r2,b\r\xff,a\r",
+     "byte 0xff at data row 2, byte offset 14 (invalid start byte)"),
+    (b"y,arm\r1,a\r2,b\r\xe2\x82",
+     "byte 0xe2 at data row 2, byte offset 14 (unexpected end of data)"),
+    (b'y,arm\n1,"a"b\n2,b\n3,\xff\n', 0),
+    (b'y,arm\r1,"a"b\r2,b\r3,\xff\r', 0),
+    (b'y,arm\r1,a\r2,"b"c\r\xff,a\r', 1),
 ]
 
 
 @pytest.mark.parametrize("raw, message", NOT_UTF8, ids=[
     "open-record", "cut-off", "quoted-blank-line", "crlf", "bom", "header", "bare-cr",
-    "malformed-first", "malformed-first-bare-cr"])
+    "bare-cr-before", "bare-cr-cut-off", "malformed-first", "malformed-first-bare-cr",
+    "malformed-bare-cr-before"])
 def test_a_byte_that_is_not_utf8_is_named_in_the_one_read_whatever_the_read_sizes(
         tmp_path, raw, message):
     path = tmp_path / "data.csv"
     path.write_bytes(raw)
     column_map = {"outcome": "y", "arm": "arm"}
-    want = (f"{path} is not UTF-8: {message}" if message else
-            f"malformed CSV record at data row 0 of {path}: ',' expected after '\"'")
+    want = (f"{path} is not UTF-8: {message}" if isinstance(message, str) else
+            f"malformed CSV record at data row {message} of {path}: ',' expected after '\"'")
     for chunk_rows, size in [(1, 1), (1, 2), (2, 3), (1, 5), (2, 8), (1024, 1 << 16)]:
         with mock.patch.object(data_module, "CHUNK_ROWS", chunk_rows), \
                 mock.patch.object(data_module, "open", create=True,

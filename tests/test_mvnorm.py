@@ -8,6 +8,7 @@ import sys
 import tarfile
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -43,14 +44,34 @@ def test_degenerate_zero_covariance_is_point_mass():
 
 def test_bivariate_centered_identity():
     # P(Z1 > 0, Z2 > 0) = 1/4 + asin(rho) / (2 pi) for centered unit-variance
-    # pairs; standard result via the arcsine law.
+    # pairs; standard result via the arcsine law. Two dimensions are a
+    # closed form, within its stated error.
     for rho in (-0.8, -0.3, 0.0, 0.4, 0.9):
         exact = 0.25 + np.arcsin(rho) / (2 * np.pi)
         res = mvn_orthant(np.zeros(2), equicorrelated(2, rho), tol=5e-4, seed=3)
+        assert res.method == "closed_form_2d"
+        assert mvnorm.BIVARIATE_ERROR <= res.error < 2 * mvnorm.BIVARIATE_ERROR
+        assert res.points == 0
+        assert type(res.error) is float and type(res.probability) is float
+        assert abs(res.probability - exact) <= res.error, rho
+
+
+def test_trivariate_centered_identity():
+    # P(Z > 0) = 1/8 + (asin r12 + asin r13 + asin r23) / (4 pi) for a
+    # centered trivariate normal with correlations r; the QMC estimate
+    # meets its error target and lies within it.
+    rng = np.random.default_rng(3)
+    for i in range(5):
+        a = rng.normal(size=(3, 3))
+        cov = a @ a.T + 0.5 * np.eye(3)
+        d = np.sqrt(np.diag(cov))
+        corr = cov / np.outer(d, d)
+        exact = 0.125 + np.arcsin(corr[np.triu_indices(3, 1)]).sum() / (4 * np.pi)
+        res = mvn_orthant(np.zeros(3), cov, tol=5e-4, seed=3)
         assert res.method == "qmc"
         assert res.error <= 5e-4
         assert type(res.error) is float and type(res.probability) is float
-        assert abs(res.probability - exact) < 5e-4, rho
+        assert abs(res.probability - exact) < 5e-4, i
 
 
 def test_trivariate_equicorrelated():
@@ -78,10 +99,11 @@ def test_shifted_mean():
 
 
 def test_singular_covariance_uses_jitter():
-    # Rank-one covariance: both coordinates are the same N(0,1) draw, so the
+    # Rank-one covariance: all coordinates are the same N(0,1) draw, so the
     # orthant probability is a single CDF evaluation.
-    cov = np.ones((2, 2))
-    res = mvn_orthant([0.3, 0.3], cov, tol=5e-4, seed=8)
+    cov = np.ones((3, 3))
+    res = mvn_orthant([0.3, 0.3, 0.3], cov, tol=5e-4, seed=8)
+    assert res.method == "qmc"
     assert abs(res.probability - ndtr(0.3)) < 1e-3
 
 
@@ -106,7 +128,7 @@ def test_seed_determinism():
 
 def test_budget_cap_reports_honest_error(monkeypatch):
     monkeypatch.setattr(mvnorm, "MAX_LOG2_POINTS", 10)
-    res = mvn_orthant(np.zeros(2), equicorrelated(2, 0.3), tol=1e-12, seed=13)
+    res = mvn_orthant(np.zeros(3), equicorrelated(3, 0.3), tol=1e-12, seed=13)
     assert res.points == 10 * 2**10
     assert res.error > 1e-12  # cap hit; the reported error says so
 
@@ -134,11 +156,12 @@ def test_orthant_probability_monotone_in_mean():
         assert hi.probability - lo.probability > 3 * (hi.error + lo.error)
 
 
-def _scipy_modules(code):
-    """The scipy modules that running ``code`` in a fresh interpreter imports."""
+def _loaded_modules(code, package="scipy"):
+    """The modules of ``package`` (scipy by default) that running ``code``
+    in a fresh interpreter imports."""
+    listed = f"sorted(m for m in sys.modules if (m + '.').startswith({package + '.'!r}))"
     proc = subprocess.run(
-        [sys.executable, "-c", f"{code}\nimport sys\n"
-         "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"],
+        [sys.executable, "-c", f"{code}\nimport sys\nprint(' '.join({listed}))"],
         env=cli_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -150,26 +173,27 @@ def test_scipy_stats_is_never_imported(tmp_path):
     # scipy.stats costs most of a second to import; no run pays it, not even
     # one that integrates an orthant. Importing the CLI and --help load no
     # scipy module at all.
-    assert _scipy_modules("import effect_engine.cli") == []
-    assert _scipy_modules("from effect_engine.cli import main\ntry:\n    main(['--help'])\n"
+    assert _loaded_modules("import effect_engine.cli") == []
+    assert _loaded_modules("from effect_engine.cli import main\ntry:\n    main(['--help'])\n"
                           "except SystemExit:\n    pass") == []
     orthant = "from effect_engine.mvnorm import mvn_orthant\nmvn_orthant"
-    assert "scipy.stats" not in _scipy_modules(f"{orthant}([0.5], [[1.0]])")
-    assert "scipy.stats" not in _scipy_modules(f"{orthant}([0.5, 0.5], [[1.0, 0.5], [0.5, 1.0]])")
+    assert "scipy.stats" not in _loaded_modules(f"{orthant}([0.5], [[1.0]])")
+    cov = [[1.0, 0.5, 0.5], [0.5, 1.0, 0.5], [0.5, 0.5, 1.0]]
+    assert "scipy.stats" not in _loaded_modules(f"{orthant}([0.5, 0.5, 0.5], {cov})")
 
-    rows = [(y, arm) for arm in "abc" for y in (1.0, 2.5, 4.0, 3.5)]
+    rows = [(y, arm) for arm in "abcd" for y in (1.0, 2.5, 4.0, 3.5)]
     (tmp_path / "data.csv").write_text(
         "y,arm\n" + "".join(f"{y},{arm}\n" for y, arm in rows), encoding="utf-8")
     (tmp_path / "config.json").write_text(json.dumps({
         "data": {"path": "data.csv", "columns": {"outcome": "y", "arm": "arm"}},
         "model": {"reference_arm": "a"},
-        "queries": [{"type": "prob_best", "arms": ["a", "b", "c"]}],
+        "queries": [{"type": "prob_best", "arms": ["a", "b", "c", "d"]}],
         "output": "report.json",
     }), encoding="utf-8")
     run = ("import sys\nfrom effect_engine.cli import main\n"
            f"sys.argv[1:] = ['run', '--config', {str(tmp_path / 'config.json')!r}, "
            "'--flat-prior-ok']\nassert main() == 0")
-    assert "scipy.stats" not in _scipy_modules(run)
+    assert "scipy.stats" not in _loaded_modules(run)
     result, = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))["results"]
     assert result["kind"] == "prob_best"
     assert {arm["method"] for arm in result["arms"].values()} == {"qmc"}
@@ -198,9 +222,20 @@ def test_runs_import_neither_scipy_linalg_nor_special(workload, rows, tmp_path, 
     # Each costs about 0.3 s to import, most of it shared, and a run needs
     # neither: the QR is numpy's LAPACK and the normal functions are numpy.
     for argv in _workload_argvs(workload, rows, tmp_path, monkeypatch):
-        loaded = _scipy_modules(f"from effect_engine.cli import main\nassert main({argv!r}) == 0")
+        loaded = _loaded_modules(f"from effect_engine.cli import main\nassert main({argv!r}) == 0")
         assert not {"scipy.linalg", "scipy.special"} & set(loaded), (argv[0], loaded)
     assert json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))["errors"] == []
+
+
+@pytest.mark.parametrize("workload, rows", SMALL_WORKLOADS)
+def test_only_runs_that_integrate_by_qmc_load_numpy_random(workload, rows, tmp_path,
+                                                           monkeypatch):
+    # Loading numpy.random costs 2.45 MB. Rankings of three arms or fewer
+    # are answered in closed form and need no seed; segments_bayes ranks six.
+    for argv in _workload_argvs(workload, rows, tmp_path, monkeypatch):
+        loaded = _loaded_modules(f"from effect_engine.cli import main\nassert main({argv!r}) == 0",
+                                package="numpy.random")
+        assert bool(loaded) == (workload == "segments_bayes"), (argv[0], loaded)
 
 
 # Run in a child before the engine loads: from then on, importing or finding
@@ -380,7 +415,7 @@ def _assert_same_result(got, want):
         assert np.float64(g).tobytes() == np.float64(w).tobytes(), (field, g, w)
 
 
-@pytest.mark.parametrize("m", range(2, 9))
+@pytest.mark.parametrize("m", range(3, 9))
 def test_mvn_orthant_matches_scipy_engine_reference(m):
     rng = np.random.default_rng(100 + m)
     a = rng.normal(size=(m, m))
@@ -439,3 +474,105 @@ def test_sobol_limits_fail_loudly():
     m = 21202
     with pytest.raises(ValueError, match="at most 21201 dimensions"):
         mvn_orthant(np.zeros(m), np.broadcast_to(1.0, (m, m)))
+
+
+def _mp_bivariate_orthant(mean, cov):
+    """P(Z > 0) for Z ~ N(mean, cov) in two dimensions, at 30 digits, from
+    the exact double inputs: Plackett's integral over the correlation, the
+    exact limits at a correlation of +-1, and the normal CDF of the one
+    component that varies where the other has no variance."""
+    with mpmath.workdps(30):
+        mu = [mpmath.mpf(float(v)) for v in mean]
+        a, b, c = (mpmath.mpf(float(v)) for v in (cov[0][0], cov[1][1], cov[0][1]))
+        if a == 0 or b == 0:
+            fixed, varies, var = (0, 1, b) if a == 0 else (1, 0, a)
+            return (mu[fixed] > 0) * mpmath.ncdf(mu[varies] / mpmath.sqrt(var))
+        h, k = -mu[0] / mpmath.sqrt(a), -mu[1] / mpmath.sqrt(b)
+        r = max(min(c / mpmath.sqrt(a * b), 1), -1)
+        if r == 1:
+            return mpmath.ncdf(-max(h, k))
+        if r == -1:
+            return max(mpmath.ncdf(-h) - mpmath.ncdf(k), 0)
+
+        def plackett(t):
+            return mpmath.exp(-(h * h + k * k - 2 * h * k * mpmath.sin(t))
+                              / (2 * mpmath.cos(t) ** 2))
+
+        return (mpmath.ncdf(-h) * mpmath.ncdf(-k)
+                + mpmath.quad(plackett, [0, mpmath.asin(r)]) / (2 * mpmath.pi))
+
+
+def _bivariate_cases():
+    """Random means and covariances, then the edges: correlations at and
+    near +-1 (0.925 is where the closed form changes its integral), a zero
+    variance, and means 40 or more standard deviations from zero."""
+    rng = np.random.default_rng(2004)
+    cases = []
+    for _ in range(240):
+        a = rng.normal(size=(2, 2)) * 10.0 ** rng.uniform(-3, 3)
+        cov = a @ a.T
+        cases.append((rng.normal(0.0, 2.0, size=2) * np.sqrt(np.diag(cov)), cov))
+    for rho in (0.925, 0.99, 0.99999, 1.0, -0.925, -0.99, -0.99999, -1.0):
+        for z in ([0.0, 0.0], [0.3, -0.2], [1.5, 1.5], [-2.0, 1.0], [3.0, 2.9], [-1.0, -1.2]):
+            sd = np.array([0.5, 3.0])
+            cases.append((np.multiply(z, sd), np.outer(sd, sd) * [[1.0, rho], [rho, 1.0]]))
+    for mean in ([1.0, 0.4], [-1.0, 0.4], [0.0, -0.7]):
+        cases.append((mean, [[0.0, 0.0], [0.0, 2.0]]))
+        cases.append((mean[::-1], [[2.0, 0.0], [0.0, 0.0]]))
+    for z in ([40.0, 0.3], [-40.0, 0.3], [45.0, -45.0], [-41.0, -50.0], [0.5, 60.0]):
+        for rho in (0.0, 0.5, -0.95, 0.99999):
+            sd = np.array([2.0, 0.1])
+            cases.append((np.multiply(z, sd), np.outer(sd, sd) * [[1.0, rho], [rho, 1.0]]))
+    return cases
+
+
+def test_bivariate_closed_form_is_within_its_error_of_mpmath():
+    cases = _bivariate_cases()
+    assert len(cases) >= 300
+    for mean, cov in cases:
+        res = mvn_orthant(mean, cov, seed=0)
+        assert res.method == "closed_form_2d" and res.points == 0
+        assert type(res.probability) is float
+        want = _mp_bivariate_orthant(mean, cov)
+        assert abs(mpmath.mpf(res.probability) - want) <= res.error, (mean, cov)
+
+
+def test_the_written_nodes_are_the_twenty_point_gauss_legendre_rule():
+    # Each node is the nearest double to a root of P_20, and each weight to
+    # 2 / ((1 - x**2) P_20'(x)**2) there.
+    with mpmath.workdps(40):
+        for x, w in zip(mvnorm._GL_X, mvnorm._GL_W):
+            root = mpmath.findroot(lambda t: mpmath.legendre(20, t), mpmath.mpf(float(x)))
+            slope = mpmath.diff(lambda t: mpmath.legendre(20, t), root)
+            assert float(root) == x
+            assert float(2 / ((1 - root**2) * slope**2)) == w
+
+
+def test_a_bivariate_covariance_beyond_the_jitter_is_refused():
+    # A correlation just past 1 that the largest Cholesky jitter absorbs is
+    # read as 1; one past it is indefinite, as it is in more dimensions.
+    res = mvn_orthant([0.3, 0.3], [[1.0, 1.0 + 1e-9], [1.0 + 1e-9, 1.0]])
+    assert abs(res.probability - ndtr(0.3)) <= res.error
+    for cov in ([[1.0, 1.0 + 1e-7], [1.0 + 1e-7, 1.0]], [[0.0, 1e-3], [1e-3, 1.0]]):
+        with pytest.raises(ValueError, match="not positive semidefinite"):
+            mvn_orthant([0.0, 0.0], cov)
+    with pytest.raises(ValueError, match="not positive semidefinite"):
+        mvn_orthant([0.0, 0.0, 0.0], [[1.0, 1.0 + 1e-7, 0.0], [1.0 + 1e-7, 1.0, 0.0],
+                                      [0.0, 0.0, 1.0]])
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 100, 21201])
+def test_sobol_directions_are_scipys(m):
+    from scipy.stats import qmc
+    assert np.array_equal(mvnorm._sobol_directions(m), qmc.Sobol(m, scramble=False)._sv)
+
+
+def test_the_first_sobol_rows_are_read_alone():
+    # The table is stored in C order, so the first call for a few dimensions
+    # inflates only their rows, not all 21,201 (a 2.9 MB peak).
+    code = ("import tracemalloc\nfrom effect_engine import mvnorm\ntracemalloc.start()\n"
+            "mvnorm._sobol_directions(5)\nprint(tracemalloc.get_traced_memory()[1])")
+    proc = subprocess.run([sys.executable, "-c", code], env=cli_env(), capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 100_000

@@ -17,13 +17,15 @@ def flat_posterior_model():
     return as_flat_prior_posterior(model), data
 
 
-def three_arm_model(seed=21, shift=(0.0, 0.5, 1.0)):
+def arms_model(seed=21, shift=(0.0, 0.5, 1.0)):
+    """A flat-prior posterior of one arm per entry of ``shift`` (labels "0",
+    "1", ...), 20 rows each, whose outcomes are shifted by it."""
     rng = np.random.default_rng(seed)
-    n = 60
-    arm = np.asarray([str(i % 3) for i in range(n)], dtype=object)
+    n = 20 * len(shift)
+    arm = np.asarray([str(i % len(shift)) for i in range(n)], dtype=object)
     outcome = rng.normal(size=n)
-    for a, extra in zip(("0", "1", "2"), shift):
-        outcome[arm == a] += extra
+    for a, extra in enumerate(shift):
+        outcome[arm == str(a)] += extra
     data = Dataset(outcome=outcome, arm=arm)
     model = fit_model(data, ModelSpec(reference_arm="0", covariance_kind="classical"))
     return as_flat_prior_posterior(model), data
@@ -69,24 +71,32 @@ def test_two_arm_prob_best_reduces_to_prob_positive():
 
 
 def test_probabilities_sum_to_one_within_error():
-    model, data = three_arm_model()
+    model, data = arms_model()
     ranking = prob_best(model, data, seed=5)
     assert abs(ranking.total - 1.0) <= max(3.0 * ranking.total_error, 1e-6)
     assert ranking.to_dict()["kind"] == "prob_best"
     assert set(ranking.to_dict()["arms"]) == {"0", "1", "2"}
 
 
-def test_candidate_order_does_not_change_estimates():
-    model, data = three_arm_model()
-    forward = prob_best(model, data, arms=["0", "1", "2"], seed=9)
-    backward = prob_best(model, data, arms=["2", "0", "1"], seed=9)
-    fw = {e.arm: e.probability for e in forward.entries}
-    bw = {e.arm: e.probability for e in backward.entries}
+# Three arms rank by bivariate closed forms; four by QMC, one seed per arm.
+ARM_SHIFTS = {"3 arms": ((0.0, 0.5, 1.0), "closed_form_2d"),
+              "4 arms": ((0.0, 0.5, 1.0, 0.8), "qmc")}
+
+
+@pytest.mark.parametrize("shift, method", ARM_SHIFTS.values(), ids=ARM_SHIFTS)
+def test_candidate_order_does_not_change_estimates(shift, method):
+    model, data = arms_model(shift=shift)
+    labels = [str(a) for a in range(len(shift))]
+    forward = prob_best(model, data, arms=labels, seed=9)
+    backward = prob_best(model, data, arms=labels[1:][::-1] + labels[:1], seed=9)
+    fw = {e.arm: (e.probability, e.error, e.method) for e in forward.entries}
+    bw = {e.arm: (e.probability, e.error, e.method) for e in backward.entries}
     assert fw == bw
+    assert {e.method for e in forward.entries} == {method}
 
 
 def test_best_points_at_highest_mean():
-    model, data = three_arm_model(shift=(0.0, 0.2, 3.0))
+    model, data = arms_model(shift=(0.0, 0.2, 3.0))
     ranking = prob_best(model, data, seed=6)
     best = max(ranking.entries, key=lambda e: e.probability)
     assert best.arm == "2"
@@ -94,7 +104,7 @@ def test_best_points_at_highest_mean():
 
 
 def test_arm_subset_and_validation():
-    model, data = three_arm_model()
+    model, data = arms_model()
     pair = prob_best(model, data, arms=["0", "2"], seed=7)
     assert sorted(e.arm for e in pair.entries) == ["0", "2"]
     assert pair.query == {"type": "prob_best", "arms": ["0", "2"]}
@@ -106,11 +116,18 @@ def test_arm_subset_and_validation():
         prob_best(model, data, arms=["0", "9"])
 
 
-def test_seed_determinism():
-    model, data = three_arm_model()
+@pytest.mark.parametrize("shift, method", ARM_SHIFTS.values(), ids=ARM_SHIFTS)
+def test_seed_determinism(shift, method):
+    model, data = arms_model(shift=shift)
     a = prob_best(model, data, seed=31)
     b = prob_best(model, data, seed=31)
     assert [e.probability for e in a.entries] == [e.probability for e in b.entries]
+    # A closed form reads no seed; QMC gives each arm its own.
+    c = prob_best(model, data, seed=32)
+    same = [e.probability == f.probability for e, f in zip(a.entries, c.entries)]
+    assert same == [method == "closed_form_2d"] * len(shift)
+    d = prob_best(model, data, seed=np.random.SeedSequence(31))
+    assert [e.probability for e in d.entries] == [e.probability for e in a.entries]
 
 
 def test_prob_positive_with_predicate():

@@ -19,6 +19,7 @@ import hashlib
 import io
 import math
 import os
+import re
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -328,56 +329,38 @@ def _gc_paused():
 
 
 class _Digesting(io.RawIOBase):
-    """The binary file ``raw``, read through: each byte read goes to
-    ``digest``, so the file is hashed in the pass that reads it, ``quoted``
-    is set once a ``"`` has been read, and a decoder checks each read that
-    is not ASCII, or follows a sequence left open, as UTF-8. The bytes of a
-    sequence left open are handed on with the read that closes it. At a
-    byte that is not UTF-8, the bytes before it are handed on, so each line
-    before its line is read whole, ``bad_offset`` is set to its offset in
-    the file, and the next read raises the decoder's error. If those bytes
-    end in a bare ``\r``, a ``\n`` follows them: the text layer holds a
-    line's last ``\r`` back until it sees the next character."""
+    """The binary file ``raw``, read through and handed on unchanged: each
+    byte read goes to ``digest``, so the file is hashed in the pass that
+    reads it, and ``quoted`` is set once a ``"`` has been read. Until the
+    first byte that is not UTF-8, a decoder checks each read that is not
+    ASCII, or follows a sequence left open; at that byte ``bad`` is set to
+    the decoder's error and ``bad_offset`` to the byte's offset in the file.
+    A ``"`` or a byte that is not UTF-8 hands the rest of the file to the
+    csv reader (:func:`_row_chunks`)."""
 
     quoted = False
-    bad_offset = None
+    bad = bad_offset = None
 
     def __init__(self, raw, digest):
-        self._raw, self._digest, self._read, self._last = raw, digest, 0, b""
+        self._raw, self._digest, self._read = raw, digest, 0
         self._utf8 = codecs.getincrementaldecoder("utf-8")()
 
     def readable(self) -> bool:
         return True
 
     def readinto(self, buffer) -> int:
-        if self.bad_offset is not None:
-            raise self._bad
-        view = memoryview(buffer)
-        while True:
-            held = self._utf8.getstate()[0]  # a sequence the last read left open
-            view[:len(held)] = held
-            size = self._raw.readinto(view[len(held):])
-            data = view[len(held):len(held) + size].tobytes()
-            self._digest.update(data)
-            self.quoted = self.quoted or b'"' in data
-            end = len(held) + size
-            if held or not data.isascii():
-                try:
-                    self._utf8.decode(data, final=not size)
-                    end -= len(self._utf8.getstate()[0])
-                except UnicodeDecodeError as exc:
-                    self._bad, self.bad_offset = exc, self._read - len(held) + exc.start
-                    end = exc.start
-                    if (view[end - 1:end].tobytes() if end else self._last) == b"\r":
-                        view[end:end + 1] = b"\n"
-                        end += 1
-                    if not end:
-                        raise
-            self._read += size
-            if end or not size:  # an empty read would end the file
-                break
-        self._last = view[end - 1:end].tobytes() or self._last
-        return end
+        size = self._raw.readinto(buffer)
+        data = memoryview(buffer)[:size].tobytes()
+        self._digest.update(data)
+        self.quoted = self.quoted or b'"' in data
+        held = self._utf8.getstate()[0]  # a sequence the last read left open
+        if self.bad is None and (held or not data.isascii()):
+            try:
+                self._utf8.decode(data, final=not size)
+            except UnicodeDecodeError as exc:
+                self.bad, self.bad_offset = exc, self._read - len(held) + exc.start
+        self._read += size
+        return size
 
 
 def _numpy_rows(lines: list[str], dtype: np.dtype) -> np.ndarray | None:
@@ -398,10 +381,24 @@ def _numpy_rows(lines: list[str], dtype: np.dtype) -> np.ndarray | None:
     return rows if finite else None
 
 
-def _raising(exc: Exception) -> Iterator:
-    """An iterator that raises ``exc`` when first asked for an item."""
-    raise exc
-    yield
+def _good_lines(blocks: Iterable[Sequence[str]], source: _Digesting) -> Iterator[str]:
+    """The lines of ``blocks``, up to the first that holds a byte that is not
+    UTF-8, where ``source.bad`` is raised: that line is never parsed, so a
+    malformed record before it wins, and on one line the byte wins. A block
+    is searched only once ``source`` has read such a byte, as it has by the
+    time its line is decoded."""
+    # Once a block: the csv reader takes the lines from each list in C.
+    def checked():
+        for block in blocks:
+            if source.bad is not None:  # surrogateescape decodes such a byte to U+DC80-U+DCFF
+                cut = next((i for i, line in enumerate(block)
+                            if re.search("[\udc80-\udcff]", line)), None)
+                if cut is not None:
+                    yield block[:cut]
+                    raise source.bad
+            yield block
+            del block  # so that no two blocks of lines are held at once
+    return chain.from_iterable(checked())
 
 
 def _row_chunks(path, digest, fields: Callable[[], np.dtype]) -> Iterator:
@@ -410,33 +407,28 @@ def _row_chunks(path, digest, fields: Callable[[], np.dtype]) -> Iterator:
     :data:`CHUNK_ROWS` lines at a time. numpy's reader parses each chunk
     into the structured dtype ``fields()`` returns then
     (:func:`_numpy_rows`), and the csv reader any chunk numpy does not read
-    as it would. From the chunk in which a ``"`` has been read (up to one
-    read of the file ahead of its line), or one with a line longer than the
-    csv field limit, the csv reader reads the rest, as a quoted cell may
-    span lines. Quoting is strict: a malformed record raises ``ValueError``
-    naming the data row where it starts. So does a byte that is not UTF-8,
-    naming also its offset in the file; the lines before it are parsed
-    first (:class:`_Digesting`), so a malformed record among them wins."""
+    as it would. A ``"`` or a byte that is not UTF-8 hands the rest of the
+    file to the csv reader, from the chunk in which it has been read (up to
+    one read of the file ahead of its line), as does a line longer than the
+    csv field limit: a quoted cell may span lines. Quoting is strict: a
+    malformed record raises ``ValueError`` naming the data row where it
+    starts. So does a byte that is not UTF-8, naming also its offset in the
+    file, after the lines before its line (:func:`_good_lines`)."""
     with open(path, "rb", buffering=0) as raw:
         source = _Digesting(raw, digest)
         lines = io.TextIOWrapper(io.BufferedReader(source), encoding="utf-8-sig",
-                                 newline="")
+                                 errors="surrogateescape", newline="")
         start, chunk = -1, []
         try:
-            yield next(filter(None, csv.reader(lines, strict=True)), None)
+            # zip makes each line a block, so the header takes no line the
+            # chunks after it should.
+            yield next(filter(None, csv.reader(_good_lines(zip(lines), source), strict=True)),
+                       None)
             start = 0
-            while True:
-                block = []
-                try:
-                    block.extend(islice(lines, CHUNK_ROWS))
-                except UnicodeDecodeError as exc:
-                    # The csv reader reads the lines before the byte, as it
-                    # would have, then meets it.
-                    lines = _raising(exc)
-                    break
-                if not block:
-                    return
-                if source.quoted or max(map(len, block)) > csv.field_size_limit():
+            blocks = iter(lambda: list(islice(lines, CHUNK_ROWS)), [])
+            for block in blocks:
+                if (source.quoted or source.bad is not None
+                        or max(map(len, block)) > csv.field_size_limit()):
                     break
                 chunk = _numpy_rows(block, fields())
                 if chunk is None:
@@ -444,7 +436,11 @@ def _row_chunks(path, digest, fields: Callable[[], np.dtype]) -> Iterator:
                 if len(chunk):
                     yield chunk
                     start += len(chunk)
-            rows = filter(None, csv.reader(chain(block, lines), strict=True))
+                del block  # so that no two blocks of lines are held at once
+            else:
+                return
+            rows = filter(None, csv.reader(_good_lines(chain([block], blocks), source),
+                                           strict=True))
             while True:
                 chunk = []
                 # extend keeps the rows read before a malformed one: they number it.
@@ -504,10 +500,11 @@ def load_csv(path, column_map: Mapping[str, object]) -> Dataset:
     after the first chunk is read again, for its labels, from a regular
     file only. The bytes read are hashed in the same pass, into the
     dataset's ``digest``, so data from a pipe is read once and gets its own
-    digest. Errors win in the order of a loader that reads the whole file
-    first: a malformed record or a byte that is not UTF-8, whichever comes
-    first; no data rows; a duplicate header; a missing outcome or arm
-    column; the first ragged row; the first bad outcome cell; a missing
+    digest. A ``"`` or a byte that is not UTF-8 hands the rest of the file
+    to the csv reader. Errors win in the order of a loader that reads the
+    whole file first: a malformed record or a byte that is not UTF-8, the
+    one on the earlier line, and on one line the byte; no data rows; a
+    duplicate header; a missing outcome or arm column; the first ragged row; the first bad outcome cell; a missing
     covariate, unit or period column; the first bad period cell.
     """
     for role in ("outcome", "arm"):

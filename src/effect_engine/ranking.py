@@ -86,8 +86,8 @@ def prob_positive(model: FittedModel, data: Dataset, arm_to: str, arm_from: str,
                   predicate=None, tol: float = 5e-4, seed=None) -> ProbEstimate:
     """Posterior probability that the effect of ``arm_to`` over ``arm_from``
     is positive at the global (or ``predicate``-subset) covariate means.
-    One-dimensional, so this is an exact normal CDF; ``tol``/``seed`` only
-    matter in degenerate cases."""
+    One-dimensional, so this is an exact normal CDF: ``seed`` is never
+    read, and ``tol`` is only checked to be positive."""
     _require_posterior(model)
     profile = profile_from_subset(data, model.schema, predicate)
     row = delta_vector(model.schema, profile, arm_to, arm_from)

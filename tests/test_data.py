@@ -15,7 +15,7 @@ import threading
 import tracemalloc
 import warnings
 from decimal import Decimal, localcontext
-from itertools import chain
+from itertools import chain, product
 from pathlib import Path
 from unittest import mock
 
@@ -1261,7 +1261,8 @@ class _ShortReads(io.RawIOBase):
 # short reads bring in the read after it; offsets that count a byte-order
 # mark; a bad byte in the header; lines that end in a bare carriage return,
 # also right before the bad byte or a cut-off sequence; and, before a bad
-# byte, a malformed record, whose data row an int names.
+# byte, a malformed record, whose data row an int names; and a malformed
+# record on the bad byte's own line, which is never parsed, so the byte wins.
 NOT_UTF8 = [
     (b'y,arm\n1,a\n2,"b\n\xc3"\n3,a\n',
      "byte 0xc3 at data row 1, byte offset 15 (invalid continuation byte)"),
@@ -1284,13 +1285,15 @@ NOT_UTF8 = [
     (b'y,arm\n1,"a"b\n2,b\n3,\xff\n', 0),
     (b'y,arm\r1,"a"b\r2,b\r3,\xff\r', 0),
     (b'y,arm\r1,a\r2,"b"c\r\xff,a\r', 1),
+    (b'y,arm\n1,"a"b\xff\n2,b\n',
+     "byte 0xff at data row 0, byte offset 12 (invalid start byte)"),
 ]
 
 
 @pytest.mark.parametrize("raw, message", NOT_UTF8, ids=[
     "open-record", "cut-off", "quoted-blank-line", "crlf", "bom", "header", "bare-cr",
     "bare-cr-before", "bare-cr-cut-off", "malformed-first", "malformed-first-bare-cr",
-    "malformed-bare-cr-before"])
+    "malformed-bare-cr-before", "malformed-same-line"])
 def test_a_byte_that_is_not_utf8_is_named_in_the_one_read_whatever_the_read_sizes(
         tmp_path, raw, message):
     path = tmp_path / "data.csv"
@@ -1308,6 +1311,134 @@ def test_a_byte_that_is_not_utf8_is_named_in_the_one_read_whatever_the_read_size
             assert str(info.value) == want, (chunk_rows, size)
             assert opened.call_count == 1
             _assert_loads_like_the_csv_reader(path, column_map)
+
+
+# Bytes that are not UTF-8, with the decoder's reason; none is part of a
+# character the drawn tables hold, so ``raw.index`` finds the one put in.
+BAD_BYTES = [(b"\xff", "invalid start byte"), (b"\x80", "invalid start byte"),
+             (b"\xf0\x9f", "invalid continuation byte")]
+
+
+@st.composite
+def tables_with_a_fault(draw):
+    """A small table of a numeric outcome, a label arm, a numeric covariate
+    and a label covariate, as lines of cells, None for a blank line; and
+    one fault to put in: None, ``("bad", line, column, bytes, reason)`` or
+    ``("malformed", line, cell)``, ``line`` counting the header as 0 and
+    skipping blank lines."""
+    numbers = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    words = st.text("abé€ß", min_size=1, max_size=3)
+    rows = draw(st.lists(st.tuples(numbers, words, numbers, words), min_size=2, max_size=6))
+    # Arm labels start a or b by turns, so there are two arms.
+    records = [("y", "arm", "x", "g"), *((y, "ab"[i % 2] + arm, x, g)
+                                         for i, (y, arm, x, g) in enumerate(rows))]
+    lines = list(records)
+    for at in draw(st.lists(st.integers(0, len(lines)), max_size=2)):
+        lines.insert(at, None)
+    kind = draw(st.sampled_from(["bad", "malformed", None]))
+    line = draw(st.integers(0, len(records) - 1))
+    if kind == "bad":
+        return lines, ("bad", line, draw(st.integers(0, 40)), *draw(st.sampled_from(BAD_BYTES)))
+    if kind == "malformed":
+        return lines, ("malformed", line, draw(st.integers(0, 3)))
+    return lines, None
+
+
+def _variant_bytes(lines, fault, newline, bom, quoted):
+    """``lines`` written with ``newline`` line ends, behind a byte-order mark
+    if ``bom``, every cell quoted if ``quoted``, and ``fault`` put in."""
+    out, record = [b"\xef\xbb\xbf" if bom else b""], -1
+    for cells in lines:
+        if cells is None:
+            out.append(newline)
+            continue
+        record += 1
+        cells = [f'"{cell}"' if quoted else cell for cell in cells]
+        if fault and fault[0] == "malformed" and fault[1] == record:
+            cells[fault[2]] = '"a"b'
+        text = ",".join(cells)
+        if fault and fault[0] == "bad" and fault[1] == record:
+            column = fault[2] % (len(text) + 1)
+            out.append(text[:column].encode() + fault[3] + text[column:].encode() + newline)
+        else:
+            out.append(text.encode() + newline)
+    return b"".join(out)
+
+
+def _pipe_carrying(raw: bytes):
+    """The read end of an in-process pipe that a thread fills with ``raw``
+    and closes, and that thread."""
+    read_fd, write_fd = os.pipe()
+
+    def write():
+        with open(write_fd, "wb", buffering=0) as end:
+            try:
+                end.write(raw)
+            except BrokenPipeError:  # the load stopped reading at an error
+                pass
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    return open(read_fd, "rb", buffering=0), writer
+
+
+@settings(max_examples=60, deadline=None)
+@given(tables_with_a_fault(), st.sampled_from([1, 2, 3, 5, 8, 1 << 16]))
+def test_a_table_loads_the_same_in_every_line_end_quoting_bom_source_and_chunking(case, size):
+    # Every variant of one table loads the same columns, bit for bit; with a
+    # fault put in, every variant gives the same message, whose byte offset
+    # is that of the bad byte in the variant's own bytes.
+    lines, fault = case
+    column_map = {"outcome": "y", "arm": "arm"}
+    got = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        for newline, bom, quoted in product([b"\n", b"\r\n", b"\r"], [False, True],
+                                            [False, True]):
+            raw = _variant_bytes(lines, fault, newline, bom, quoted)
+            path.write_bytes(raw)
+            for piped, chunk_rows in product([False, True], [1, 2, 1024]):
+                writers = []
+
+                def opened(*args, **kw):
+                    if not piped:
+                        return _ShortReads(open(*args, **kw), size)
+                    end, writer = _pipe_carrying(raw)
+                    writers.append(writer)
+                    return _ShortReads(end, size)
+
+                with mock.patch.object(data_module, "CHUNK_ROWS", chunk_rows), \
+                        mock.patch.object(data_module, "open", create=True, side_effect=opened):
+                    loaded = _load_or_error(load_csv, path, column_map)
+                for writer in writers:
+                    writer.join(timeout=60)
+                    assert not writer.is_alive()
+                variant = (newline, bom, quoted, piped, chunk_rows)
+                if isinstance(loaded, Dataset):
+                    assert fault is None, variant
+                    assert loaded.digest == "sha256:" + hashlib.sha256(raw).hexdigest()
+                elif fault and fault[0] == "bad":
+                    message = str(loaded)
+                    offset = f"byte offset {raw.index(fault[3])} ("
+                    assert offset in message, (variant, message)
+                    loaded = ValueError(message.replace(offset, "byte offset ? ("))
+                got[variant] = loaded
+        want = got[b"\n", False, False, False, 1024]
+        if fault is None:
+            assert isinstance(want, Dataset), want
+            outcome = [float(cells[0]) for cells in [*filter(None, lines)][1:]]
+            assert want.outcome.tobytes() == np.array(outcome).tobytes()
+        else:
+            where = f"at data row {fault[1] - 1}" if fault[1] else "in the header"
+            assert str(want) == (
+                f"{path} is not UTF-8: byte {fault[3][0]:#04x} {where}, byte offset ? "
+                f"({fault[4]})" if fault[0] == "bad" else
+                f"malformed CSV record {where} of {path}: ',' expected after '\"'")
+        for variant, loaded in got.items():
+            try:
+                _assert_same_load(loaded, want)
+            except AssertionError as exc:
+                raise AssertionError(f"variant {variant}: {loaded!r}") from exc
 
 
 # Each variant is read on another path of load_csv: numpy's reader, the csv

@@ -12,8 +12,9 @@ dataset writes each block of design rows as it needs it (:class:`DesignRows`),
 in the Fortran order LAPACK factors, straight into the buffer the QR
 factors; the sandwiches' second pass writes each block again and copies it
 into one reused C-ordered buffer for its products. So no n x p array is
-held: the fit keeps a few block buffers, a (p+1) x (p+1) triangle per block,
-and the sandwiches a p x p meat or the per-cluster scores.
+held: the fit keeps a few block buffers, one preallocated stack of the
+blocks' (p+1) x (p+1) triangles, and the sandwiches a p x p meat or the
+per-cluster scores.
 """
 
 from __future__ import annotations
@@ -52,11 +53,16 @@ COVARIANCE_KINDS = ("classical", "hc1", "cluster")
 # Relative singular-value cutoff for declaring the design rank deficient.
 RANK_RTOL = 1e-10
 
-# Design rows a fit writes and factors at a time. On a 2-vCPU machine,
-# blocks of 4096 to 16384 rows fitted a 200k x 33 design within 10% of each
-# other's time (32768 rows: 15% faster, at four times the memory), and the
-# fit's traced peak grows with the block: 2.5 MB at 4096 rows, 4.6 MB at 8192.
-FIT_BLOCK_ROWS = 8192
+# Design rows a fit writes and factors at a time. On one OpenBLAS thread
+# (every run's), the QR of all blocks of 200k rows took, in seconds, best of
+# 5 on a 2-vCPU machine, at 2048 / 4096 / 8192 / 16384 rows a block:
+#   p + 1 = 11: 0.0070 / 0.0067 / 0.0067 / 0.0068
+#   p + 1 = 35: 0.050 / 0.058 / 0.071 / 0.097
+#   p + 1 = 73: 0.268 / 0.288 / 0.348 / 0.424
+# The block buffers, two in the sandwiches' pass, grow with the block; the
+# stack of block triangles, (p + 1) / FIT_BLOCK_ROWS of the design's size,
+# grows as the block shrinks.
+FIT_BLOCK_ROWS = 2048
 
 
 @dataclass(frozen=True, eq=False)
@@ -438,10 +444,12 @@ def _blocked_r(X, y: np.ndarray, schema: ColumnSchema | None,
     is written into the design columns of one Fortran-ordered buffer, the
     order LAPACK factors, by :func:`_write_rows`: a :class:`DesignRows`
     writes its rows there directly, with no other block built. The buffer
-    is factored in place (:func:`_qr_r`) into the block's triangle; the
-    triangles, stacked in row order, are factored once more. So the fit
-    holds one block of rows and a (p+1) x (p+1) triangle per block, and
-    each row passes through two QRs however many blocks there are. Merging
+    is factored in place (:func:`_qr_r`) into the block's triangle, which
+    is written into the next rows of one preallocated Fortran-ordered stack
+    of ceil(n / ``FIT_BLOCK_ROWS``) (p+1)-row slots; the stack's used rows
+    are then factored once more, in place. So the fit holds one block of
+    rows and the stack, and each row passes through two QRs however many
+    blocks there are; a design of one block is factored once. Merging
     each block into one running triangle instead lost accuracy in
     proportion to the block count: on a 200k x 33 design in 25 blocks, β
     was off by 9e-15 of its largest entry that way. On three such designs it
@@ -458,17 +466,21 @@ def _blocked_r(X, y: np.ndarray, schema: ColumnSchema | None,
     buffer = np.empty((h + min(n, FIT_BLOCK_ROWS), p + 1), order="F")
     if head is not None:
         buffer[:h] = head
-    triangles = []
+    blocks = -(-n // FIT_BLOCK_ROWS)
+    stack = np.empty((blocks * (p + 1), p + 1), order="F") if blocks > 1 else None
+    used = 0
     for lo, hi in _row_blocks(n):
         rows = buffer[h:h + hi - lo]
         _write_rows(X, lo, hi, rows[:, :p])
         rows[:, p] = y[lo:hi]
         _require_finite(rows[:, :p], lo, schema)
-        triangles.append(_qr_r(buffer, h + hi - lo))
+        triangle = _qr_r(buffer, h + hi - lo)
+        if stack is None:
+            return triangle
+        stack[used:used + len(triangle)] = triangle
+        used += len(triangle)
         h = 0
-    if len(triangles) == 1:
-        return triangles[0]
-    return _qr_r(np.asfortranarray(np.vstack(triangles)))
+    return _qr_r(stack, used)
 
 
 def _design_and_outcome(design, y) -> tuple:
@@ -518,8 +530,9 @@ def fit_ols(design, y: np.ndarray, covariance_kind: str = "hc1",
 
     ``design`` is an n x p array or a :class:`DesignRows`, read
     ``FIT_BLOCK_ROWS`` rows at a time into the fit's own block buffers
-    (:func:`_write_rows`), so the fit holds a few row blocks and vectors of
-    length n, never an n x p array. The fit is one blocked QR of ``[X | y]``
+    (:func:`_write_rows`), so the fit holds a few row blocks, the stack of
+    the blocks' (p+1) x (p+1) triangles and vectors of length n, never an
+    n x p array. The fit is one blocked QR of ``[X | y]``
     (:func:`_blocked_r`). The rank check reads the singular values of R,
     which are those of the design, and the solve and the covariance come
     from R, so no inverse of X'X is formed. The classical variance is the

@@ -727,9 +727,9 @@ def test_validate_accepts_every_benchmark_workload(tmp_path, workloads):
 # OPENBLAS_NUM_THREADS = 1, 2 and 4. A change that moves a bit of a report
 # updates these and says so.
 REPORT_DIGESTS = {
-    "xsec_hc1": "e883bca4be12a0069ef25f2fab83078e7f05ecf82dd41f7d13511252e5c4cecb",
-    "panel_cluster": "f841e1bec72e05aa1791d747a31df198f0b1e0b1a9b70d431eca45c57d47c14c",
-    "segments_bayes": "359be0fe3d868da3d28472394b3855bc11eb7fb8541b7f52c818c127a459067c",
+    "xsec_hc1": "f27de707a160c3b5e4ca60ba445032ea74a0e67b705d35c64dcaf71153165a0a",
+    "panel_cluster": "88e7b108be0d87f48029557e1976270418a1de382943ddb5004017e3aa56c63a",
+    "segments_bayes": "2f2503ed2b798ee4ebb0b8fece06fe0f9ab100c63b97224011fd597ae965fd61",
 }
 
 
@@ -745,10 +745,10 @@ def test_workload_report_bytes_are_pinned(name, tmp_path, workloads):
 
 @pytest.mark.parametrize("name", sorted(REPORT_DIGESTS))
 def test_report_bytes_do_not_depend_on_the_blas_thread_count(name, tmp_path, workloads):
-    # Each workload's shape at 9,000 rows: the first block of design rows is
-    # full (8,192 rows), and segments_bayes is p = 72 wide, where LAPACK's QR
-    # of a block changes bits with OpenBLAS's thread count. Two of its 24
-    # prob_best queries keep the run short.
+    # Each workload's shape at 9,000 rows: the design spans five blocks, the
+    # first four full (2,048 rows), and segments_bayes is p = 72 wide, where
+    # LAPACK's QR of a block changes bits with OpenBLAS's thread count. Two
+    # of its 24 prob_best queries keep the run short.
     inputs = workloads.generate(name, seed=0, rows=9000)
     queries = inputs.config["queries"]
     best = [q for q in queries if q["type"] == "prob_best"]

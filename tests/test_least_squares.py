@@ -5,10 +5,12 @@ also with blocks of a few rows so that every block boundary is crossed, its
 sandwiches against a 60-digit one on a near-collinear design, and
 ``fit_bayes`` against a 60-digit posterior. ``build_design`` is checked
 against the block-and-``hstack`` construction it replaced, byte for byte.
-Traced-memory bounds show that a fit holds a few row blocks and vectors of
-length n, and never an n x p array. The rank-deficiency message names the
-columns that lie in the span of the columns before them, read from the
-diagonal of R. The in-place QR rests on numpy's private
+Traced-memory bounds show that a fit holds a few row blocks, its block
+triangles once, and vectors of length n, and never an n x p array. At the
+block size runs use, the sandwich and the posterior are held within a
+stated multiple of cond * eps of 60 digits. The rank-deficiency message
+names the columns that lie in the span of the columns before them, read
+from the diagonal of R. The in-place QR rests on numpy's private
 ``lapack_lite.dgeqrf``, whose contract is pinned here.
 """
 
@@ -308,6 +310,19 @@ def test_fit_model_holds_its_design_block_and_score_buffers(kind, p, blocks):
     assert peak <= blocks * model_module.FIT_BLOCK_ROWS * (p + 1) * 8 + codes
 
 
+def test_fit_holds_the_block_triangles_once(monkeypatch):
+    # 400 blocks of 64 rows: each block's (p+1) x (p+1) triangle is written
+    # into one preallocated stack, which is factored in place. So the peak
+    # is that stack and one block buffer, where a list of triangles stacked
+    # and then copied into Fortran order would hold them three times.
+    monkeypatch.setattr(model_module, "FIT_BLOCK_ROWS", 64)
+    n, p = 400 * 64, 30
+    X, y = _regression(np.random.default_rng(47), n, np.ones(p - 1))
+    _, peak = _traced_peak(fit_ols, X, y, "classical")
+    stack = 400 * (p + 1) ** 2 * 8
+    assert peak <= 1.25 * stack + 64 * (p + 1) * 8
+
+
 def test_build_design_allocates_the_design_once():
     # The design is written in place: besides it, only its rows' arm
     # indicators, as booleans (an eighth of the slack allowed here), and
@@ -433,7 +448,7 @@ def test_blocked_non_finite_names_global_row(fit):
         run()
 
 
-@pytest.mark.parametrize("block_rows", [8192, 16, 7])
+@pytest.mark.parametrize("block_rows", [model_module.FIT_BLOCK_ROWS, 16, 7])
 def test_blocked_fit_model_reads_the_design_rows_of_build_design(block_rows, monkeypatch):
     # The row-block writer and the full design give the same fits, bit for
     # bit, in one block or many, the last one partial.
@@ -452,7 +467,7 @@ def test_blocked_fit_model_reads_the_design_rows_of_build_design(block_rows, mon
         assert_array_equal(model.cov_beta, want.cov_beta)
 
 
-@pytest.mark.parametrize("block_rows", [8192, 7])
+@pytest.mark.parametrize("block_rows", [model_module.FIT_BLOCK_ROWS, 7])
 def test_cluster_fit_of_the_unit_codes_equals_the_fit_of_their_labels(block_rows, monkeypatch):
     # A dataset's cluster fit takes the codes of its unit column as they
     # are, and gives the bits of a fit handed the unit labels themselves.
@@ -536,3 +551,32 @@ def test_posterior_keeps_accuracy_on_a_near_collinear_design(seed):
     model = fit_bayes(X, y, m0, S0, s2)
     assert np.max(np.abs(model.beta - beta)) <= 1e-9 * np.max(np.abs(beta))
     assert np.max(np.abs(model.cov_beta - cov)) <= 1e-9 * np.max(np.abs(cov))
+
+
+def test_fits_at_the_production_block_size_stay_within_c_kappa_eps_of_60_digits():
+    # Three full blocks and a partial one of the block size every run uses,
+    # on a near-collinear design (cond about 2e7): the hc1 sandwich, and the
+    # posterior under a diffuse prior, against 60 digits, each error relative
+    # to the reference's largest entry (2-norm for beta) and over cond * eps.
+    # The covariances come from R^-1 and the Q-basis scores, which carry
+    # cond * eps: at most 0.14 of it was seen, in blocks of 2,048 or 8,192
+    # rows. Beta also carries a cond^2 * eps term times the relative
+    # residual (Higham 2002, ch. 20), so it is allowed 32 cond * eps: at
+    # seeds 0 to 3 it read 0.24 to 10.6 of it in blocks of 2,048 rows, and
+    # 0.06 to 0.30 on the same rows in one block.
+    n = 3 * model_module.FIT_BLOCK_ROWS + 500
+    X, y = _near_collinear(3, n)
+    kappa_eps = np.linalg.cond(X) * np.finfo(float).eps
+    p = X.shape[1]
+    m0, S0, s2 = np.full(p, 0.1), 1e6 * np.eye(p), 1.3
+    want_beta, want_cov = _mp_posterior(X, y, m0, S0, s2)
+    posterior = fit_bayes(X, y, m0, S0, s2)
+    sandwich = fit_ols(X, y, "hc1").cov_beta
+    want_sandwich = _mp_sandwich(X, y)
+
+    def scaled(got, want, norm=lambda a: np.max(np.abs(a))):
+        return norm(got - want) / norm(want) / kappa_eps
+
+    assert scaled(sandwich, want_sandwich) <= 1
+    assert scaled(posterior.cov_beta, want_cov) <= 1
+    assert scaled(posterior.beta, want_beta, np.linalg.norm) <= 32

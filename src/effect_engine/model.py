@@ -401,17 +401,19 @@ def _qr_r(xy: np.ndarray, rows: int | None = None) -> np.ndarray:
     return np.triu(xy[:min(m, k)])
 
 
-def _require_finite(values: np.ndarray, first_row: int = 0,
-                    schema: ColumnSchema | None = None) -> None:
+def _require_finite(values: np.ndarray, schema: ColumnSchema | None = None) -> None:
     """Raise ``ValueError`` naming the first row (and design column) of
     ``values`` that holds a NaN or infinity: outcome rows if it is 1-D,
-    design rows if 2-D, numbered from ``first_row``. The values are screened
-    by their minimum and maximum, which a NaN propagates to and an infinity
-    reaches, so no mask is made unless a bad value is there to find."""
+    design rows if 2-D. The values are screened by their minimum and
+    maximum, which a NaN propagates to and an infinity reaches, so no mask
+    is made unless a bad value is there to find. A :class:`DesignRows` needs
+    no check: a :class:`~effect_engine.data.Dataset` refuses a non-finite
+    numeric covariate, and every other design entry is 1, 0 or such a
+    covariate times 0 or 1."""
     if not values.size or np.isfinite([values.min(), values.max()]).all():
         return
     at = tuple(int(i) for i in np.argwhere(~np.isfinite(values))[0])
-    row, value = first_row + at[0], float(values[at])
+    row, value = at[0], float(values[at])
     if values.ndim == 1:
         raise ValueError(f"outcome has a non-finite value at row {row}: {value!r}")
     column = repr(schema.labels[at[1]]) if schema is not None else at[1]
@@ -434,8 +436,7 @@ def _write_rows(X, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _blocked_r(X, y: np.ndarray, schema: ColumnSchema | None,
-               head: np.ndarray | None = None) -> np.ndarray:
+def _blocked_r(X, y: np.ndarray, head: np.ndarray | None = None) -> np.ndarray:
     """The (p+1) x (p+1) triangle R of the QR of ``[X | y]``, with the rows
     of ``head`` (h x (p+1)) stacked on top, by TSQR (Demmel, Grigori,
     Hoemmen & Langou 2012).
@@ -458,8 +459,7 @@ def _blocked_r(X, y: np.ndarray, schema: ColumnSchema | None,
     The top p x p block of the result is R of the design and the column
     above the diagonal is Q'y, as in a QR of all rows at once; the corner
     entry's square is the residual sum of squares (Golub & Van Loan,
-    *Matrix Computations*, section 5.3). Each block of the design is checked
-    for a NaN or infinity once written (see :func:`_require_finite`).
+    *Matrix Computations*, section 5.3).
     """
     n, p = X.shape
     h = 0 if head is None else head.shape[0]
@@ -473,7 +473,6 @@ def _blocked_r(X, y: np.ndarray, schema: ColumnSchema | None,
         rows = buffer[h:h + hi - lo]
         _write_rows(X, lo, hi, rows[:, :p])
         rows[:, p] = y[lo:hi]
-        _require_finite(rows[:, :p], lo, schema)
         triangle = _qr_r(buffer, h + hi - lo)
         if stack is None:
             return triangle
@@ -539,7 +538,7 @@ def fit_ols(design, y: np.ndarray, covariance_kind: str = "hc1",
     triangle's corner entry squared over n - p. The sandwiches are R^-1 meat
     R^-T, from a second pass over the blocks for the residuals and the
     scores in the Q basis, X R^-1. A NaN or infinity in the outcome, then in
-    the design, is rejected with its row.
+    an array design, is rejected with its row.
 
     A rank-deficient design is refused, naming its p - rank columns of
     smallest |R[j, j]|, column j's distance from the span of the columns
@@ -565,7 +564,9 @@ def fit_ols(design, y: np.ndarray, covariance_kind: str = "hc1",
         if n_groups < 2:
             raise ValueError("cluster covariance requires at least 2 clusters")
 
-    Rxy = _blocked_r(X, y, schema)
+    if not isinstance(X, DesignRows):
+        _require_finite(X, schema)
+    Rxy = _blocked_r(X, y)
     singular = np.linalg.svd(Rxy[:p, :p], compute_uv=False)
     rank = int(np.sum(singular > RANK_RTOL * singular[0]))
     if rank < p:
@@ -631,7 +632,7 @@ def fit_bayes(design, y: np.ndarray, prior_mean: np.ndarray,
     rows on top, reading ``design`` the same way, and its solve; the
     posterior covariance is s2 R^-1 R^-T, and no X'X is formed. The prior
     rows keep R full rank, so a singular design is not refused. A NaN or
-    infinity in the outcome, then in the design, is rejected with its row.
+    infinity in the outcome, then in an array design, is rejected with its row.
     """
     X, y = _design_and_outcome(design, y)
     n, p = X.shape
@@ -653,7 +654,9 @@ def fit_bayes(design, y: np.ndarray, prior_mean: np.ndarray,
     except np.linalg.LinAlgError:
         raise ValueError("prior covariance is not symmetric positive definite") from None
     prior_rows = np.column_stack([u0_inv.T, u0_inv.T @ m0]) * np.sqrt(noise_variance)
-    beta, r_inv = _solve(_blocked_r(X, y, schema, head=prior_rows))
+    if not isinstance(X, DesignRows):
+        _require_finite(X, schema)
+    beta, r_inv = _solve(_blocked_r(X, y, head=prior_rows))
     return _fitted(schema, beta, noise_variance * (r_inv @ r_inv.T), n, "bayes", posterior=True)
 
 

@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.linalg import lapack_lite
 from numpy.testing import assert_allclose, assert_array_equal
 
@@ -12,10 +14,12 @@ from effect_engine import model as model_module
 from effect_engine.data import Dataset
 from effect_engine.model import (
     BayesPrior,
+    DesignRows,
     FittedModel,
     ModelSpec,
     as_flat_prior_posterior,
     build_design,
+    build_schema,
     fit_bayes,
     fit_model,
     fit_ols,
@@ -155,6 +159,46 @@ def test_interactions_off_drops_block():
     _, _, schema = build_design(data, ModelSpec(reference_arm="a", interactions=False))
     assert schema.labels == ("intercept", "x", "arm=b")
     assert schema.interactions is False
+
+
+@st.composite
+def datasets_and_specs(draw):
+    """A dataset of 2 to 5 arms, numeric covariates anywhere in +-1e308 and
+    categorical ones, with interactions on or off, and perhaps one numeric
+    column read as categorical; and a block of its rows."""
+    k = draw(st.integers(2, 5))
+    arms = [f"t{i}" for i in range(k)]
+    n = k + draw(st.integers(0, 20))
+    column = st.lists(st.floats(-1e308, 1e308), min_size=n, max_size=n)
+    covariates = {f"x{j}": draw(column) for j in range(draw(st.integers(0, 3)))}
+    for j in range(draw(st.integers(0, 2))):
+        levels = st.lists(st.sampled_from("abc"), min_size=n - 2, max_size=n - 2)
+        covariates[f"c{j}"] = ["a", "b", *draw(levels)]
+    encodings = {}
+    if "x0" in covariates and draw(st.booleans()):
+        assume(len(set(covariates["x0"])) > 1)
+        encodings["x0"] = "categorical"
+    data = Dataset(outcome=np.zeros(n), covariates=covariates,
+                   arm=arms + draw(st.lists(st.sampled_from(arms), min_size=n - k,
+                                            max_size=n - k)))
+    spec = ModelSpec(reference_arm=draw(st.sampled_from(arms)), encodings=encodings,
+                     interactions=draw(st.booleans()))
+    lo = draw(st.integers(0, n - 1))
+    return data, spec, lo, draw(st.integers(lo + 1, n))
+
+
+@pytest.mark.filterwarnings("ignore:covariate .* is constant")
+@settings(max_examples=200, deadline=None)
+@given(datasets_and_specs())
+def test_design_rows_are_finite(case):
+    # fit_model checks no DesignRows block for a NaN or infinity: a Dataset
+    # holds finite numeric covariates, and every other design entry is 1, 0
+    # or such a covariate times 0 or 1.
+    data, spec, lo, hi = case
+    rows = DesignRows(data, build_schema(data, spec))
+    for order in "CF":
+        out = np.full((hi - lo, rows.shape[1]), np.nan, order=order)
+        assert np.isfinite(rows.write(lo, hi, out)).all()
 
 
 def test_rank_deficient_design_names_columns():

@@ -311,15 +311,14 @@ def _scipy_sobol(d, children, k):
 def test_shipped_sobol_table_equals_scipys():
     import scipy
 
+    got = np.load(Path(mvnorm.__file__).with_name("sobol_directions.npy"))
+    assert got.shape == (mvnorm._SOBOL_MAX_DIM, 19) == (1000, 19)
+    assert got.dtype == np.uint32 and got.flags.c_contiguous
     theirs = Path(scipy.__file__).parent / "stats" / "_sobol_direction_numbers.npz"
-    with np.load(Path(mvnorm.__file__).with_name("sobol_directions.npz")) as got, \
-            np.load(theirs) as want:
-        assert sorted(got.files) == sorted(want.files) == ["poly", "vinit"]
-        for name in got.files:
-            assert got[name].dtype == np.uint32, name
-            assert got[name].shape == want[name].shape, name
-            assert np.array_equal(got[name].astype(np.int64), want[name]), name
-        assert got["poly"].shape == (mvnorm._SOBOL_MAX_DIM,)
+    with np.load(theirs) as want:
+        assert np.array_equal(got[:, 0].astype(np.int64), want["poly"][:1000])
+        for j in range(18):
+            assert np.array_equal(got[:, 1 + j].astype(np.int64), want["vinit"][:1000, j]), j
 
 
 def test_sdist_ships_the_sobol_table(tmp_path, monkeypatch):
@@ -334,7 +333,7 @@ def test_sdist_ships_the_sobol_table(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     name = build_meta.build_sdist(str(tmp_path / "dist"))
     with tarfile.open(tmp_path / "dist" / name) as sdist:
-        assert any(member.endswith("/src/effect_engine/sobol_directions.npz")
+        assert any(member.endswith("/src/effect_engine/sobol_directions.npy")
                    for member in sdist.getnames())
 
 
@@ -470,9 +469,9 @@ def test_no_point_is_integrated_twice(tol, log2_points, monkeypatch):
 
 
 def test_sobol_limits_fail_loudly():
-    # 21202 dimensions: a zero-stride covariance keeps the test small.
-    m = 21202
-    with pytest.raises(ValueError, match="at most 21201 dimensions"):
+    # 1001 dimensions: a zero-stride covariance keeps the test small.
+    m = 1001
+    with pytest.raises(ValueError, match="at most 1000 dimensions are supported, got 1001"):
         mvn_orthant(np.zeros(m), np.broadcast_to(1.0, (m, m)))
 
 
@@ -561,15 +560,15 @@ def test_a_bivariate_covariance_beyond_the_jitter_is_refused():
                                       [0.0, 0.0, 1.0]])
 
 
-@pytest.mark.parametrize("m", [1, 2, 5, 100, 21201])
+@pytest.mark.parametrize("m", [1, 2, 5, 100, 1000])
 def test_sobol_directions_are_scipys(m):
     from scipy.stats import qmc
     assert np.array_equal(mvnorm._sobol_directions(m), qmc.Sobol(m, scramble=False)._sv)
 
 
 def test_the_first_sobol_rows_are_read_alone():
-    # The table is stored in C order, so the first call for a few dimensions
-    # inflates only their rows, not all 21,201 (a 2.9 MB peak).
+    # The table is read through a memory map, so the first call for a few
+    # dimensions copies only their rows, not all 1,000.
     code = ("import tracemalloc\nfrom effect_engine import mvnorm\ntracemalloc.start()\n"
             "mvnorm._sobol_directions(5)\nprint(tracemalloc.get_traced_memory()[1])")
     proc = subprocess.run([sys.executable, "-c", code], env=cli_env(), capture_output=True,

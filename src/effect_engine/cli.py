@@ -19,7 +19,6 @@ import os
 import sys
 import warnings as _warnings
 from contextlib import contextmanager
-from functools import cached_property
 
 from numpy.linalg import lapack_lite
 
@@ -42,64 +41,46 @@ from .verify import SUITES, run_suite
 __all__ = ["main", "execute"]
 
 
-class _FitCache:
-    """The fits a run answers queries from, each fitted at most once.
-
-    ``base`` is the fit of the config's model block, made on construction;
-    ``posterior`` reads it as a posterior for probability queries (a
-    flat-prior reading unless the model is Bayes). The cluster-robust fit on
-    period-augmented data for per-period queries is made on first use, so
-    its errors stay per-query. :meth:`read` gives each query its fit.
-    """
-
-    def __init__(self, data: Dataset, spec: ModelSpec):
-        self._data = data
-        self._spec = spec
-        self.base = fit_model(data, spec)
-        self.posterior = as_flat_prior_posterior(self.base)
-
-    @cached_property
-    def period_cluster(self) -> tuple[Dataset, FittedModel] | Exception:
-        """The data with its period encoded as a covariate, and that data's
-        cluster-robust fit; or the error that refused them (a Bayes prior,
-        data without a period or unit_id column, a fit that fails), kept so
-        that each per-period query raises it again without a refit."""
-        data = self._data
-        try:
-            if self._spec.bayes is not None:
-                raise ValueError(
-                    "dte queries are incompatible with a bayes prior; the "
-                    "per-period contract requires cluster-robust covariance"
-                )
-            if data.period is None:
-                raise ValueError("dte queries need data.columns.period in the config")
-            if data.unit_id is None:
-                raise ValueError(
-                    "dte queries need data.columns.unit_id in the config "
-                    "(cluster-robust covariance clusters on it)"
-                )
-            pdata = add_period_covariate(data)
-            spec = dataclasses.replace(self._spec, covariance_kind="cluster")
-            return pdata, fit_model(pdata, spec)
-        except Exception as exc:
-            return exc
-
-    def read(self, query: QuerySpec) -> tuple[Dataset, FittedModel]:
-        """The data and the fit ``query`` is answered from, as its type's
-        ``fit`` in ``QUERY_TYPES`` names it."""
-        fit = QUERY_TYPES[query.type].fit
-        found = self.period_cluster if fit == "period_cluster" else (self._data, getattr(self, fit))
-        if isinstance(found, Exception):
-            raise found
-        return found
+def _period_cluster(data: Dataset, spec: ModelSpec) -> tuple[Dataset, FittedModel] | Exception:
+    """The data with its period encoded as a covariate, and that data's
+    cluster-robust fit, for per-period queries; or the error that refused
+    them (a Bayes prior, data without a period or unit_id column, a fit that
+    fails), returned so that each per-period query raises it again without
+    a refit."""
+    if spec.bayes is not None:
+        return ValueError(
+            "dte queries are incompatible with a bayes prior; the "
+            "per-period contract requires cluster-robust covariance"
+        )
+    if data.period is None:
+        return ValueError("dte queries need data.columns.period in the config")
+    if data.unit_id is None:
+        return ValueError(
+            "dte queries need data.columns.unit_id in the config "
+            "(cluster-robust covariance clusters on it)"
+        )
+    try:
+        pdata = add_period_covariate(data)
+        return pdata, fit_model(pdata, dataclasses.replace(spec, covariance_kind="cluster"))
+    except Exception as exc:
+        return exc
 
 
-def _run_query(query: QuerySpec, fits: _FitCache, cfg: RunConfig) -> dict:
+def _run_query(query: QuerySpec, fits: dict, cfg: RunConfig) -> dict:
+    """Answer ``query`` from ``fits[kind.fit]``, the data and fit its type's
+    ``fit`` in ``QUERY_TYPES`` names. ``fits`` starts with ``base`` and
+    ``posterior``; ``period_cluster`` is added at the first query that reads
+    it (:func:`_period_cluster`), so its errors stay per-query."""
     kind, kwargs = QUERY_TYPES[query.type], dict(query.params)
     if kind.fit == "posterior":
         # The seed's entropy: a SeedSequence is made only where QMC runs.
         kwargs.update(tol=cfg.mvn_tol, seed=[cfg.seed, query.index])
-    data, model = fits.read(query)
+    if kind.fit not in fits:
+        fits[kind.fit] = _period_cluster(fits["base"][0], cfg.model)
+    found = fits[kind.fit]
+    if isinstance(found, Exception):
+        raise found
+    data, model = found
     result = getattr(kind.module, query.type)(model, data, **kwargs)
     out = {**result.to_dict(), "index": query.index, "name": query.name}
     if kind.fit == "period_cluster":
@@ -190,7 +171,8 @@ def execute(cfg: RunConfig, *, flat_prior_ok: bool = False, partial: bool = Fals
     with _warnings.catch_warnings(record=True) as caught:
         _warnings.simplefilter("always")
         # a model that cannot fit is fatal regardless of --partial
-        fits = _FitCache(data, cfg.model)
+        base = fit_model(data, cfg.model)
+        fits = {"base": (data, base), "posterior": (data, as_flat_prior_posterior(base))}
         for query in cfg.queries:
             try:
                 results.append(_run_query(query, fits, cfg))
@@ -198,7 +180,7 @@ def execute(cfg: RunConfig, *, flat_prior_ok: bool = False, partial: bool = Fals
                 if not partial:
                     raise RuntimeError(f"queries[{query.index}]: {exc}") from exc
                 errors.append({"index": query.index, "name": query.name, "error": str(exc)})
-        model_info = _model_info(fits.base)
+        model_info = _model_info(base)
         captured = [str(w.message) for w in caught]
 
     return build_report(

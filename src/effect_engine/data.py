@@ -127,19 +127,28 @@ class _Coder:
         return LabelColumn(tuple(first[i] for i in order), rank[self.codes.trimmed()])
 
 
+def _factorize_by_value(values: np.ndarray) -> LabelColumn:
+    """``values`` coded by value, each level named ``str`` of it after: the
+    column :func:`factorize` gives the strings of ``values`` wherever equal
+    values have equal strings, as integers do, and finite floats other than
+    ``-0.0``."""
+    coder = _Coder()
+    coder.add(values.tolist(), len(values))
+    return coder.column(str)
+
+
 def factorize(labels: Sequence) -> LabelColumn:
     """``labels`` as a :class:`LabelColumn`: the coder of :func:`load_csv`,
     run over a column in memory. Labels are read as ``str(label)``; that
     pass over the labels is skipped when every distinct label already is a
-    ``str``, and an integer array is coded by value, its levels named after
-    (equal integers have equal strings). A :class:`LabelColumn` is returned
-    as it is."""
+    ``str``, and an integer array is coded by value
+    (:func:`_factorize_by_value`). A :class:`LabelColumn` is returned as it
+    is."""
     if isinstance(labels, LabelColumn):
         return labels
-    coder = _Coder()
     if isinstance(labels, np.ndarray) and labels.dtype.kind in "iu":
-        coder.add(labels, len(labels))
-        return coder.column(str)
+        return _factorize_by_value(labels)
+    coder = _Coder()
     try:
         coder.add(labels, len(labels))
         plain = all(type(v) is str for v in coder.seen)
@@ -276,7 +285,7 @@ class Dataset:
         if not isinstance(col, LabelColumn):
             col = self._codes.get(name)
             if col is None:
-                col = self._codes[name] = factorize((self.covariates[name] + 0.0).tolist())
+                col = self._codes[name] = _factorize_by_value(self.covariates[name] + 0.0)
         return col.levels, col.codes
 
 

@@ -231,9 +231,12 @@ def _sobol_directions(m: int) -> np.ndarray:
     shifted up to bit 29 - j. The first dimension is the van der Corput
     sequence.
     """
-    table = np.load(Path(__file__).with_name("sobol_directions.npy"), mmap_mode="r")
+    with open(Path(__file__).with_name("sobol_directions.npy"), "rb") as fh:
+        np.lib.format.read_magic(fh)
+        (_, columns), _, dtype = np.lib.format.read_array_header_1_0(fh)
+        table = np.fromfile(fh, dtype, count=m * columns).reshape(m, columns)
     v = [[1] * _SOBOL_BITS]
-    for p, *init in table[1:m].tolist():
+    for p, *init in table[1:].tolist():
         deg = p.bit_length() - 1
         row = init[:deg]
         for j in range(deg, _SOBOL_BITS):

@@ -6,12 +6,19 @@ the test process imported, whether the package is on the path through
 ``PYTHONPATH`` or installed with ``pip install -e``.
 """
 
+import ctypes
+import hashlib
 import os
 from pathlib import Path
 
 import numpy as np
+from numpy._core._multiarray_umath import __cpu_features__
+from numpy.linalg import lapack_lite
 
 import effect_engine
+from effect_engine.cli import execute
+from effect_engine.config import load_config
+from effect_engine.report import render_report
 
 # The directory that holds the effect_engine package imported by this process.
 PACKAGE_ROOT = Path(effect_engine.__file__).resolve().parents[1]
@@ -31,6 +38,32 @@ def cli_env():
         [str(PACKAGE_ROOT), *(os.path.abspath(entry) for entry in inherited)]
     )
     return env
+
+
+def blas_kernel():
+    """What a report's bytes depend on besides its inputs and the numpy
+    build: the name of the core numpy's OpenBLAS picked (None for a numpy on
+    another BLAS), found through the library ``cli._openblas_threads``
+    opens, and whether numpy dispatches its AVX-512 loops."""
+    avx512 = bool(__cpu_features__.get("AVX512_SKX"))
+    try:
+        corename = ctypes.CDLL(lapack_lite.__file__).scipy_openblas_get_corename64_
+    except AttributeError:
+        return None, avx512
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode(), avx512
+
+
+def report_digest(workloads, name, directory):
+    """sha256 of benchmark workload ``name``'s rendered report at seed 0 and
+    3,000 rows, without its created_at field, its inputs written into
+    ``directory``; ``workloads`` is the benchmark's generator
+    (perfbench/workloads.py)."""
+    inputs = workloads.generate(name, seed=0, rows=3000)
+    cfg = load_config(workloads.write_inputs(inputs, str(directory))["config"])
+    report = execute(cfg, flat_prior_ok=inputs.flat_prior_ok)
+    del report["created_at"]
+    return hashlib.sha256(render_report(report).encode("utf-8")).hexdigest()
 
 
 def columns_in_earlier_span(X, rtol=1e-8):

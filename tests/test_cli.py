@@ -5,6 +5,7 @@ import hashlib
 import importlib
 import inspect
 import json
+import platform
 import re
 import subprocess
 import sys
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import DEPENDENT_Z, RANK_DEFICIENT_CSV, cli_env
+from conftest import DEPENDENT_Z, RANK_DEFICIENT_CSV, blas_kernel, cli_env, report_digest
 from effect_engine import cli, verify
 from effect_engine import data as data_module
 from effect_engine import model as model_module
@@ -26,7 +27,6 @@ from effect_engine.model import as_flat_prior_posterior, fit_model
 from effect_engine.predicates import parse_predicate
 from effect_engine.ranking import prob_best, prob_positive
 from effect_engine.relative import relative_effect
-from effect_engine.report import render_report
 
 FOUR_ROW_CSV = "y,arm\n1,0\n3,0\n4,1\n6,1\n"
 
@@ -627,6 +627,27 @@ def test_a_failed_period_fit_is_made_once(tmp_path, monkeypatch):
     assert [r["name"] for r in report["results"]] == ["q4"]
 
 
+def test_a_period_fit_refused_for_one_cluster_is_tried_once(
+        tmp_path, monkeypatch):
+    # As above, where the period fit is refused by its cluster check: every
+    # row is in one unit, so the hc1 base fit succeeds and the period fit,
+    # which clusters on unit_id, fails. The second dte query raises the kept
+    # error without a second attempt.
+    kinds = []
+    fit_model = cli.fit_model
+    monkeypatch.setattr(cli, "fit_model",
+                        lambda data, spec: kinds.append(spec.covariance_kind)
+                        or fit_model(data, spec))
+    csv, columns, reference = ONE_UNIT
+    write_workspace(tmp_path, [DTE, {**DTE, "period": 1}], csv=csv, columns=columns,
+                    reference_arm=reference, covariance="hc1")
+    report = execute(load_config(str(tmp_path / "config.json")), partial=True)
+    assert kinds == ["hc1", "cluster"]
+    assert report["results"] == []
+    assert [(e["index"], e["error"]) for e in report["errors"]] == [(0, ONE_CLUSTER),
+                                                                   (1, ONE_CLUSTER)]
+
+
 def test_validate_accepts_a_singular_design_under_a_prior(tmp_path):
     # The prior rows make the posterior proper, so run and validate fit it.
     csv, columns, reference = RANK_DEFICIENT
@@ -723,27 +744,77 @@ def test_validate_accepts_every_benchmark_workload(tmp_path, workloads):
 
 
 # sha256 of each benchmark workload's rendered report at seed 0 and 3,000
-# rows, without its created_at field. The same bytes came out under
-# OPENBLAS_NUM_THREADS = 1, 2 and 4. A change that moves a bit of a report
-# updates these and says so.
+# rows, without its created_at field (report_digest), keyed by the OpenBLAS
+# core and whether numpy dispatches AVX-512 (blas_kernel): both move the
+# bits of a report. Each key was recorded on one AVX-512 x86 host: SkylakeX
+# with AVX-512 is its default; Haswell without AVX-512 is what an AVX2 x86
+# host runs, and OPENBLAS_CORETYPE=Zen gives it too. The same bytes came out
+# under OPENBLAS_NUM_THREADS = 1, 2 and 4. A change that moves a bit of a
+# report updates these and says so.
 REPORT_DIGESTS = {
-    "xsec_hc1": "f27de707a160c3b5e4ca60ba445032ea74a0e67b705d35c64dcaf71153165a0a",
-    "panel_cluster": "88e7b108be0d87f48029557e1976270418a1de382943ddb5004017e3aa56c63a",
-    "segments_bayes": "2f2503ed2b798ee4ebb0b8fece06fe0f9ab100c63b97224011fd597ae965fd61",
+    ("SkylakeX", True): {
+        "xsec_hc1": "f27de707a160c3b5e4ca60ba445032ea74a0e67b705d35c64dcaf71153165a0a",
+        "panel_cluster": "88e7b108be0d87f48029557e1976270418a1de382943ddb5004017e3aa56c63a",
+        "segments_bayes": "2f2503ed2b798ee4ebb0b8fece06fe0f9ab100c63b97224011fd597ae965fd61",
+    },
+    ("SkylakeX", False): {
+        "xsec_hc1": "f27de707a160c3b5e4ca60ba445032ea74a0e67b705d35c64dcaf71153165a0a",
+        "panel_cluster": "88e7b108be0d87f48029557e1976270418a1de382943ddb5004017e3aa56c63a",
+        "segments_bayes": "b11f84fe402289a3654ba2aff1359da178fb48afca3bca1b72d013daae2a7e47",
+    },
+    ("Haswell", True): {
+        "xsec_hc1": "a1214dcdf9d04ec70a1a2f6d1e1239ec6db48330a4571bcbccdfcb5c4d1688f4",
+        "panel_cluster": "618ad2e7d390b2d7bf82790ff3cf4facf142e08e5f294219b5c87673b3840dbf",
+        "segments_bayes": "f115eb05ecd714d63d8501cb1116a8ba8f389afb445456b43caf25f4986e8fe8",
+    },
+    ("Haswell", False): {
+        "xsec_hc1": "71f394c27ee0273bfe92b7f3f95c0212a0450589e1fdc9e24642bca3599116c1",
+        "panel_cluster": "618ad2e7d390b2d7bf82790ff3cf4facf142e08e5f294219b5c87673b3840dbf",
+        "segments_bayes": "2f29ca6bf2da0d0ac5516bdc7d508acb03c58d102778a4987ee1e8109b05d752",
+    },
 }
+WORKLOADS = sorted(REPORT_DIGESTS["SkylakeX", True])
+# The variables under which an AVX-512 x86 host runs as an AVX2 one does.
+AVX2_ENV = {"OPENBLAS_CORETYPE": "Haswell",
+            "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
 
 
-@pytest.mark.parametrize("name", sorted(REPORT_DIGESTS))
+@pytest.mark.parametrize("name", WORKLOADS)
 def test_workload_report_bytes_are_pinned(name, tmp_path, workloads):
-    inputs = workloads.generate(name, seed=0, rows=3000)
-    cfg = load_config(workloads.write_inputs(inputs, str(tmp_path))["config"])
-    report = execute(cfg, flat_prior_ok=inputs.flat_prior_ok)
-    del report["created_at"]
-    digest = hashlib.sha256(render_report(report).encode("utf-8")).hexdigest()
-    assert digest == REPORT_DIGESTS[name]
+    kernel = blas_kernel()
+    digest = report_digest(workloads, name, tmp_path)
+    if kernel not in REPORT_DIGESTS:
+        pytest.fail(f"no report digests are recorded for OpenBLAS core {kernel[0]!r} with "
+                    f"numpy's AVX-512 {'on' if kernel[1] else 'off'}; once the reports agree "
+                    f"to rounding with a recorded kernel's, add REPORT_DIGESTS[{kernel!r}] in "
+                    f"{Path(__file__).name} from the digest each case prints, this one "
+                    f"{name!r}: {digest!r}")
+    assert digest == REPORT_DIGESTS[kernel][name]
 
 
-@pytest.mark.parametrize("name", sorted(REPORT_DIGESTS))
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
+                    reason="OpenBLAS's Haswell kernels are x86 kernels")
+def test_avx2_report_bytes_are_pinned_in_a_child_under_haswell_kernels(tmp_path):
+    here = Path(__file__).resolve().parent
+    code = ("import json, os, sys\n"
+            "sys.dont_write_bytecode = True\n"
+            "sys.path[:0] = sys.argv[1:3]\n"
+            "import workloads\n"
+            "from conftest import blas_kernel, report_digest\n"
+            "digests = {name: report_digest(workloads, name, os.path.join(sys.argv[3], name))\n"
+            "           for name in sys.argv[4:]}\n"
+            "print(json.dumps([blas_kernel(), digests]))")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(here), str(here.parent / "perfbench"), str(tmp_path),
+         *WORKLOADS],
+        env={**cli_env(), **AVX2_ENV}, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    kernel, digests = json.loads(proc.stdout)
+    assert tuple(kernel) == ("Haswell", False)
+    assert digests == REPORT_DIGESTS["Haswell", False]
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
 def test_report_bytes_do_not_depend_on_the_blas_thread_count(name, tmp_path, workloads):
     # Each workload's shape at 9,000 rows: the design spans five blocks, the
     # first four full (2,048 rows), and segments_bayes is p = 72 wide, where

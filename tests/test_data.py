@@ -588,6 +588,24 @@ def test_a_numeric_column_read_as_categories_gives_minus_zero_and_zero_one_level
     assert np.signbit(data.covariates["x"][0])  # the column itself is kept as given
 
 
+@pytest.mark.parametrize("reverse", [False, True])
+def test_a_numeric_column_coded_by_value_equals_its_strings_coded(reverse):
+    # Pairs that are equal, or close, as floats: -0.0 and 0.0; 0.1 + 0.2 and
+    # 0.3; 1e16 and the next double but one; the least subnormal.
+    values = [-0.0, 0.0, 0.1 + 0.2, 0.3, 1e16, 1e16 + 2, 5e-324, -5e-324, 0.3, -0.0]
+    col = np.array(values[::-1] if reverse else values)
+    want = factorize([str(v) for v in (col + 0.0).tolist()])
+    got = data_module._factorize_by_value(col + 0.0)
+    assert got.levels == want.levels
+    assert_array_equal(got.codes, want.codes)
+    assert got.codes.dtype == want.codes.dtype
+    data = Dataset(outcome=np.arange(len(col), dtype=float), arm=["a", "b"] * 5,
+                   covariates={"x": col})
+    levels, codes = data.categorical_codes("x")
+    assert levels == want.levels
+    assert_array_equal(codes, want.codes)
+
+
 def test_every_code_array_is_as_narrow_as_its_levels():
     n = 300
     data = Dataset(outcome=np.arange(n, dtype=float), arm=["abc"[i % 3] for i in range(n)],

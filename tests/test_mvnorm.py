@@ -567,11 +567,15 @@ def test_sobol_directions_are_scipys(m):
 
 
 def test_the_first_sobol_rows_are_read_alone():
-    # The table is read through a memory map, so the first call for a few
-    # dimensions copies only their rows, not all 1,000.
-    code = ("import tracemalloc\nfrom effect_engine import mvnorm\ntracemalloc.start()\n"
-            "mvnorm._sobol_directions(5)\nprint(tracemalloc.get_traced_memory()[1])")
+    # The table is read with a count that stops after the rows asked for, so
+    # the first call for a few dimensions copies only their rows, not all
+    # 1,000, and loads no mmap module.
+    code = ("import sys, tracemalloc\nfrom effect_engine import mvnorm\ntracemalloc.start()\n"
+            "mvnorm._sobol_directions(5)\nprint(tracemalloc.get_traced_memory()[1])\n"
+            "print('mmap' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], env=cli_env(), capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) < 100_000
+    peak, mmap_loaded = proc.stdout.split()
+    assert int(peak) < 100_000
+    assert mmap_loaded == "False"
